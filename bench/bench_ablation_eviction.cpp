@@ -4,14 +4,13 @@
 // policy determines how much PFS traffic remains.  Epoch-style sequential
 // sweeps are LRU's worst case, so this also documents why HVAC-style
 // workloads are insensitive to recency (the paper can ignore eviction).
+// Every row drives the server's own cache store (RAM-only, one shard).
 #include <cstdio>
-#include <unordered_map>
 
 #include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "common/string_util.hpp"
-#include "storage/cache_store.hpp"
-#include "store/eviction.hpp"
+#include "store/tiered_store.hpp"
 
 int main(int argc, char** argv) {
   using namespace ftc;
@@ -23,11 +22,14 @@ int main(int argc, char** argv) {
   TextTable table({"Capacity/dataset", "Policy", "Hit rate %", "Evictions",
                    "PFS fetches"});
   for (const double ratio : {1.25, 0.9, 0.5, 0.25}) {
-    for (const auto policy :
-         {storage::EvictionPolicy::kLru, storage::EvictionPolicy::kFifo,
-          storage::EvictionPolicy::kClock}) {
-      storage::CacheStore cache(
-          static_cast<std::uint64_t>(ratio * files) * file_bytes, policy);
+    for (const auto kind :
+         {store::PolicyKind::kLru, store::PolicyKind::kFifo,
+          store::PolicyKind::kS3Fifo, store::PolicyKind::kGdsf}) {
+      store::StoreConfig config;
+      config.policy = kind;
+      config.shards = 1;
+      store::TieredCacheStore cache(
+          static_cast<std::uint64_t>(ratio * files) * file_bytes, config);
       Rng rng(42);
       std::uint64_t pfs_fetches = 0;
       std::vector<std::uint32_t> order(files);
@@ -38,62 +40,15 @@ int main(int argc, char** argv) {
           const std::string key = "/f" + std::to_string(f);
           if (!cache.get(key).is_ok()) {
             ++pfs_fetches;  // miss -> PFS fetch + recache
-            (void)cache.put(key, std::string(file_bytes, 'x'), file_bytes);
+            (void)cache.put(key, common::Buffer(std::string(file_bytes, 'x')),
+                            file_bytes, 0);
           }
         }
       }
-      table.add_row({format_double(ratio, 2),
-                     storage::eviction_policy_name(policy),
-                     format_double(100.0 * cache.hit_rate(), 2),
-                     std::to_string(cache.eviction_count()),
-                     std::to_string(pfs_fetches)});
-    }
-    // The tiered store's pluggable policies (src/store) on the same
-    // workload: a byte-budget cache simulated directly on the policy.
-    for (const auto kind :
-         {store::PolicyKind::kS3Fifo, store::PolicyKind::kGdsf}) {
-      const std::uint64_t capacity =
-          static_cast<std::uint64_t>(ratio * files) * file_bytes;
-      auto policy = store::make_eviction_policy(kind);
-      std::unordered_map<std::string, std::uint64_t> resident;
-      std::uint64_t resident_bytes = 0;
-      std::uint64_t hits = 0, lookups = 0, evictions = 0, pfs_fetches = 0;
-      Rng rng(42);
-      std::vector<std::uint32_t> order(files);
-      for (std::uint32_t i = 0; i < files; ++i) order[i] = i;
-      for (std::uint32_t epoch = 0; epoch < epochs; ++epoch) {
-        rng.shuffle(order);
-        for (const std::uint32_t f : order) {
-          const std::string key = "/f" + std::to_string(f);
-          ++lookups;
-          if (resident.count(key) != 0) {
-            ++hits;
-            policy->on_hit(key);
-            continue;
-          }
-          ++pfs_fetches;
-          while (resident_bytes + file_bytes > capacity) {
-            const auto victim = policy->pop_victim();
-            if (!victim) break;
-            const auto it = resident.find(*victim);
-            if (it == resident.end()) continue;
-            resident_bytes -= it->second;
-            resident.erase(it);
-            ++evictions;
-          }
-          if (resident_bytes + file_bytes <= capacity) {
-            policy->on_insert(key, file_bytes);
-            resident.emplace(key, file_bytes);
-            resident_bytes += file_bytes;
-          }
-        }
-      }
-      table.add_row({format_double(ratio, 2),
-                     store::policy_kind_name(kind),
-                     format_double(100.0 * static_cast<double>(hits) /
-                                       static_cast<double>(lookups),
-                                   2),
-                     std::to_string(evictions),
+      const store::StoreStats stats = cache.stats_snapshot();
+      table.add_row({format_double(ratio, 2), store::policy_kind_name(kind),
+                     format_double(100.0 * stats.hit_ratio(), 2),
+                     std::to_string(stats.evictions),
                      std::to_string(pfs_fetches)});
     }
   }
@@ -106,8 +61,7 @@ int main(int argc, char** argv) {
       "expected: above 1.0 capacity everything fits (hit rate -> (E-1)/E); "
       "under pressure all policies degrade toward the capacity ratio — "
       "shuffled full-dataset sweeps give recency little to exploit.  "
-      "s3fifo/gdsf are the tiered store's policies on the same workload; "
-      "their scan-phase advantage shows in bench_pressure, where sweeps "
-      "are sequential rather than reshuffled\n");
+      "s3fifo/gdsf's scan-phase advantage shows in bench_pressure, where "
+      "sweeps are sequential rather than reshuffled\n");
   return 0;
 }

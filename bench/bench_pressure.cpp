@@ -163,10 +163,9 @@ struct ScanResult {
 };
 
 ScanResult run_scan(const BenchArgs& args, PolicyKind policy) {
+  const std::uint64_t ram_bytes = std::uint64_t{args.ram_kb} << 10;
   StoreConfig config;
-  config.tiering = true;
-  config.ram_bytes = std::uint64_t{args.ram_kb} << 10;
-  config.nvme_bytes = config.ram_bytes * args.nvme_x;
+  config.nvme_bytes = ram_bytes * args.nvme_x;
   config.policy = policy;
   config.background_reclaim = false;  // deterministic hit counts
   // Tight watermarks: reclaim runs as a steady trickle that tracks the
@@ -174,11 +173,11 @@ ScanResult run_scan(const BenchArgs& args, PolicyKind policy) {
   // the policy's ordering, not burst depth.
   config.low_watermark = 0.85;
   config.high_watermark = 0.95;
-  TieredCacheStore store(config);
+  TieredCacheStore store(ram_bytes, config);
 
   const std::uint64_t file_bytes = std::uint64_t{args.file_kb} << 10;
   const auto files = static_cast<std::uint32_t>(
-      config.ram_bytes * args.dataset_x / file_bytes);
+      ram_bytes * args.dataset_x / file_bytes);
   const std::string payload(file_bytes, 'p');
 
   const auto access = [&](std::uint32_t f) {
@@ -247,17 +246,16 @@ double percentile(std::vector<double>& sorted_us, double q) {
 
 WriteResult run_writes(const BenchArgs& args, bool pressured) {
   const std::uint64_t file_bytes = std::uint64_t{args.file_kb} << 10;
-  StoreConfig config;
-  config.tiering = true;
   // Unpressured: RAM swallows every write without ever crossing the high
   // watermark.  Pressured: RAM holds ~64 files, so the reclaim thread
   // demotes continuously underneath the timed writes.
-  config.ram_bytes = pressured ? file_bytes * 64
-                               : file_bytes * (args.writes + 64);
+  const std::uint64_t ram_bytes =
+      pressured ? file_bytes * 64 : file_bytes * (args.writes + 64);
+  StoreConfig config;
   config.nvme_bytes = file_bytes * (args.writes + 64);
   config.policy = PolicyKind::kS3Fifo;
   config.background_reclaim = true;
-  TieredCacheStore store(config);
+  TieredCacheStore store(ram_bytes, config);
 
   const std::string payload(file_bytes, 'w');
   std::vector<double> latencies_us;
@@ -303,9 +301,9 @@ WarmResult run_warm_restart(const BenchArgs& args) {
   config.client.rpc_timeout = std::chrono::milliseconds(5000);
   config.client.timeout_limit = 2;
   config.server.async_data_mover = false;
-  config.server.store.tiering = true;
-  config.server.store.ram_bytes = 64ULL << 20;
+  config.server.cache_capacity_bytes = 64ULL << 20;
   config.server.store.nvme_bytes = 256ULL << 20;
+  config.server.store.policy = PolicyKind::kS3Fifo;
   config.server.store.background_reclaim = false;
   Cluster cluster(config);
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the concurrency-relevant test binaries under a sanitizer and runs
-# them.  The lock-striped cache, thread pools and transport are the racy
-# surface; cluster/rpc/storage tests cover all three.  cluster_test also
+# them.  The lock-striped cache store, thread pools and transport are the
+# racy surface; cluster/rpc/store tests cover all three.  cluster_test also
 # carries the gray-failure stress suite (GrayFailStress): concurrent
 # hedging clients racing async hedge legs and reinstatement probes against
 # a flapping node and a slow node — the paths where a data race would hide.
@@ -45,13 +45,16 @@
 # with full-dump fallback) runs on server worker threads racing the
 # membership agent's epoch swaps — the split-brain surface where a torn
 # epoch read would admit a stale write.
-# The tiered store (store_test, TieredStress suite) hammers the RAM+NVMe
-# TieredCacheStore from 8 threads while the background reclaimer demotes
-# under watermark pressure: shard locks, the cold-index mutex and the
-# NVMe device index interleave with promotions (cold hit -> RAM) and the
+# The cache store (store_test, TieredStoreStress suite) is hammered from 8
+# threads in both shapes.  Tiered: the background reclaimer demotes under
+# watermark pressure while shard locks, the cold-index mutex and the NVMe
+# device index interleave with promotions (cold hit -> RAM) and the
 # demote-before-cold-write window — the tier-transition surface where a
 # torn byte-accounting update or a double-free of a demoted buffer would
-# surface.
+# surface.  RAM-only (every server's default cache): inline eviction and
+# cross-shard peer steals release and re-take shard locks mid-put, and
+# the RamOnlyStore suite checks the byte accounting stays exact under
+# concurrent puts, erases and steals.
 # Usage: scripts/sanitize.sh [thread|address] [build_dir]
 set -euo pipefail
 

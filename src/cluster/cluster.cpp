@@ -110,19 +110,19 @@ void Cluster::warm_caches(const std::vector<std::string>& paths) {
 }
 
 void Cluster::boot_server(NodeId node) {
-  if (config_.server.store.tiering) {
+  const ftc::store::StoreConfig& store = config_.server.store;
+  if (store.has_cold_tier()) {
     if (devices_.size() <= node) devices_.resize(node + 1);
     // The device is created ONCE per node and reused across server
     // incarnations — it is the state that survives a crash.
     if (!devices_[node]) {
       devices_[node] = std::make_shared<ftc::store::NvmeDevice>(
-          config_.server.store.nvme_bytes,
-          config_.server.store.model_nvme_latency, config_.server.store.nvme);
+          store.nvme_bytes, store.model_nvme_latency, store.nvme);
     }
   }
   auto server = std::make_unique<HvacServer>(
       node, pfs_, config_.server,
-      config_.server.store.tiering ? devices_[node] : nullptr);
+      store.has_cold_tier() ? devices_[node] : nullptr);
   if (servers_.size() <= node) servers_.resize(node + 1);
   servers_[node] = std::move(server);
   HvacServer* raw = servers_[node].get();
@@ -148,8 +148,8 @@ void Cluster::restore_node(NodeId node, bool lose_cache) {
 }
 
 std::size_t Cluster::restart_node_warm(NodeId node) {
-  if (!config_.server.store.tiering) {
-    // No tiered store = no surviving device; this IS the lost-cache path.
+  if (!config_.server.store.has_cold_tier()) {
+    // No cold tier = no surviving device; this IS the lost-cache path.
     restore_node(node, /*lose_cache=*/true);
     return 0;
   }
@@ -376,10 +376,9 @@ void Cluster::collect_metrics(obs::MetricsRegistry::Collection& out) const {
     out.gauge("ftc_server_cache_capacity_bytes", node_label,
               static_cast<double>(servers_[n]->cache_capacity_bytes()));
 
-    if (servers_[n]->tiered()) {
-      // Tiered-store series (PR 6 convention: one family per concept,
-      // dimensions as labels).  Absent entirely with tiering off, like
-      // the pfs_guard block above.
+    {
+      // Store series (one family per concept, dimensions as labels).  Every node has a store; the nvme rows read 0 when
+      // it has no cold tier.
       const ftc::store::StoreStats st = servers_[n]->store_stats();
       const auto with_tier = [&](const char* tier) {
         obs::Labels labels = node_label;
@@ -408,12 +407,7 @@ void Cluster::collect_metrics(obs::MetricsRegistry::Collection& out) const {
                   st.manifest_restored);
       out.counter("ftc_store_manifest_rejected_stale_total", node_label,
                   st.manifest_rejected_stale);
-      const double lookups =
-          static_cast<double>(st.hot_hits + st.cold_hits + st.misses);
-      out.gauge("ftc_store_hit_ratio", node_label,
-                lookups > 0.0
-                    ? static_cast<double>(st.hot_hits + st.cold_hits) / lookups
-                    : 0.0);
+      out.gauge("ftc_store_hit_ratio", node_label, st.hit_ratio());
     }
 
     if (const PfsFetchGuard* guard = servers_[n]->pfs_guard()) {

@@ -83,14 +83,14 @@ class Cluster {
   /// on first touch — the gray-failure recovery experiment.
   void restore_node(NodeId node, bool lose_cache = false);
 
-  /// Kill-and-warm-restart (server.store.tiering only): destroys the
+  /// Kill-and-warm-restart (server.store.nvme_bytes > 0): destroys the
   /// node's server process — RAM tier, counters, freshness ledger all
   /// lost — and boots a fresh incarnation against the node's surviving
   /// NVMe device.  The new server rebuilds its cold tier from the
   /// device's manifest, validating each entry's generation against the
   /// ledgers of the other alive nodes (the in-process stand-in for a
   /// metadata query on rejoin).  Returns the number of entries restored.
-  /// Without tiering this degrades to restore_node(node, /*lose=*/true).
+  /// Without a cold tier this degrades to restore_node(node, /*lose=*/true).
   std::size_t restart_node_warm(NodeId node);
 
   /// Elastic scale-up: provisions a new node (server + client) and
@@ -130,7 +130,7 @@ class Cluster {
 
  private:
   /// Constructs node `n`'s server, handing it the node's NVMe device
-  /// (created on first use) when the tiered store is enabled, and
+  /// (created on first use) when the store has a cold tier, and
   /// registers its endpoint with admission/load-report knobs applied.
   void boot_server(NodeId node);
   /// Attaches node `n`'s recorder to its server, client, transport
@@ -146,7 +146,7 @@ class Cluster {
   /// teardown drains async completions that still record spans.
   std::vector<std::unique_ptr<obs::FlightRecorder>> recorders_;
   rpc::Transport transport_;
-  /// Per-node NVMe volumes (tiered store only; empty slots otherwise).
+  /// Per-node NVMe volumes (cold tier only; empty otherwise).
   /// Owned here, NOT by the servers, because the device outlives a server
   /// crash — that lifetime split is what makes warm restarts possible.
   std::vector<std::shared_ptr<ftc::store::NvmeDevice>> devices_;

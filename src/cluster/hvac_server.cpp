@@ -38,8 +38,10 @@ Status HvacServerConfig::validate() const {
   if (report_load && (load_report_alpha <= 0.0 || load_report_alpha > 1.0)) {
     return Status::invalid_argument("load_report_alpha must be in (0, 1]");
   }
-  if (const Status tiered = store.validate(); !tiered.is_ok()) return tiered;
-  return Status::ok();
+  if (cache_capacity_bytes == 0) {
+    return Status::invalid_argument("cache_capacity_bytes must be > 0");
+  }
+  return store.validate();
 }
 
 HvacServer::HvacServer(NodeId id, PfsStore& pfs,
@@ -51,16 +53,8 @@ HvacServer::HvacServer(NodeId id, PfsStore& pfs,
   if (!valid.is_ok()) {
     throw std::invalid_argument("HvacServerConfig: " + valid.message());
   }
-  if (config_.store.tiering) {
-    auto tiered = std::make_unique<ftc::store::TieredCacheStore>(
-        config_.store, std::move(device));
-    tiered_ = tiered.get();
-    cache_ = std::move(tiered);
-  } else {
-    cache_ = std::make_unique<ftc::store::LegacyStoreAdapter>(
-        config_.cache_capacity_bytes, config_.eviction_policy,
-        config_.cache_shards);
-  }
+  cache_ = std::make_unique<ftc::store::TieredCacheStore>(
+      config_.cache_capacity_bytes, config_.store, std::move(device));
   if (config_.pfs_singleflight) {
     pfs_guard_ = std::make_unique<PfsFetchGuard>(config_.pfs_guard);
   }
@@ -467,12 +461,13 @@ std::uint64_t HvacServer::replica_generation_of(const std::string& path) const {
 
 std::size_t HvacServer::warm_restore(
     const ftc::store::TieredCacheStore::GenerationAuthority& authority) {
-  if (tiered_ == nullptr) return 0;
-  const std::size_t restored = tiered_->restore_from_device(authority);
+  const ftc::store::NvmeDevice* device = cache_->device();
+  if (device == nullptr) return 0;
+  const std::size_t restored = cache_->restore_from_device(authority);
   // Seed the freshness ledger from the surviving manifest: without this,
   // a stale replica push arriving right after the restart would be
   // accepted over the fresher bytes that just came back from the device.
-  const ftc::store::Manifest manifest = tiered_->device().manifest();
+  const ftc::store::Manifest manifest = device->manifest();
   std::lock_guard<std::mutex> lock(generation_mu_);
   for (const auto& entry : manifest.entries) {
     if (entry.generation == 0) continue;
@@ -484,7 +479,7 @@ std::size_t HvacServer::warm_restore(
 
 void HvacServer::flush_cache_to_cold() {
   flush_data_mover();
-  if (tiered_ != nullptr) tiered_->flush_hot_to_cold();
+  cache_->flush_hot_to_cold();
 }
 
 }  // namespace ftc::cluster

@@ -11,7 +11,8 @@
 // Data path (zero-copy): payloads are ftc::common::Buffer — a cache hit
 // hands out a reference to the stored bytes (no memcpy, CRC memoized per
 // payload), and a miss shares one buffer between the RPC response and the
-// recache task.  The cache itself is lock-striped (ShardedCacheStore), so
+// recache task.  The cache itself is the lock-striped TieredCacheStore
+// (RAM-only unless `store.nvme_bytes` adds a cold NVMe tier), so
 // concurrent reads of different files never serialize; server counters
 // are lock-free atomics.  There is no server-wide mutex.
 #pragma once
@@ -30,9 +31,7 @@
 #include "obs/flight_recorder.hpp"
 #include "placement/replication_policy.hpp"
 #include "rpc/message.hpp"
-#include "storage/sharded_cache_store.hpp"
 #include "store/store_config.hpp"
-#include "store/store_iface.hpp"
 #include "store/tiered_store.hpp"
 
 namespace ftc::membership {
@@ -42,18 +41,13 @@ class MembershipAgent;
 namespace ftc::cluster {
 
 struct HvacServerConfig {
-  /// NVMe capacity available for caching.
+  /// Byte budget of the cache's hot (RAM) tier — the whole cache unless
+  /// `store.nvme_bytes` adds a cold tier.
   std::uint64_t cache_capacity_bytes = 1ULL << 30;
-  /// Victim selection when the dataset share exceeds the NVMe capacity.
-  storage::EvictionPolicy eviction_policy = storage::EvictionPolicy::kLru;
-  /// Lock stripes for the cache store (keys hashed across shards).
-  std::size_t cache_shards = storage::ShardedCacheStore::kDefaultShards;
-  /// Tiered RAM+NVMe store (the `store.tiering` knob).  Off = the three
-  /// legacy cache knobs above govern a ShardedCacheStore, bit-for-bit.
-  /// On = the server's cache is a TieredCacheStore configured entirely
-  /// from this block (the legacy knobs are inert) — hot RAM tier, cold
-  /// NVMe tier with demotion/promotion, watermark reclaim, and a
-  /// generation-stamped manifest enabling warm restarts.
+  /// Everything else about the cache: eviction policy, lock stripes, and
+  /// the optional cold NVMe tier (`store.nvme_bytes > 0`) with
+  /// demotion/promotion, watermark reclaim, and a generation-stamped
+  /// manifest enabling warm restarts.
   ftc::store::StoreConfig store;
   /// When false, misses are cached inline before the response returns
   /// (deterministic mode for tests); when true, the data-mover pool does
@@ -118,10 +112,10 @@ class HvacServer {
   /// Throws std::invalid_argument when `config.validate()` rejects —
   /// misconfigured overload control must fail loudly at construction,
   /// not silently misprotect under the first storm.
-  /// `device` is the node's NVMe volume for the tiered store: pass the
+  /// `device` is the node's NVMe volume for the cold tier: pass the
   /// cluster-owned instance so cold-tier bytes survive a server restart
-  /// (warm rejoin), or nullptr for a private volume.  Ignored with
-  /// `config.store.tiering` off.
+  /// (warm rejoin), or nullptr for a private volume.  Ignored without a
+  /// cold tier (`config.store.nvme_bytes` 0).
   HvacServer(NodeId id, PfsStore& pfs, const HvacServerConfig& config,
              std::shared_ptr<ftc::store::NvmeDevice> device = nullptr);
   ~HvacServer();
@@ -217,21 +211,10 @@ class HvacServer {
   [[nodiscard]] bool has_cached(const std::string& path) const;
   [[nodiscard]] std::size_t cached_file_count() const;
   [[nodiscard]] std::uint64_t cached_bytes() const;
-  /// Whole-cache budget of whichever store is live (RAM+NVMe when
-  /// tiered; the legacy knob otherwise).
+  /// Whole-cache budget (RAM + NVMe).
   [[nodiscard]] std::uint64_t cache_capacity_bytes() const;
 
-  // --- tiered store (store.tiering only; inert otherwise) --------------
-
-  /// True when this server runs the tiered RAM+NVMe store.
-  [[nodiscard]] bool tiered() const { return tiered_ != nullptr; }
-  /// The tiered store itself (tests / bench introspection); nullptr with
-  /// tiering off.
-  [[nodiscard]] const ftc::store::TieredCacheStore* tiered_store() const {
-    return tiered_;
-  }
-  /// Per-tier telemetry from whichever store is live (the legacy adapter
-  /// reports everything in the RAM row).
+  /// Per-tier store telemetry (the nvme row reads 0 without a cold tier).
   [[nodiscard]] ftc::store::StoreStats store_stats() const {
     return cache_->stats_snapshot();
   }
@@ -245,13 +228,13 @@ class HvacServer {
   /// Warm rejoin: rebuilds the cold tier from the surviving device's
   /// manifest, dropping entries whose generation the authority says is
   /// stale, and seeds the freshness ledger from what survived.  Returns
-  /// the number of entries restored; always 0 with tiering off.
+  /// the number of entries restored; always 0 without a cold tier.
   std::size_t warm_restore(
       const ftc::store::TieredCacheStore::GenerationAuthority& authority = {});
 
   /// Clean-shutdown flush: drains the data mover, then demotes every hot
   /// entry to the NVMe tier so the manifest covers the whole cache before
-  /// a planned restart.  No-op with tiering off.
+  /// a planned restart.  No-op without a cold tier.
   void flush_cache_to_cold();
 
   /// The server's copy of its config (cluster wiring reads the endpoint/
@@ -298,12 +281,8 @@ class HvacServer {
   HvacServerConfig config_;
   membership::MembershipAgent* membership_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
-  /// The cache behind the store interface: LegacyStoreAdapter (default,
-  /// bit-for-bit the old ShardedCacheStore) or TieredCacheStore
-  /// (store.tiering).  Both are internally synchronized.
-  std::unique_ptr<ftc::store::StoreIface> cache_;
-  /// Aliases cache_ when it is the tiered store; nullptr otherwise.
-  ftc::store::TieredCacheStore* tiered_ = nullptr;
+  /// The node's cache (internally synchronized).
+  std::unique_ptr<ftc::store::TieredCacheStore> cache_;
   AtomicStats stats_;
   /// The recache enqueue's write-class decision, expressed through the
   /// same ReplicationPolicy vocabulary the client's replica pushes use

@@ -4,7 +4,7 @@
 // first-class instruments (Counter / Gauge / Histogram, handed out by the
 // registry as stable references backed by relaxed atomics) or — for the
 // pre-existing stats structs (`EndpointStats`, `HvacClient::Stats`,
-// `PfsFetchGuard::Stats`, SWIM agent, `ShardedCacheStore`) — register a
+// `PfsFetchGuard::Stats`, SWIM agent, `store::StoreStats`) — register a
 // *collector* callback that emits samples at export time from the same
 // counters the legacy `stats_snapshot()` accessors read.  The collector
 // pattern is what keeps migration free: the component's counters stay the

@@ -2,6 +2,7 @@
 
 #include <list>
 #include <map>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -40,9 +41,13 @@ class ListPolicy : public EvictionPolicy {
   }
 
   void on_insert(const std::string& key, std::uint64_t) override {
-    on_erase(key);  // re-insert of a tracked key replaces its position
+    // Re-insert of a tracked key moves it to the newest position.
+    if (const auto it = index_.find(key); it != index_.end()) {
+      order_.splice(order_.begin(), order_, it->second);
+      return;
+    }
     order_.push_front(key);
-    index_[key] = order_.begin();
+    index_.emplace(order_.front(), order_.begin());
   }
 
   void on_hit(const std::string& key) override {
@@ -55,29 +60,33 @@ class ListPolicy : public EvictionPolicy {
   void on_erase(const std::string& key) override {
     const auto it = index_.find(key);
     if (it == index_.end()) return;
-    order_.erase(it->second);
-    index_.erase(it);
+    const auto node = it->second;
+    index_.erase(it);  // before the node: the index key views its string
+    order_.erase(node);
   }
 
   std::optional<std::string> pop_victim() override {
     if (order_.empty()) return std::nullopt;
+    index_.erase(order_.back());
     std::string victim = std::move(order_.back());
     order_.pop_back();
-    index_.erase(victim);
     return victim;
   }
 
   [[nodiscard]] std::size_t tracked() const override { return index_.size(); }
 
   void reset() override {
-    order_.clear();
     index_.clear();
+    order_.clear();
   }
 
  private:
   bool refresh_on_hit_;
   std::list<std::string> order_;  ///< front = newest
-  std::unordered_map<std::string, std::list<std::string>::iterator> index_;
+  /// Keys view the strings in `order_` (list nodes never move), so each
+  /// key is stored once.
+  std::unordered_map<std::string_view, std::list<std::string>::iterator>
+      index_;
 };
 
 // ---------------------------------------------------------------------

@@ -1,12 +1,11 @@
-// eviction.hpp - Pluggable victim-selection policies for the tiered store.
+// eviction.hpp - Pluggable victim-selection policies for the cache store.
 //
-// The legacy CacheStore hard-codes its policy into the entry bookkeeping
-// (an intrusive LRU list).  The tiered store instead owns plain
-// path->bytes entries and delegates ALL ordering decisions to an
-// EvictionPolicy object: the policy sees inserts, hits and erases, and
-// hands back victims on demand.  That makes the policy a per-workload
-// choice (Chameleon's argument) instead of a compile-time one, and lets
-// the RAM and NVMe tiers run the same policy code independently.
+// The store owns plain path->bytes entries and delegates ALL ordering
+// decisions to an EvictionPolicy object: the policy sees inserts, hits
+// and erases, and hands back victims on demand.  That makes the policy a
+// per-workload choice (Chameleon's argument) instead of a compile-time
+// one, and lets the RAM and NVMe tiers run the same policy code
+// independently.
 //
 // Policies:
 //   LRU     - classic recency list; the baseline every DL-cache paper

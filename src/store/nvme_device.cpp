@@ -22,7 +22,7 @@ Status NvmeDevice::write(const std::string& path, Entry entry) {
   // Pay the service time before taking the index lock: a modelled flash
   // write must not serialize concurrent index lookups.
   pay(storage::nvme_write_latency(nvme_, entry.bytes));
-  writes_.fetch_add(1, std::memory_order_relaxed);
+  entry.version = writes_.fetch_add(1, std::memory_order_relaxed) + 1;
   bytes_written_.fetch_add(entry.bytes, std::memory_order_relaxed);
   std::lock_guard lock(mutex_);
   const auto it = entries_.find(path);
@@ -73,6 +73,16 @@ bool NvmeDevice::erase(const std::string& path) {
   std::lock_guard lock(mutex_);
   const auto it = entries_.find(path);
   if (it == entries_.end()) return false;
+  used_bytes_ -= it->second.bytes;
+  entries_.erase(it);
+  return true;
+}
+
+bool NvmeDevice::erase_version(const std::string& path,
+                               std::uint64_t version) {
+  std::lock_guard lock(mutex_);
+  const auto it = entries_.find(path);
+  if (it == entries_.end() || it->second.version != version) return false;
   used_bytes_ -= it->second.bytes;
   entries_.erase(it);
   return true;

@@ -43,6 +43,9 @@ class NvmeDevice {
     common::Buffer contents;
     std::uint64_t bytes = 0;
     std::uint64_t generation = 0;
+    /// Assigned by write(), unique per write: names the exact version a
+    /// read saw, so a later erase_version() cannot drop a newer write.
+    std::uint64_t version = 0;
   };
 
   /// Writes/overwrites an entry, paying write latency.  The caller is
@@ -64,6 +67,9 @@ class NvmeDevice {
 
   /// Removes one entry (index op, no latency); false when absent.
   bool erase(const std::string& path);
+  /// Removes `path` only while it still holds the write `version` names;
+  /// false when absent or overwritten since.
+  bool erase_version(const std::string& path, std::uint64_t version);
 
   /// Wipes payloads and index (models volume re-format on cold rejoin).
   void clear();

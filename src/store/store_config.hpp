@@ -1,11 +1,11 @@
-// store_config.hpp - Knobs for the tiered RAM+NVMe cache store.
+// store_config.hpp - Knobs for the node-local cache store.
 //
-// One nested block under HvacServerConfig (`server.store.*`), following
-// the PR-5 convention: default-off, validate() rejects contradictory
-// combinations, and with `tiering` false the server runs the legacy
-// ShardedCacheStore bit-for-bit (the legacy cache_capacity_bytes /
-// eviction_policy / cache_shards knobs keep their meaning; the store.*
-// block is inert).
+// One nested block under HvacServerConfig (`server.store.*`).  The RAM
+// (hot) tier's budget is the server's `cache_capacity_bytes`; this block
+// holds everything else.  With `nvme_bytes` 0 (the default) the store is
+// RAM-only: a put that would exceed the budget evicts victims inline,
+// and the watermark / reclaim / NVMe-model / manifest knobs are inert.
+// `nvme_bytes > 0` adds the cold NVMe tier those knobs govern.
 #pragma once
 
 #include <cstddef>
@@ -18,19 +18,14 @@
 namespace ftc::store {
 
 struct StoreConfig {
-  /// Master switch: replace the single-budget ShardedCacheStore with the
-  /// RAM+NVMe TieredCacheStore.
-  bool tiering = false;
+  /// Cold-tier (NVMe) budget.  0 = no cold tier.  Above 0 the store
+  /// demotes RAM victims here instead of deleting them; cold hits pay
+  /// modelled NVMe latency and promote back to RAM.
+  std::uint64_t nvme_bytes = 0;
 
-  /// Hot-tier (RAM) budget: entries here serve zero-copy from Buffer.
-  std::uint64_t ram_bytes = 256ULL << 20;
-  /// Cold-tier (NVMe) budget: demotion target; hits pay modelled NVMe
-  /// latency and promote back to RAM.
-  std::uint64_t nvme_bytes = 1ULL << 30;
-
-  /// Victim selection, used by BOTH tiers (each tier runs its own
-  /// instance): lru | fifo | s3fifo | gdsf.
-  PolicyKind policy = PolicyKind::kS3Fifo;
+  /// Victim selection, used by every tier (each hot shard and the cold
+  /// tier run their own instance): lru | fifo | s3fifo | gdsf.
+  PolicyKind policy = PolicyKind::kLru;
 
   /// Watermark pair driving background reclaim, as fractions of each
   /// tier's budget: reclaim starts above `high_watermark` and drains the
@@ -48,8 +43,7 @@ struct StoreConfig {
   bool background_reclaim = true;
 
   /// Price cold-tier accesses at real NVMe service times (Table II via
-  /// `nvme`); off keeps the device a plain map (fast tests, legacy-
-  /// identical timing).
+  /// `nvme`); off keeps the device a plain map (fast tests).
   bool model_nvme_latency = false;
   /// Bandwidth/op-latency numbers for the modelled device.  Its
   /// capacity_bytes field is ignored — `nvme_bytes` governs capacity.
@@ -63,14 +57,9 @@ struct StoreConfig {
     bool enabled = true;
   } manifest;
 
+  [[nodiscard]] bool has_cold_tier() const { return nvme_bytes > 0; }
+
   [[nodiscard]] Status validate() const {
-    if (!tiering) return Status::ok();
-    if (ram_bytes == 0) {
-      return Status::invalid_argument("store.ram_bytes must be > 0");
-    }
-    if (nvme_bytes == 0) {
-      return Status::invalid_argument("store.nvme_bytes must be > 0");
-    }
     if (shards == 0) {
       return Status::invalid_argument("store.shards must be >= 1");
     }

@@ -7,18 +7,15 @@
 
 namespace ftc::store {
 
-TieredCacheStore::TieredCacheStore(const StoreConfig& config,
+TieredCacheStore::TieredCacheStore(std::uint64_t ram_bytes,
+                                   const StoreConfig& config,
                                    std::shared_ptr<NvmeDevice> device)
-    : config_(config), device_(std::move(device)) {
-  // Validate with tiering forced on: a directly-constructed store must
-  // not dodge the parameter checks just because the knob copy says off.
-  config_.tiering = true;
+    : ram_bytes_(ram_bytes), config_(config) {
+  if (ram_bytes_ == 0) {
+    throw std::invalid_argument("TieredCacheStore: RAM budget must be > 0");
+  }
   if (const auto status = config_.validate(); !status.is_ok()) {
     throw std::invalid_argument("TieredCacheStore: " + status.message());
-  }
-  if (!device_) {
-    device_ = std::make_shared<NvmeDevice>(
-        config_.nvme_bytes, config_.model_nvme_latency, config_.nvme);
   }
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
@@ -26,6 +23,11 @@ TieredCacheStore::TieredCacheStore(const StoreConfig& config,
     shard->policy = make_eviction_policy(config_.policy);
     shards_.push_back(std::move(shard));
   }
+  if (!config_.has_cold_tier()) return;
+  device_ = device ? std::move(device)
+                   : std::make_shared<NvmeDevice>(config_.nvme_bytes,
+                                                  config_.model_nvme_latency,
+                                                  config_.nvme);
   cold_policy_ = make_eviction_policy(config_.policy);
   if (config_.background_reclaim) {
     reclaim_thread_ = std::thread([this] { reclaim_loop(); });
@@ -52,18 +54,21 @@ std::size_t TieredCacheStore::shard_for(const std::string& path) const {
 Status TieredCacheStore::put(const std::string& path, common::Buffer contents,
                              std::uint64_t logical_size,
                              std::uint64_t generation) {
-  if (logical_size > config_.ram_bytes && logical_size > config_.nvme_bytes) {
-    return Status::capacity("file larger than either tier: " + path);
+  if (logical_size > ram_bytes_ && logical_size > config_.nvme_bytes) {
+    return Status::capacity("file larger than the cache: " + path);
   }
   if (put_hot(path, contents, logical_size, generation)) {
-    // The hot copy is now authoritative; a cold copy left from an earlier
-    // demotion would serve stale bytes after the hot one is evicted.
-    erase_cold(path);
-    if (ram_used_.load(std::memory_order_relaxed) > ram_high_bytes()) {
-      kick_reclaim();
+    if (device_) {
+      // The hot copy is now authoritative; a cold copy left from an
+      // earlier demotion would serve stale bytes after the hot one goes.
+      erase_cold(path);
+      if (ram_used_.load(std::memory_order_relaxed) > ram_high_bytes()) {
+        kick_reclaim();
+      }
     }
     return Status::ok();
   }
+  if (!device_) return Status::capacity("cache full: " + path);
   // RAM hard cap (or an oversized file): route the payload straight to
   // the cold tier instead of waiting on reclaim — writes never block.
   stats_.overflow_writes.fetch_add(1, std::memory_order_relaxed);
@@ -79,38 +84,135 @@ Status TieredCacheStore::put(const std::string& path, common::Buffer contents,
 bool TieredCacheStore::put_hot(const std::string& path,
                                const common::Buffer& contents,
                                std::uint64_t bytes, std::uint64_t generation) {
-  if (bytes > config_.ram_bytes) return false;
+  if (bytes > ram_bytes_) return false;
   Shard& shard = *shards_[shard_for(path)];
-  std::lock_guard lock(shard.mutex);
+  std::unique_lock lock(shard.mutex);
+  ++shard.writes;
   // Replace-in-place: release the old accounting first so the
   // reservation below is exactly the net growth.
-  if (const auto it = shard.entries.find(path); it != shard.entries.end()) {
-    ram_used_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-    shard.policy->on_erase(path);
-    shard.entries.erase(it);
-  }
-  const std::uint64_t used =
+  drop_hot_locked(shard, path);
+  // Reserve first (so concurrent puts cannot both pass an unreserved
+  // check), then make the reservation fit.
+  std::uint64_t used =
       ram_used_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  if (used > config_.ram_bytes) {
+  if (used > ram_bytes_ && device_) {
     ram_used_.fetch_sub(bytes, std::memory_order_relaxed);
     return false;  // hard cap: caller overflows to the cold tier
   }
+  while (used > ram_bytes_) {
+    const std::uint64_t freed = evict_hot_locked(shard);
+    if (freed == 0) break;  // this shard is empty; steal from peers
+    used = ram_used_.fetch_sub(freed, std::memory_order_relaxed) - freed;
+  }
+  if (used > ram_bytes_) {
+    // Other shards hold the bytes.  Never hold two shard locks at once:
+    // release ours, evict round-robin across the shards, re-acquire.
+    lock.unlock();
+    const bool fits = evict_across_shards();
+    lock.lock();
+    if (!fits) {
+      ram_used_.fetch_sub(bytes, std::memory_order_relaxed);
+      return false;
+    }
+    // The path may have been re-inserted while unlocked; drop it again so
+    // `ram_used == sum of entry sizes` stays exact.
+    drop_hot_locked(shard, path);
+  }
   shard.entries[path] = HotEntry{contents, bytes, generation};
   shard.policy->on_insert(path, bytes);
+  hot_inserts_.fetch_add(1);
   return true;
 }
 
-std::optional<TieredCacheStore::HotEntry> TieredCacheStore::take_hot(
-    const std::string& path) {
+bool TieredCacheStore::promote(const std::string& path,
+                               const NvmeDevice::Entry& entry,
+                               std::uint64_t writes_seen) {
+  if (entry.bytes > ram_bytes_) return false;
   Shard& shard = *shards_[shard_for(path)];
   std::lock_guard lock(shard.mutex);
+  if (shard.writes != writes_seen || shard.entries.contains(path)) {
+    return false;  // a newer version landed while the cold read slept
+  }
+  const std::uint64_t used =
+      ram_used_.fetch_add(entry.bytes, std::memory_order_relaxed) +
+      entry.bytes;
+  if (used > ram_bytes_) {
+    ram_used_.fetch_sub(entry.bytes, std::memory_order_relaxed);
+    return false;
+  }
+  shard.entries[path] = HotEntry{entry.contents, entry.bytes, entry.generation};
+  shard.policy->on_insert(path, entry.bytes);
+  return true;
+}
+
+bool TieredCacheStore::drop_hot_locked(Shard& shard, const std::string& path) {
   const auto it = shard.entries.find(path);
-  if (it == shard.entries.end()) return std::nullopt;
-  HotEntry entry = std::move(it->second);
-  ram_used_.fetch_sub(entry.bytes, std::memory_order_relaxed);
+  if (it == shard.entries.end()) return false;
+  ram_used_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
   shard.policy->on_erase(path);
   shard.entries.erase(it);
-  return entry;
+  return true;
+}
+
+bool TieredCacheStore::take_hot(const std::string& path) {
+  Shard& shard = *shards_[shard_for(path)];
+  std::lock_guard lock(shard.mutex);
+  ++shard.writes;
+  return drop_hot_locked(shard, path);
+}
+
+std::uint64_t TieredCacheStore::evict_hot_locked(Shard& shard) {
+  while (const auto victim = shard.policy->pop_victim()) {
+    const auto it = shard.entries.find(*victim);
+    if (it == shard.entries.end()) continue;  // advisory drift; re-probe
+    const std::uint64_t freed = it->second.bytes;
+    shard.entries.erase(it);
+    stats_.evictions.fetch_add(1, std::memory_order_relaxed);
+    return freed;
+  }
+  return 0;
+}
+
+bool TieredCacheStore::evict_across_shards() {
+  const std::size_t n = shards_.size();
+  // Sweep from a SNAPSHOT of the shared hand with a local cursor.
+  // Advancing the shared hand once per probe would let concurrent
+  // stealers interleaving on the counter each see only a subset of
+  // shards (with an even count, two threads can alternate onto the same
+  // parity class) — n probes landing exclusively on empty shards meant a
+  // spurious kCapacity while evictable bytes sat elsewhere.  A local
+  // cursor guarantees every caller visits all n shards; the shared hand
+  // only advances past shards that actually yielded bytes, so successive
+  // pressure events rotate the first victim instead of re-punishing the
+  // same shard.  The sweep includes the inserting shard: it was drained
+  // before its lock was released, but concurrent puts may refill it.
+  //
+  // The caller's reservation is part of ram_used_, so seeing the budget
+  // fit once is success, even if other puts reserve again right after.
+  // A pass that evicts nothing fails only if no put inserted during it:
+  // otherwise the new entries may sit behind the cursor, so sweep again.
+  for (;;) {
+    const std::uint64_t inserts = hot_inserts_.load();
+    bool progress = false;
+    const std::size_t start = evict_hand_.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (ram_used_.load(std::memory_order_relaxed) <= ram_bytes_) {
+        return true;
+      }
+      const std::size_t victim = (start + i) % n;
+      Shard& shard = *shards_[victim];
+      std::lock_guard guard(shard.mutex);
+      const std::uint64_t freed = evict_hot_locked(shard);
+      if (freed > 0) {
+        ram_used_.fetch_sub(freed, std::memory_order_relaxed);
+        evict_hand_.store((victim + 1) % n, std::memory_order_relaxed);
+        progress = true;
+      }
+    }
+    if (!progress && hot_inserts_.load() == inserts) {
+      return ram_used_.load(std::memory_order_relaxed) <= ram_bytes_;
+    }
+  }
 }
 
 Status TieredCacheStore::put_cold(const std::string& path,
@@ -155,17 +257,20 @@ bool TieredCacheStore::erase_cold(const std::string& path) {
 // --- read path ---------------------------------------------------------
 
 StatusOr<common::Buffer> TieredCacheStore::get(const std::string& path) {
+  std::uint64_t writes_seen = 0;
   {
     Shard& shard = *shards_[shard_for(path)];
     std::lock_guard lock(shard.mutex);
     const auto it = shard.entries.find(path);
     if (it != shard.entries.end()) {
       shard.policy->on_hit(path);
-      stats_.hot_hits.fetch_add(1, std::memory_order_relaxed);
+      ++shard.hot_hits;
       return it->second.contents;  // refcount bump, zero-copy
     }
+    writes_seen = shard.writes;
   }
-  auto cold = device_->read(path);  // pays modelled NVMe latency
+  auto cold = device_ ? device_->read(path)  // pays modelled NVMe latency
+                      : std::nullopt;
   if (!cold) {
     stats_.misses.fetch_add(1, std::memory_order_relaxed);
     return Status::not_found("not cached: " + path);
@@ -176,11 +281,16 @@ StatusOr<common::Buffer> TieredCacheStore::get(const std::string& path) {
     cold_policy_->on_hit(path);
   }
   // Promote: a cold hit is evidence of reuse, so move the entry back to
-  // RAM when it fits under the hard cap.  No room → serve from cold and
-  // leave placement to the next reclaim pass.
-  if (put_hot(path, cold->contents, cold->bytes, cold->generation)) {
+  // RAM when it fits under the hard cap.  No room, or a write raced the
+  // read → serve from cold and leave placement to the next reclaim pass.
+  // The cold copy is dropped only if it is still the version read, so a
+  // newer overflow write is never deleted.
+  if (promote(path, *cold, writes_seen)) {
     stats_.promotions.fetch_add(1, std::memory_order_relaxed);
-    erase_cold(path);
+    if (device_->erase_version(path, cold->version)) {
+      std::lock_guard lock(cold_mutex_);
+      cold_policy_->on_erase(path);
+    }
     if (ram_used_.load(std::memory_order_relaxed) > ram_high_bytes()) {
       kick_reclaim();
     }
@@ -196,7 +306,7 @@ bool TieredCacheStore::contains(const std::string& path) const {
     std::lock_guard lock(shard.mutex);
     if (shard.entries.contains(path)) return true;
   }
-  return device_->contains(path);
+  return device_ && device_->contains(path);
 }
 
 std::optional<std::uint64_t> TieredCacheStore::size_of(
@@ -207,7 +317,7 @@ std::optional<std::uint64_t> TieredCacheStore::size_of(
     const auto it = shard.entries.find(path);
     if (it != shard.entries.end()) return it->second.bytes;
   }
-  return device_->size_of(path);
+  return device_ ? device_->size_of(path) : std::nullopt;
 }
 
 std::string TieredCacheStore::tier_of(const std::string& path) const {
@@ -216,7 +326,7 @@ std::string TieredCacheStore::tier_of(const std::string& path) const {
     std::lock_guard lock(shard.mutex);
     if (shard.entries.contains(path)) return "ram";
   }
-  if (device_->contains(path)) return "nvme";
+  if (device_ && device_->contains(path)) return "nvme";
   return "";
 }
 
@@ -227,24 +337,26 @@ std::uint64_t TieredCacheStore::generation_of(const std::string& path) const {
     const auto it = shard.entries.find(path);
     if (it != shard.entries.end()) return it->second.generation;
   }
-  return device_->generation_of(path).value_or(0);
+  return device_ ? device_->generation_of(path).value_or(0) : 0;
 }
 
 bool TieredCacheStore::erase(const std::string& path) {
-  const bool hot = take_hot(path).has_value();
-  const bool cold = erase_cold(path);
+  const bool hot = take_hot(path);
+  const bool cold = device_ && erase_cold(path);
   return hot || cold;
 }
 
 void TieredCacheStore::clear() {
   for (auto& shard : shards_) {
     std::lock_guard lock(shard->mutex);
+    ++shard->writes;
     for (const auto& [path, entry] : shard->entries) {
       ram_used_.fetch_sub(entry.bytes, std::memory_order_relaxed);
     }
     shard->entries.clear();
     shard->policy->reset();
   }
+  if (!device_) return;
   {
     std::lock_guard lock(cold_mutex_);
     cold_policy_->reset();
@@ -258,23 +370,22 @@ std::size_t TieredCacheStore::file_count() const {
     std::lock_guard lock(shard->mutex);
     count += shard->entries.size();
   }
-  return count + device_->file_count();
+  return count + (device_ ? device_->file_count() : 0);
 }
 
 std::uint64_t TieredCacheStore::used_bytes() const {
-  return ram_used_.load(std::memory_order_relaxed) + device_->used_bytes();
-}
-
-std::uint64_t TieredCacheStore::hit_count() const {
-  return stats_.hot_hits.load(std::memory_order_relaxed) +
-         stats_.cold_hits.load(std::memory_order_relaxed);
+  return ram_used_.load(std::memory_order_relaxed) +
+         (device_ ? device_->used_bytes() : 0);
 }
 
 StoreStats TieredCacheStore::stats_snapshot() const {
   StoreStats stats;
   stats.ram_used_bytes = ram_used_.load(std::memory_order_relaxed);
-  stats.nvme_used_bytes = device_->used_bytes();
-  stats.hot_hits = stats_.hot_hits.load(std::memory_order_relaxed);
+  stats.nvme_used_bytes = device_ ? device_->used_bytes() : 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard lock(shard->mutex);
+    stats.hot_hits += shard->hot_hits;
+  }
   stats.cold_hits = stats_.cold_hits.load(std::memory_order_relaxed);
   stats.misses = stats_.misses.load(std::memory_order_relaxed);
   stats.demotions = stats_.demotions.load(std::memory_order_relaxed);
@@ -294,6 +405,7 @@ StoreStats TieredCacheStore::stats_snapshot() const {
 
 std::size_t TieredCacheStore::restore_from_device(
     const GenerationAuthority& authority) {
+  if (!device_) return 0;
   if (!config_.manifest.enabled) {
     // Cold rejoin: the knob says restarts treat the volume as scratch.
     device_->clear();
@@ -329,6 +441,7 @@ std::size_t TieredCacheStore::restore_from_device(
 }
 
 void TieredCacheStore::flush_hot_to_cold() {
+  if (!device_) return;
   for (auto& shard : shards_) {
     std::vector<std::pair<std::string, HotEntry>> drained;
     {
@@ -378,7 +491,7 @@ void TieredCacheStore::reclaim_loop() {
 }
 
 void TieredCacheStore::wait_reclaimed() {
-  if (!config_.background_reclaim) return;
+  if (!reclaim_thread_.joinable()) return;
   std::unique_lock lock(reclaim_mutex_);
   reclaim_idle_cv_.wait(
       lock, [this] { return !reclaim_requested_ && !reclaim_active_; });

@@ -1,17 +1,22 @@
-// tiered_store.hpp - RAM+NVMe tiered cache store with background reclaim.
+// tiered_store.hpp - The node-local cache store: a RAM tier, plus an
+// optional NVMe tier with background reclaim.
 //
-// Production NVMe caches run permanently full; "capacity" is not a limit
-// you stay under but a pressure you live at.  This store replaces the
-// delete-on-pressure budget of ShardedCacheStore with a two-tier
-// hierarchy:
+// Every HVAC server caches through this one store.  Two shapes, chosen by
+// `StoreConfig::nvme_bytes`:
 //
-//   hot tier (RAM)   lock-striped shards of path -> Buffer; hits are a
-//                    refcount bump (zero-copy), ordering is delegated to
-//                    a per-shard EvictionPolicy object.
-//   cold tier (NVMe) the NvmeDevice; hits pay modelled NVMe latency and
-//                    promote the entry back to RAM.
+//   RAM-only (nvme_bytes == 0, the default)
+//                    lock-striped shards of path -> Buffer under one
+//                    global byte budget; any file up to the budget fits,
+//                    whichever shard it hashes to.  A put that would
+//                    exceed the budget evicts victims inline: its own
+//                    shard first, then the other shards round-robin.
+//   tiered (nvme_bytes > 0)
+//                    the same hot tier, plus a cold tier on an NvmeDevice
+//                    whose hits pay modelled NVMe latency and promote the
+//                    entry back to RAM.
 //
-// Pressure moves data DOWN the hierarchy instead of deleting it:
+// In the tiered shape pressure moves data DOWN the hierarchy instead of
+// deleting it:
 //   demotion   RAM victim -> NVMe write (background reclaim)
 //   eviction   NVMe victim -> gone (the only true data loss)
 //
@@ -23,6 +28,10 @@
 // kBusy on this path and no wait on the reclaim thread, which is what
 // the p99-under-reclaim gate in bench_pressure enforces.
 //
+// Ordering within each tier is delegated to a per-shard EvictionPolicy
+// object (store/eviction.hpp), so hits are a refcount bump (zero-copy)
+// plus one policy update.
+//
 // Warm restart: payloads and the manifest index live on the NvmeDevice,
 // which the cluster owns per node and hands to each server incarnation.
 // restore_from_device() rebuilds the cold tier from the manifest,
@@ -32,8 +41,9 @@
 //
 // Lock hierarchy (DESIGN.md §14): at most ONE store mutex is held at a
 // time — shard locks, the cold-tier lock and the device's index lock
-// never nest.  Tier moves release the source tier's lock before touching
-// the destination; modelled NVMe sleeps happen under no lock at all.
+// never nest.  Tier moves and cross-shard evictions release the source
+// lock before touching the destination; modelled NVMe sleeps happen
+// under no lock at all.
 //
 // Thread safety: fully internally synchronized.
 #pragma once
@@ -55,50 +65,78 @@
 #include "store/eviction.hpp"
 #include "store/nvme_device.hpp"
 #include "store/store_config.hpp"
-#include "store/store_iface.hpp"
 
 namespace ftc::store {
 
-class TieredCacheStore final : public StoreIface {
+/// Tier/pressure telemetry.  Without a cold tier the nvme row and the
+/// tier-move counters stay 0.
+struct StoreStats {
+  std::uint64_t ram_used_bytes = 0;
+  std::uint64_t nvme_used_bytes = 0;
+  std::uint64_t hot_hits = 0;        ///< served from RAM (zero-copy)
+  std::uint64_t cold_hits = 0;       ///< served from NVMe (paid latency)
+  std::uint64_t misses = 0;
+  std::uint64_t demotions = 0;       ///< RAM -> NVMe (pressure, not loss)
+  std::uint64_t promotions = 0;      ///< NVMe -> RAM (cold hit)
+  std::uint64_t evictions = 0;       ///< dropped from the store entirely
+  std::uint64_t reclaim_runs = 0;    ///< background reclaim activations
+  std::uint64_t overflow_writes = 0; ///< puts routed to NVMe at RAM hard cap
+  std::uint64_t manifest_restored = 0;       ///< warm-restart entries kept
+  std::uint64_t manifest_rejected_stale = 0; ///< dropped: stale generation
+
+  /// Hits over lookups (0 before the first lookup).
+  [[nodiscard]] double hit_ratio() const {
+    const std::uint64_t hits = hot_hits + cold_hits;
+    const std::uint64_t lookups = hits + misses;
+    return lookups > 0
+               ? static_cast<double>(hits) / static_cast<double>(lookups)
+               : 0.0;
+  }
+};
+
+class TieredCacheStore {
  public:
-  /// `device` is the node's NVMe volume; pass the cluster-owned instance
-  /// so cold-tier state survives server restarts, or nullptr to let the
-  /// store own a private device (unit tests, benches).  Throws
-  /// std::invalid_argument when `config.validate()` rejects.
-  explicit TieredCacheStore(const StoreConfig& config,
-                            std::shared_ptr<NvmeDevice> device = nullptr);
-  ~TieredCacheStore() override;
+  /// `ram_bytes` is the hot tier's budget.  `device` is the node's NVMe
+  /// volume; pass the cluster-owned instance so cold-tier state survives
+  /// server restarts, or nullptr to let the store own a private device
+  /// (unit tests, benches).  Without a cold tier (`config.nvme_bytes`
+  /// 0) there is no device and `device` is ignored.  Throws
+  /// std::invalid_argument when `ram_bytes` is 0 or `config.validate()`
+  /// rejects.
+  TieredCacheStore(std::uint64_t ram_bytes, const StoreConfig& config,
+                   std::shared_ptr<NvmeDevice> device = nullptr);
+  ~TieredCacheStore();
 
   TieredCacheStore(const TieredCacheStore&) = delete;
   TieredCacheStore& operator=(const TieredCacheStore&) = delete;
 
-  // --- StoreIface ------------------------------------------------------
+  /// Inserts/overwrites a file.  `generation` is the replication-ledger
+  /// stamp (0 = unstamped fill), persisted into the manifest.  kCapacity
+  /// when the file is larger than every tier, or (RAM-only) when
+  /// concurrent reservations transiently claim the whole budget.
   Status put(const std::string& path, common::Buffer contents,
-             std::uint64_t logical_size, std::uint64_t generation) override;
-  StatusOr<common::Buffer> get(const std::string& path) override;
-  [[nodiscard]] bool contains(const std::string& path) const override;
+             std::uint64_t logical_size, std::uint64_t generation);
+  /// Zero-copy on a hot hit; a cold hit pays NVMe latency and promotes.
+  StatusOr<common::Buffer> get(const std::string& path);
+  /// Presence check; never refreshes recency.
+  [[nodiscard]] bool contains(const std::string& path) const;
   [[nodiscard]] std::optional<std::uint64_t> size_of(
-      const std::string& path) const override;
-  bool erase(const std::string& path) override;
-  void clear() override;
+      const std::string& path) const;
+  bool erase(const std::string& path);
+  void clear();
 
-  [[nodiscard]] std::size_t file_count() const override;
-  [[nodiscard]] std::uint64_t used_bytes() const override;
+  [[nodiscard]] std::size_t file_count() const;
+  [[nodiscard]] std::uint64_t used_bytes() const;
   /// Combined budget (RAM + NVMe) — what "cache capacity" means to the
   /// rest of the system.
-  [[nodiscard]] std::uint64_t capacity_bytes() const override {
-    return config_.ram_bytes + config_.nvme_bytes;
+  [[nodiscard]] std::uint64_t capacity_bytes() const {
+    return ram_bytes_ + config_.nvme_bytes;
   }
-  [[nodiscard]] std::uint64_t eviction_count() const override {
+  [[nodiscard]] std::uint64_t eviction_count() const {
     return stats_.evictions.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t hit_count() const override;
-  [[nodiscard]] std::uint64_t miss_count() const override {
-    return stats_.misses.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] StoreStats stats_snapshot() const override;
+  [[nodiscard]] StoreStats stats_snapshot() const;
 
-  // --- tiered-store specifics -----------------------------------------
   /// Which tier currently holds `path` ("ram" / "nvme" / "" = absent);
   /// tests and telemetry only.
   [[nodiscard]] std::string tier_of(const std::string& path) const;
@@ -114,13 +152,14 @@ class TieredCacheStore final : public StoreIface {
   /// Rebuilds the cold tier from the device's manifest: entries whose
   /// stored generation is below the authority's floor are dropped as
   /// stale (and erased from the device); the rest become servable
-  /// without a PFS read.  Returns the number restored.  With
-  /// config.manifest.enabled false the device is wiped instead (cold
-  /// rejoin semantics).
+  /// without a PFS read.  Returns the number restored (0 without a cold
+  /// tier).  With config.manifest.enabled false the device is wiped
+  /// instead (cold rejoin semantics).
   std::size_t restore_from_device(const GenerationAuthority& authority = {});
 
   /// Demotes every hot entry to the cold tier (clean shutdown: makes the
-  /// manifest cover the full cache before a planned restart).
+  /// manifest cover the full cache before a planned restart).  No-op
+  /// without a cold tier.
   void flush_hot_to_cold();
 
   /// Blocks until the reclaim thread has drained both tiers below their
@@ -128,7 +167,9 @@ class TieredCacheStore final : public StoreIface {
   void wait_reclaimed();
 
   [[nodiscard]] const StoreConfig& config() const { return config_; }
-  [[nodiscard]] const NvmeDevice& device() const { return *device_; }
+  [[nodiscard]] std::uint64_t ram_bytes() const { return ram_bytes_; }
+  /// The cold tier's volume; nullptr without a cold tier.
+  [[nodiscard]] const NvmeDevice* device() const { return device_.get(); }
 
  private:
   struct HotEntry {
@@ -141,18 +182,43 @@ class TieredCacheStore final : public StoreIface {
     mutable std::mutex mutex;
     std::unordered_map<std::string, HotEntry> entries;
     std::unique_ptr<EvictionPolicy> policy;
+    /// Bumped under the lock by every put/erase/clear touching the shard.
+    /// A cold read records it before its unlocked NVMe sleep and promotes
+    /// only if it is unchanged afterwards, so a promotion can never
+    /// replace or delete a version written while it slept.
+    std::uint64_t writes = 0;
+    /// RAM hits, counted under the lock: a shared atomic would make every
+    /// concurrent hit on any shard contend for one cache line.
+    std::uint64_t hot_hits = 0;
   };
 
   [[nodiscard]] std::size_t shard_for(const std::string& path) const;
 
-  /// Inserts into the hot tier; returns false when the reservation would
-  /// overshoot the RAM hard cap (caller overflows to cold).  Erases any
-  /// pre-existing hot entry for the path first.
+  /// Inserts into the hot tier; returns false when the bytes do not fit
+  /// (tiered: the caller overflows to cold; RAM-only: peers held nothing
+  /// more to evict).  Replaces any pre-existing hot entry for the path.
   bool put_hot(const std::string& path, const common::Buffer& contents,
                std::uint64_t bytes, std::uint64_t generation);
 
-  /// Removes `path` from its hot shard; returns the entry when present.
-  std::optional<HotEntry> take_hot(const std::string& path);
+  /// Moves a cold read back into RAM, unless a write reached the shard
+  /// since `writes_seen` or the RAM hard cap would be overshot.
+  bool promote(const std::string& path, const NvmeDevice::Entry& entry,
+               std::uint64_t writes_seen);
+
+  /// Drops `path`'s hot entry (shard lock held); false when absent.
+  bool drop_hot_locked(Shard& shard, const std::string& path);
+
+  /// Removes `path` from its hot shard and counts it as a write.
+  bool take_hot(const std::string& path);
+
+  /// Evicts one victim from `shard` (lock held) per its policy; returns
+  /// the freed bytes, 0 when the shard is empty.
+  std::uint64_t evict_hot_locked(Shard& shard);
+
+  /// RAM-only pressure: evicts round-robin across the shards, one lock
+  /// at a time, until the budget fits or no shard yields bytes.  Returns
+  /// true when the budget fits.
+  bool evict_across_shards();
 
   /// Writes into the cold tier (pays NVMe latency), updates the cold
   /// policy, and enforces the NVMe hard cap inline by evicting victims.
@@ -171,12 +237,12 @@ class TieredCacheStore final : public StoreIface {
   void reclaim_loop();
 
   [[nodiscard]] std::uint64_t ram_high_bytes() const {
-    return static_cast<std::uint64_t>(
-        config_.high_watermark * static_cast<double>(config_.ram_bytes));
+    return static_cast<std::uint64_t>(config_.high_watermark *
+                                      static_cast<double>(ram_bytes_));
   }
   [[nodiscard]] std::uint64_t ram_low_bytes() const {
-    return static_cast<std::uint64_t>(
-        config_.low_watermark * static_cast<double>(config_.ram_bytes));
+    return static_cast<std::uint64_t>(config_.low_watermark *
+                                      static_cast<double>(ram_bytes_));
   }
   [[nodiscard]] std::uint64_t nvme_high_bytes() const {
     return static_cast<std::uint64_t>(
@@ -188,7 +254,6 @@ class TieredCacheStore final : public StoreIface {
   }
 
   struct AtomicStats {
-    std::atomic<std::uint64_t> hot_hits{0};
     std::atomic<std::uint64_t> cold_hits{0};
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> demotions{0};
@@ -200,7 +265,9 @@ class TieredCacheStore final : public StoreIface {
     std::atomic<std::uint64_t> manifest_rejected_stale{0};
   };
 
+  std::uint64_t ram_bytes_;
   StoreConfig config_;
+  /// The cold tier's volume; null without a cold tier.
   std::shared_ptr<NvmeDevice> device_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> ram_used_{0};
@@ -214,6 +281,10 @@ class TieredCacheStore final : public StoreIface {
 
   AtomicStats stats_;
   std::atomic<std::size_t> demote_hand_{0};
+  std::atomic<std::size_t> evict_hand_{0};  ///< round-robin steal cursor
+  /// Puts that reached the hot tier (seq_cst): lets a cross-shard sweep
+  /// that found nothing tell "nothing to evict" from "refilled behind it".
+  std::atomic<std::uint64_t> hot_inserts_{0};
 
   // Reclaim thread plumbing (background mode only).
   std::mutex reclaim_mutex_;

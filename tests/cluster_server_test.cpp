@@ -185,6 +185,32 @@ TEST(HvacServer, StatsOpEmitsFullSnapshot) {
   EXPECT_EQ(kv.at("files"), 2u);
 }
 
+// The default store has no cold tier: overfilling it evicts inline, with
+// no demotion, no overflow write and no watermark drain.
+TEST(HvacServer, OverfilledDefaultStoreEvictsInline) {
+  PfsStore pfs;
+  HvacServerConfig config;
+  config.cache_capacity_bytes = 16 << 10;
+  HvacServer server(0, pfs, config);
+  rpc::RpcRequest request;
+  for (int i = 0; i < 64; ++i) {
+    request.path = "/f" + std::to_string(i);
+    pfs.put(request.path, std::string(1024, 'x'));
+    ASSERT_EQ(server.handle(request).code, StatusCode::kOk);
+  }
+  server.flush_data_mover();
+
+  const auto s = server.stats_snapshot();
+  EXPECT_GT(s.evictions, 0u);
+  EXPECT_LE(s.used_bytes, config.cache_capacity_bytes);
+  EXPECT_EQ(server.cache_capacity_bytes(), config.cache_capacity_bytes);
+  const auto store = server.store_stats();
+  EXPECT_EQ(store.demotions, 0u);
+  EXPECT_EQ(store.overflow_writes, 0u);
+  EXPECT_EQ(store.nvme_used_bytes, 0u);
+  EXPECT_EQ(store.reclaim_runs, 0u);
+}
+
 TEST(HvacServer, CachedBytesTracked) {
   PfsStore pfs;
   pfs.put("/a", std::string(100, 'x'));

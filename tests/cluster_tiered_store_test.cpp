@@ -1,5 +1,6 @@
-// The tiered RAM+NVMe store wired through the cluster: knob-off stays
-// legacy, tiered nodes serve and export ftc_store_* metrics, and a
+// The cache store wired through the cluster: default nodes run it
+// RAM-only and still export ftc_store_* metrics, tiered nodes
+// (store.nvme_bytes > 0) serve and export the nvme rows too, and a
 // kill-and-warm-restart rebuilds the cold tier from the node's surviving
 // NVMe manifest — re-serving without PFS traffic and refusing entries
 // whose generation the rest of the cluster has since superseded.
@@ -24,36 +25,52 @@ ClusterConfig tiered_config(std::uint32_t nodes = 4) {
   config.client.timeout_limit = 2;
   config.client.vnodes_per_node = 50;
   config.server.async_data_mover = false;
-  config.server.store.tiering = true;
-  config.server.store.ram_bytes = 8 << 20;
+  config.server.cache_capacity_bytes = 8 << 20;
   config.server.store.nvme_bytes = 32 << 20;
+  config.server.store.policy = ftc::store::PolicyKind::kS3Fifo;
   config.server.store.background_reclaim = false;  // deterministic moves
   return config;
 }
 
-TEST(ClusterTieredStore, KnobOffIsLegacy) {
+TEST(ClusterTieredStore, DefaultConfigIsRamOnlyAndExportsStoreSeries) {
   ClusterConfig config = tiered_config();
-  config.server.store.tiering = false;
+  config.server.store = {};  // the default store: RAM-only, LRU
   Cluster cluster(config);
-  EXPECT_FALSE(cluster.server(0).tiered());
-  EXPECT_EQ(cluster.server(0).tiered_store(), nullptr);
 
   const auto paths = cluster.stage_dataset(8, 256);
   cluster.warm_caches(paths);
   for (const auto& path : paths) {
     ASSERT_TRUE(cluster.client(0).read_file(path).is_ok()) << path;
   }
-  // Legacy export carries no tiered-store series.
+  std::uint64_t hot_hits = 0;
+  for (NodeId n = 0; n < cluster.node_count(); ++n) {
+    const auto stats = cluster.server(n).store_stats();
+    hot_hits += stats.hot_hits;
+    EXPECT_EQ(stats.nvme_used_bytes, 0u);
+    EXPECT_EQ(stats.cold_hits, 0u);
+  }
+  EXPECT_GE(hot_hits, paths.size());
+
+  // Every node has a store, so the store series are always exported; the
+  // nvme row reads 0.
   const std::string text = cluster.metrics_registry().export_prometheus_text();
-  EXPECT_EQ(text.find("ftc_store_tier_used_bytes"), std::string::npos);
-  // And restart_node_warm degrades to the lost-cache path.
+  for (const char* series :
+       {"ftc_store_tier_used_bytes", "ftc_store_hits_total",
+        "ftc_store_misses_total", "ftc_store_evictions_total",
+        "ftc_store_hit_ratio"}) {
+    EXPECT_NE(text.find(series), std::string::npos) << series;
+  }
+  EXPECT_NE(text.find("ftc_store_tier_used_bytes{node=\"0\",tier=\"nvme\"} 0"),
+            std::string::npos);
+  EXPECT_NE(text.find("policy=\"lru\""), std::string::npos);
+  // Without a cold tier no device survives a crash: restart_node_warm
+  // takes the lost-cache path.
   EXPECT_EQ(cluster.restart_node_warm(1), 0u);
   EXPECT_EQ(cluster.server(1).cached_file_count(), 0u);
 }
 
 TEST(ClusterTieredStore, TieredNodesServeAndExportMetrics) {
   Cluster cluster(tiered_config());
-  ASSERT_TRUE(cluster.server(0).tiered());
 
   const auto paths = cluster.stage_dataset(16, 1024);
   cluster.warm_caches(paths);

@@ -1,4 +1,5 @@
-// Pluggable eviction policies: ordering semantics per policy, plus the
+// Pluggable eviction policies: ordering semantics per policy, the same
+// policies driving the RAM-only store's inline eviction, plus the
 // scan-resistance regression (the reason S3-FIFO/GDSF exist here at all:
 // one sequential epoch over a 4x-RAM dataset must not flush the hot set).
 #include <gtest/gtest.h>
@@ -9,7 +10,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "store/eviction.hpp"
+#include "store/tiered_store.hpp"
 
 namespace ftc::store {
 namespace {
@@ -26,6 +29,89 @@ TEST(PolicyKindNames, ParseRoundTrip) {
   }
   EXPECT_FALSE(parse_policy_kind("clock").is_ok());
   EXPECT_FALSE(parse_policy_kind("").is_ok());
+}
+
+TEST(EvictionPolicyName, Names) {
+  EXPECT_STREQ(policy_kind_name(PolicyKind::kLru), "lru");
+  EXPECT_STREQ(policy_kind_name(PolicyKind::kFifo), "fifo");
+  EXPECT_STREQ(policy_kind_name(PolicyKind::kS3Fifo), "s3fifo");
+  EXPECT_STREQ(policy_kind_name(PolicyKind::kGdsf), "gdsf");
+}
+
+// --- the policies driving the RAM-only store (the server's cache) ------
+
+/// A RAM-only store of `capacity` bytes in one shard, so eviction order
+/// is exactly the policy's.
+std::unique_ptr<TieredCacheStore> ram_store(std::uint64_t capacity,
+                                            PolicyKind policy) {
+  StoreConfig config;
+  config.policy = policy;
+  config.shards = 1;
+  return std::make_unique<TieredCacheStore>(capacity, config);
+}
+
+void fill(TieredCacheStore& cache, int count, std::uint64_t size = 10) {
+  for (int i = 0; i < count; ++i) {
+    ASSERT_TRUE(cache.put(key_of(i), std::string(size, 'x'), size, 0).is_ok());
+  }
+}
+
+TEST(FifoEviction, ReadDoesNotRescue) {
+  auto cache = ram_store(30, PolicyKind::kFifo);
+  fill(*cache, 3);
+  // Touch key 0 heavily; FIFO evicts it anyway (oldest insertion).
+  for (int i = 0; i < 5; ++i) (void)cache->get(key_of(0));
+  ASSERT_TRUE(cache->put(key_of(3), std::string(10, 'x'), 10, 0).is_ok());
+  EXPECT_FALSE(cache->contains(key_of(0)));
+  EXPECT_TRUE(cache->contains(key_of(1)));
+}
+
+TEST(LruEviction, ReadRescues) {
+  auto cache = ram_store(30, PolicyKind::kLru);
+  fill(*cache, 3);
+  (void)cache->get(key_of(0));
+  ASSERT_TRUE(cache->put(key_of(3), std::string(10, 'x'), 10, 0).is_ok());
+  EXPECT_TRUE(cache->contains(key_of(0)));
+  EXPECT_FALSE(cache->contains(key_of(1)));
+}
+
+TEST(EvictionPolicies, ConservationUnderChurn) {
+  for (const PolicyKind kind : {PolicyKind::kLru, PolicyKind::kFifo,
+                                PolicyKind::kS3Fifo, PolicyKind::kGdsf}) {
+    auto cache = ram_store(1000, kind);
+    Rng rng(7);
+    for (int round = 0; round < 2000; ++round) {
+      const int i = static_cast<int>(rng.below(200));
+      if (rng.chance(0.5)) {
+        const std::uint64_t size = 10 + rng.below(40);
+        ASSERT_TRUE(
+            cache->put(key_of(i), std::string(size, 'y'), size, 0).is_ok());
+      } else {
+        (void)cache->get(key_of(i));
+      }
+      ASSERT_LE(cache->used_bytes(), 1000u) << policy_kind_name(kind);
+    }
+    EXPECT_GT(cache->eviction_count(), 0u) << policy_kind_name(kind);
+  }
+}
+
+TEST(EvictionPolicies, LruBeatsFifoOnSkewedAccess) {
+  // 80/20 hot-set workload under pressure: LRU's recency tracking must
+  // yield at least as good a hit rate as FIFO's insertion order.
+  auto run = [](PolicyKind kind) {
+    auto cache = ram_store(400, kind);
+    Rng rng(99);
+    for (int op = 0; op < 20000; ++op) {
+      const bool hot = rng.chance(0.8);
+      const int i = hot ? static_cast<int>(rng.below(20))
+                        : 20 + static_cast<int>(rng.below(200));
+      if (!cache->get(key_of(i)).is_ok()) {
+        (void)cache->put(key_of(i), std::string(10, 'z'), 10, 0);
+      }
+    }
+    return cache->stats_snapshot().hit_ratio();
+  };
+  EXPECT_GE(run(PolicyKind::kLru) + 1e-9, run(PolicyKind::kFifo));
 }
 
 TEST(ListPolicies, LruRefreshesOnHitFifoDoesNot) {

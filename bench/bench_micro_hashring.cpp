@@ -6,10 +6,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "hash/crc32.hpp"
 #include "hash/fnv.hpp"
 #include "hash/murmur3.hpp"
 #include "hash/xxhash64.hpp"
@@ -179,6 +181,21 @@ void BM_HashXx(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HashXx);
+
+/// CRC-32 over a payload-sized buffer (the per-read integrity check):
+/// bytes/s is the kernel's throughput.
+void BM_Crc32(benchmark::State& state) {
+  std::string payload(static_cast<std::size_t>(state.range(0)), '\0');
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hash::crc32(payload));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
 /// Manual budget check: 200k prehashed lookups, plain vs bounded (same
 /// ring, same hash stream), best of 3 rounds each.  The bounded walk may

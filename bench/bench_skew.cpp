@@ -176,7 +176,6 @@ RunResult run_one(const BenchArgs& args, double alpha, bool skew_tolerant) {
   config.client.mode = ftc::cluster::FtMode::kHashRingRecache;
   config.client.rpc_timeout = std::chrono::milliseconds(5000);
   config.client.timeout_limit = 2;
-  config.client.verify_checksums = false;
   config.server.async_data_mover = true;
   config.server.cache_capacity_bytes = 1ULL << 32;
   config.server.endpoint_workers = 1;  // serial service: queueing is real

@@ -55,6 +55,9 @@
 # cross-shard peer steals release and re-take shard locks mid-put, and
 # the RamOnlyStore suite checks the byte accounting stays exact under
 # concurrent puts, erases and steals.
+# hash_test is not concurrent; it rides along for ASan/UBSan, which check
+# the CRC-32 kernels' unaligned 16-byte loads and 0-15-byte tail handling
+# on every length and start offset the property tests sweep.
 # Usage: scripts/sanitize.sh [thread|address] [build_dir]
 set -euo pipefail
 
@@ -74,7 +77,8 @@ cmake -B "${build_dir}" -S "${source_dir}" \
   -DFTC_BUILD_BENCH=OFF \
   -DFTC_BUILD_EXAMPLES=OFF > /dev/null
 cmake --build "${build_dir}" -j \
-  --target cluster_test rpc_test storage_test store_test membership_test obs_test
+  --target cluster_test rpc_test storage_test store_test membership_test obs_test \
+  hash_test
 
 # halt_on_error makes a single report fail the run loudly.
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
@@ -82,7 +86,8 @@ export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
 
 status=0
-for test_bin in cluster_test rpc_test storage_test store_test membership_test obs_test; do
+for test_bin in cluster_test rpc_test storage_test store_test membership_test obs_test \
+  hash_test; do
   echo "=== ${sanitizer}-sanitizer: ${test_bin}"
   if ! "${build_dir}/tests/${test_bin}"; then
     status=1

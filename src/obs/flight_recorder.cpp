@@ -56,7 +56,19 @@ void FlightRecorder::record(const Record& r) {
   // marker visible before any payload word: a reader that saw a fresh
   // word and then fences (acquire) must also see the marker, so its seq
   // re-check rejects the torn copy (Boehm's seqlock construction).
-  slot.seq.store(2 * pos + 1, std::memory_order_relaxed);
+  //
+  // The marker is claimed by CAS so one writer owns a slot at a time.
+  // When writers lap the ring, two claims can map to one slot at once;
+  // with plain stores both would write the words and the later publish
+  // would expose a mix of the two records.  A record whose slot is mid-
+  // write or already holds a newer record is dropped instead, so the
+  // writer never waits; that takes writers lapping the whole ring within
+  // one write.
+  std::uint64_t cur = slot.seq.load(std::memory_order_relaxed);
+  do {
+    if ((cur & 1) != 0 || cur > 2 * pos) return;
+  } while (!slot.seq.compare_exchange_weak(cur, 2 * pos + 1,
+                                           std::memory_order_relaxed));
   std::atomic_thread_fence(std::memory_order_release);
 
   std::array<std::uint64_t, kPayloadWords> words{};

@@ -8,12 +8,15 @@
 // bump, first coalesced PFS fetch, p99 recovery — without any logging on
 // the hot path.
 //
-// Concurrency design (TSan-clean, wait-free writers):
-//   - Writers claim a slot with one relaxed fetch_add on `head_`, then
-//     write the record as fixed-width atomic words (relaxed) and publish
-//     by storing the slot's sequence word with release order.  No locks,
-//     no allocation, no CAS loops — a writer can never block another
-//     writer or a reader.
+// Concurrency design (TSan-clean, lock-free writers):
+//   - Writers claim a position with one relaxed fetch_add on `head_`,
+//     take the slot's sequence word from even to odd with a CAS, write
+//     the record as fixed-width atomic words (relaxed) and publish by
+//     storing the sequence word with release order.  No locks, no
+//     allocation — a writer can never block another writer or a reader.
+//     When writers lap the ring and the slot is mid-write or already
+//     holds a newer record, the CAS is skipped and the record dropped,
+//     so a slot never has two writers.
 //   - The sequence word is odd while a write is in progress and
 //     `2*(position+1)` once published (monotonic per slot, like a
 //     per-slot seqlock).  Readers load it with acquire, copy the payload
@@ -155,8 +158,10 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Wait-free append; safe from any number of concurrent threads.  The
-  /// record's `seq` field is assigned by the recorder (claim order).
+  /// Lock-free append; safe from any number of concurrent threads.  The
+  /// record's `seq` field is assigned by the recorder (claim order).  A
+  /// record whose slot is mid-write by a writer that lapped the ring, or
+  /// already holds a newer record, is dropped.
   void record(const Record& r);
 
   /// Convenience: record a span derived from a trace context.

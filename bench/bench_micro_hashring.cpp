@@ -197,6 +197,28 @@ void BM_Crc32(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
+/// CRC-32 over bytes that are not in the core's cache: walks a 64 MiB
+/// buffer (train_failover's dataset size) in 1 MiB slices, the way a
+/// client verifies each freshly received 1 MiB payload.  BM_Crc32 above
+/// re-hashes one cache-resident buffer, so it shows the hot ceiling.
+void BM_Crc32Cold(benchmark::State& state) {
+  constexpr std::size_t kBuffer = 64 << 20;
+  constexpr std::size_t kSlice = 1 << 20;
+  std::string buffer(kBuffer, '\0');
+  for (std::size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<char>(i * 131 + 7);
+  }
+  const std::string_view view(buffer);
+  std::size_t offset = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hash::crc32(view.substr(offset, kSlice)));
+    offset = (offset + kSlice) % kBuffer;
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSlice));
+}
+BENCHMARK(BM_Crc32Cold);
+
 /// Manual budget check: 200k prehashed lookups, plain vs bounded (same
 /// ring, same hash stream), best of 3 rounds each.  The bounded walk may
 /// inspect a few extra ring positions and calls two predicates, but it

@@ -20,6 +20,13 @@ cmake --build "${build_dir}" -j
 echo "=== tier-1 tests"
 ctest --test-dir "${build_dir}" -L tier1 --output-on-failure -j
 
+echo "=== repository benchmark self-test (perfbench/selftest.py)"
+# Every perfbench workload at tiny sizes, traced and untraced (~1 min):
+# fails when a library change breaks the benchmark's own correctness
+# checks (a CRC mismatch, a PFS read on small_hit after warm-up, an
+# aborted training job) before a full benchmark run would notice.
+(cd "${source_dir}" && python3 perfbench/selftest.py)
+
 echo "=== failover-storm smoke (bench_failstorm, reduced load)"
 # Few-second smoke: exercises deadlines, admission, retry budgets, and
 # the PFS singleflight end-to-end and enforces the duplicate-fetch

@@ -627,14 +627,14 @@ void HvacClient::push_replicas(const std::string& path,
     } else {
       // A genuine (re-)placement.  Repairs get the tighter
       // restore_concurrency cap so a storm-wide re-target cannot
-      // monopolize the async pool; deferral leaves the marking stale so
-      // the next read of this file retries once the pool drains.
-      const std::uint32_t cap = warm_restore
-                                    ? config_.replication.restore_concurrency
-                                    : config_.replication.write_behind_depth;
-      if (warm_inflight_->load(std::memory_order_relaxed) >= cap) {
+      // monopolize the async pool; deferral leaves the marking stale and
+      // queues the bytes, retried as soon as a completion frees a slot.
+      if (warm_inflight_->load(std::memory_order_relaxed) >=
+          warm_cap(warm_restore)) {
         ++stats_.warm_deferred;
+        warm_deferred_.insert_or_assign(path, DeferredWarm{contents, primary});
       } else {
+        warm_deferred_.erase(path);
         if (warm_restore) {
           ++stats_.warm_invalidations;
           // Post-heal reconciliation: this re-target is partition repair
@@ -781,6 +781,27 @@ void HvacClient::execute_put(const placement::MergedTarget& target,
                         warm ? path : std::string{});
         }
       });
+}
+
+std::uint32_t HvacClient::warm_cap(bool warm_restore) const {
+  return warm_restore ? config_.replication.restore_concurrency
+                      : config_.replication.write_behind_depth;
+}
+
+void HvacClient::retry_deferred_warm() {
+  while (!warm_deferred_.empty()) {
+    const auto first = warm_deferred_.begin();
+    if (warm_inflight_->load(std::memory_order_relaxed) >=
+        warm_cap(warm_pushed_.contains(first->first))) {
+      return;
+    }
+    // The same placement a read of the file runs: it re-plans against the
+    // current ring, so a deferral that outlived a ring change goes where
+    // the file's standbys belong now.
+    auto entry = warm_deferred_.extract(first);
+    push_replicas(entry.key(), entry.mapped().contents, entry.mapped().primary,
+                  /*cache_fill=*/false);
+  }
 }
 
 void HvacClient::observe_load_hint(NodeId server,
@@ -1121,6 +1142,8 @@ void HvacClient::drain_mailbox() {
         break;
     }
   }
+  // Completions just folded may have freed write-behind slots.
+  retry_deferred_warm();
 }
 
 void HvacClient::maybe_probe() {

@@ -46,6 +46,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -475,6 +476,12 @@ class HvacClient {
   void execute_put(const placement::MergedTarget& target,
                    const std::string& path, const common::Buffer& contents,
                    bool warm_restore);
+  /// In-flight cap for a warm placement: restore_concurrency for a
+  /// re-target of a marked file, write_behind_depth for a first placement.
+  [[nodiscard]] std::uint32_t warm_cap(bool warm_restore) const;
+  /// Re-runs the placement of warm pushes deferred at their cap, in path
+  /// order, until the queue is empty or the next one is still capped.
+  void retry_deferred_warm();
   /// Folds a response's piggybacked load hint into the estimator (no-op
   /// when neither skew knob is on, or the response carries no hint).
   void observe_load_hint(NodeId server, const rpc::RpcResponse& response);
@@ -618,6 +625,16 @@ class HvacClient {
   /// queue: write_behind_depth for first placements, restore_concurrency
   /// for generation repairs.
   std::shared_ptr<std::atomic<std::uint32_t>> warm_inflight_;
+  /// Warm pushes deferred at their cap, with the bytes (a refcounted
+  /// share) and the serving node of the read that planned them.  Retried
+  /// as write-behind completions free slots (drain_mailbox), so a deferred
+  /// file does not wait for its next read — which may never come before
+  /// the ring moves again.
+  struct DeferredWarm {
+    common::Buffer contents;
+    NodeId primary = 0;
+  };
+  std::map<std::string, DeferredWarm> warm_deferred_;
   /// Heat sketch + promotion state; null unless hot_fanout is on.
   std::unique_ptr<HotFilePromoter> hot_files_;
   /// Promoted files whose replica fanout has not been pushed yet — the

@@ -39,6 +39,7 @@ std::uint32_t update_portable(std::uint32_t c, const unsigned char* p,
 #if defined(__x86_64__)
 
 constexpr std::size_t kFoldBlock = 64;
+using detail::kPrefetchDistance;
 
 __m128i load(const unsigned char* p) {
   return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
@@ -79,6 +80,18 @@ __attribute__((target("pclmul,sse4.1"))) std::uint32_t fold_clmul(
   len -= kFoldBlock;
 
   __m128i k = _mm_load_si128(reinterpret_cast<const __m128i*>(k1k2));
+  // Prefetch only while the line kPrefetchDistance ahead still lies inside
+  // the input; the plain loop folds the last kPrefetchDistance bytes (and
+  // all of a shorter input).
+  for (; len >= kPrefetchDistance + kFoldBlock;
+       p += kFoldBlock, len -= kFoldBlock) {
+    _mm_prefetch(reinterpret_cast<const char*>(p + kPrefetchDistance),
+                 _MM_HINT_T0);
+    x1 = fold(x1, k, load(p));
+    x2 = fold(x2, k, load(p + 16));
+    x3 = fold(x3, k, load(p + 32));
+    x4 = fold(x4, k, load(p + 48));
+  }
   for (; len >= kFoldBlock; p += kFoldBlock, len -= kFoldBlock) {
     x1 = fold(x1, k, load(p));
     x2 = fold(x2, k, load(p + 16));

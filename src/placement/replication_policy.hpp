@@ -234,7 +234,8 @@ struct ReplicationConfig {
   /// Requires factor >= 2 and hash-ring mode.
   bool warm_standby = false;
   /// Max in-flight write-behind standby puts per client for first-time
-  /// placement; pushes beyond it are deferred to a later read.
+  /// placement; pushes beyond it are deferred and retried as in-flight
+  /// ones complete.
   /// Valid with warm_standby: >= 1.
   std::uint32_t write_behind_depth = 64;
   /// Max in-flight standby re-pushes per client while repairing the

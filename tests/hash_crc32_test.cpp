@@ -1,9 +1,12 @@
 #include "hash/crc32.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 namespace ftc::hash {
@@ -128,6 +131,85 @@ TEST(Crc32, ClmulKernelKnownVectors) {
   const std::string zeros(1U << 20, '\0');
   EXPECT_EQ(detail::crc32_clmul(zeros, 0), 0xA738EA1CU);
   EXPECT_EQ(detail::crc32_portable(zeros, 0), 0xA738EA1CU);
+}
+#endif
+
+// Readable pages followed by one PROT_NONE page: an input copied so that
+// it ends flush against the guard faults on any load past its last byte.
+class GuardedRegion {
+ public:
+  explicit GuardedRegion(std::size_t capacity)
+      : page_(static_cast<std::size_t>(sysconf(_SC_PAGESIZE))),
+        readable_((capacity + page_ - 1) / page_ * page_) {
+    void* base = mmap(nullptr, readable_ + page_, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED) return;
+    base_ = static_cast<char*>(base);
+    if (mprotect(base_ + readable_, page_, PROT_NONE) != 0) {
+      munmap(base_, readable_ + page_);
+      base_ = nullptr;
+    }
+  }
+  ~GuardedRegion() {
+    if (base_ != nullptr) munmap(base_, readable_ + page_);
+  }
+  GuardedRegion(const GuardedRegion&) = delete;
+  GuardedRegion& operator=(const GuardedRegion&) = delete;
+
+  bool ok() const { return base_ != nullptr; }
+
+  /// Copies `data` to end at the guard page and returns the copy.
+  std::string_view place_at_end(std::string_view data) {
+    char* start = base_ + readable_ - data.size();
+    std::memcpy(start, data.data(), data.size());
+    return {start, data.size()};
+  }
+
+ private:
+  std::size_t page_;
+  std::size_t readable_;
+  char* base_ = nullptr;
+};
+
+#if defined(__x86_64__)
+constexpr std::size_t kGuardSweepLen = 2 * detail::kPrefetchDistance + 64;
+#else
+constexpr std::size_t kGuardSweepLen = 4160;
+#endif
+
+// No kernel loads a byte past the end of its input.  Every length up to
+// two prefetch distances plus one fold block (so both the prefetching and
+// the plain 64-byte loop, their boundary, the 16-byte folds and the table
+// tail all run) ends flush against a guard page; the page boundary is
+// 16-byte aligned, so consecutive lengths start at all 16 alignments.
+void expect_no_overread(Kernel kernel) {
+  constexpr std::size_t kBig = (1U << 20) + 13;
+  GuardedRegion region(kBig);
+  ASSERT_TRUE(region.ok()) << "mmap/mprotect failed";
+  const std::string src = random_bytes(kGuardSweepLen, 13);
+  const std::string_view source(src);
+  std::uint32_t expected = 0;
+  for (std::size_t len = 0; len <= kGuardSweepLen; ++len) {
+    const auto view = region.place_at_end(source.substr(0, len));
+    ASSERT_EQ(kernel(view, 0), expected) << "len=" << len;
+    if (len < kGuardSweepLen) {
+      expected = reference_crc32(source.substr(len, 1), expected);
+    }
+  }
+  const std::string big = random_bytes(kBig, 17);
+  EXPECT_EQ(kernel(region.place_at_end(big), 0), reference_crc32(big, 0));
+}
+
+TEST(Crc32, DispatchNeverReadsPastTheEnd) {
+  expect_no_overread(crc32);
+}
+
+#if defined(__x86_64__)
+TEST(Crc32, ClmulKernelNeverReadsPastTheEnd) {
+  if (!detail::clmul_supported()) {
+    GTEST_SKIP() << "CPU lacks PCLMULQDQ/SSE4.1";
+  }
+  expect_no_overread(detail::crc32_clmul);
 }
 #endif
 

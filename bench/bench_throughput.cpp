@@ -10,8 +10,8 @@
 //   hit_heavy     every read is a node-local cache hit (the paper's
 //                 steady-state: after recaching, reads never leave NVMe);
 //   miss_heavy    every read misses and is fetched from the PFS then
-//                 recached by the async data mover (epoch-1 / post-failure
-//                 recache traffic);
+//                 recached write-behind by the serving endpoint worker
+//                 (epoch-1 / post-failure recache traffic);
 //   mixed_failure reads over a warm set while a node is crash-stopped
 //                 mid-phase (timeout detection + ring recache in-band).
 //

@@ -55,6 +55,15 @@
 # cross-shard peer steals release and re-take shard locks mid-put, and
 # the RamOnlyStore suite checks the byte accounting stays exact under
 # concurrent puts, erases and steals.
+# The after-reply path (rpc_test, cluster_test WriteBehind and Concurrency
+# suites): a handler queues work with Transport::after_reply, the endpoint
+# worker resolves the caller's promise and then runs it, so a write-behind
+# recache touches the store and the server's pending-recache count while
+# the caller already races ahead with the reply — and flush_data_mover
+# waits on that count from a test thread across four workers.  A missed
+# wake-up or an unpublished store write would surface here.
+# store_test also runs Manifest.FuzzedMutationsNeverCrash, so ASan checks
+# the manifest parser against seeded flips, truncations and insertions.
 # hash_test is not concurrent; it rides along for ASan/UBSan, which check
 # the CRC-32 kernels' unaligned 16-byte loads and 0-15-byte tail handling
 # on every length and start offset the property tests sweep.

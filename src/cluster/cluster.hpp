@@ -70,7 +70,8 @@ class Cluster {
                                          std::uint32_t bytes);
 
   /// Reads every file once through round-robin clients so all caches are
-  /// populated (the paper's epoch-1 warm-up) and waits for data movers.
+  /// populated (the paper's epoch-1 warm-up) and waits for every
+  /// write-behind recache to land.
   void warm_caches(const std::vector<std::string>& paths);
 
   /// Crash-stop failure injection: the node's endpoint discards requests

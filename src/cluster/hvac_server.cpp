@@ -7,6 +7,7 @@
 #include "common/logging.hpp"
 #include "hash/crc32.hpp"
 #include "membership/swim.hpp"
+#include "rpc/transport.hpp"
 
 namespace ftc::cluster {
 
@@ -58,15 +59,12 @@ HvacServer::HvacServer(NodeId id, PfsStore& pfs,
   if (config_.pfs_singleflight) {
     pfs_guard_ = std::make_unique<PfsFetchGuard>(config_.pfs_guard);
   }
-  if (config_.async_data_mover) {
-    mover_pool_ = std::make_unique<common::ThreadPool>(
-        config_.data_mover_threads == 0 ? 1 : config_.data_mover_threads);
-  }
 }
 
-// mover_pool_'s destructor drains queued recache tasks before the other
-// members go away (it is the last-declared member).
-HvacServer::~HvacServer() = default;
+// A deferred recache touches cache_ and stats_; the owner unregisters the
+// endpoint (joining its workers, which run their deferred tasks first)
+// before destroying the server, and this wait covers any other caller.
+HvacServer::~HvacServer() { flush_data_mover(); }
 
 rpc::RpcResponse HvacServer::handle(const rpc::RpcRequest& request) {
   // Deadline shed: work whose deadline passed while it sat in the ingress
@@ -346,10 +344,16 @@ rpc::RpcResponse HvacServer::handle_read(const rpc::RpcRequest& request) {
   fill_ctx.primary = id_;
   if (recache_policy_.plan(fill_ctx).write_class ==
       placement::WriteClass::kAsyncWriteBehind) {
-    // The recache task shares the response's buffer — enqueueing is a
-    // refcount bump, not a payload copy.
-    mover_pool_->submit([this, path = request.path, contents] {
+    // Write-behind on this endpoint worker, after the reply is out.  The
+    // task shares the response's buffer — deferring is a refcount bump,
+    // not a payload copy.
+    pending_recaches_.fetch_add(1, std::memory_order_relaxed);
+    rpc::Transport::after_reply([this, path = request.path, contents] {
       recache(path, contents);
+      if (pending_recaches_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        std::lock_guard<std::mutex> lock(flush_mu_);
+        flush_cv_.notify_all();
+      }
     });
   } else {
     recache(request.path, contents);
@@ -374,11 +378,14 @@ void HvacServer::recache(const std::string& path,
 }
 
 void HvacServer::flush_data_mover() {
-  if (mover_pool_) mover_pool_->wait_idle();
+  std::unique_lock<std::mutex> lock(flush_mu_);
+  flush_cv_.wait(lock, [this] {
+    return pending_recaches_.load(std::memory_order_acquire) == 0;
+  });
 }
 
 void HvacServer::clear_cache() {
-  // Drain in-flight recaches first so a mover task cannot repopulate an
+  // Drain in-flight recaches first so a write-behind cannot repopulate an
   // entry after the clear.
   flush_data_mover();
   cache_->clear();

@@ -2,8 +2,10 @@
 //
 // One instance runs on every compute node.  On a read RPC it checks the
 // node-local NVMe cache; a hit is served directly, a miss is fetched from
-// the PFS, served, and handed to the data-mover pool which inserts it
-// into the cache in the background — exactly the original HVAC flow.  The
+// the PFS, served, and then inserted into the cache by the same endpoint
+// worker right after the reply is delivered (rpc::Transport::after_reply)
+// — the original HVAC flow, where the read never waits for the recache,
+// without a thread hand-off per fill.  The
 // elastic-recaching design needs no server-side changes: a post-failure
 // new owner simply sees a miss for the lost file and the normal
 // fetch/serve/recache path restores it (one PFS access per lost file).
@@ -11,13 +13,14 @@
 // Data path (zero-copy): payloads are ftc::common::Buffer — a cache hit
 // hands out a reference to the stored bytes (no memcpy, CRC memoized per
 // payload), and a miss shares one buffer between the RPC response and the
-// recache task.  The cache itself is the lock-striped TieredCacheStore
+// deferred recache.  The cache itself is the lock-striped TieredCacheStore
 // (RAM-only unless `store.nvme_bytes` adds a cold NVMe tier), so
 // concurrent reads of different files never serialize; server counters
 // are lock-free atomics.  There is no server-wide mutex.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -27,7 +30,6 @@
 #include "cluster/fault_detector.hpp"  // NodeId
 #include "cluster/pfs_guard.hpp"
 #include "cluster/pfs_store.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/flight_recorder.hpp"
 #include "placement/replication_policy.hpp"
 #include "rpc/message.hpp"
@@ -50,11 +52,12 @@ struct HvacServerConfig {
   /// manifest enabling warm restarts.
   ftc::store::StoreConfig store;
   /// When false, misses are cached inline before the response returns
-  /// (deterministic mode for tests); when true, the data-mover pool does
-  /// it in the background as in the original system.
+  /// (deterministic mode for tests); when true, the endpoint worker that
+  /// served the miss caches it right after delivering the reply, before
+  /// it takes its next request (write-behind, as in the original system's
+  /// data mover, but without a mover thread).  A handle() called directly,
+  /// not through the transport, caches before it returns in both modes.
   bool async_data_mover = true;
-  /// Worker threads for the background recache pool (async mode only).
-  std::size_t data_mover_threads = 1;
 
   // --- Failover-storm hardening (every knob defaults to the legacy
   // behaviour: no admission control, serial endpoint, no singleflight) ---
@@ -198,7 +201,10 @@ class HvacServer {
   /// counters cannot be mutated or observed torn from outside.
   [[nodiscard]] Stats stats_snapshot() const;
 
-  /// Blocks until the data-mover pool drains (test synchronization).
+  /// Blocks until every write-behind recache started so far has landed
+  /// (`recache_completed` counts it).  Must not be called from an endpoint
+  /// worker: the recaches it waits for may be queued behind that very
+  /// worker's reply.
   void flush_data_mover();
 
   /// Drops every cached entry (counters keep their history).  Models a
@@ -232,9 +238,9 @@ class HvacServer {
   std::size_t warm_restore(
       const ftc::store::TieredCacheStore::GenerationAuthority& authority = {});
 
-  /// Clean-shutdown flush: drains the data mover, then demotes every hot
-  /// entry to the NVMe tier so the manifest covers the whole cache before
-  /// a planned restart.  No-op without a cold tier.
+  /// Clean-shutdown flush: waits for write-behind recaches, then demotes
+  /// every hot entry to the NVMe tier so the manifest covers the whole
+  /// cache before a planned restart.  No-op without a cold tier.
   void flush_cache_to_cold();
 
   /// The server's copy of its config (cluster wiring reads the endpoint/
@@ -296,9 +302,12 @@ class HvacServer {
   /// Storm protection for the miss path; null when pfs_singleflight off
   /// (the miss path is then bit-identical to the seed's).
   std::unique_ptr<PfsFetchGuard> pfs_guard_;
-  /// Declared last: destroyed first, so queued recache tasks (which touch
-  /// cache_ and stats_) finish while those members are still alive.
-  std::unique_ptr<common::ThreadPool> mover_pool_;
+  /// Write-behind recaches handed to after_reply and not yet landed.
+  /// flush_data_mover waits on `flush_cv_` for it to reach zero; the last
+  /// finisher notifies under `flush_mu_`, so the wake-up cannot be lost.
+  std::atomic<std::uint64_t> pending_recaches_{0};
+  std::mutex flush_mu_;
+  std::condition_variable flush_cv_;
 };
 
 }  // namespace ftc::cluster

@@ -1,9 +1,9 @@
 // buffer.hpp - Immutable, refcounted payload bytes.
 //
 // The zero-copy currency of the data path: a Buffer wraps a shared,
-// immutable byte string, so handing a cached file to an RPC response, the
-// async data mover, or a replication request is a refcount bump instead of
-// an O(size) memcpy.  The CRC of a payload is memoized in the shared
+// immutable byte string, so handing a cached file to an RPC response, a
+// write-behind recache, or a replication request is a refcount bump
+// instead of an O(size) memcpy.  The CRC of a payload is memoized in the shared
 // control block, so integrity checksums are computed once per payload
 // lifetime instead of once per read.
 //

@@ -1,11 +1,11 @@
 // thread_pool.hpp - Fixed-size worker pool with idle-wait.
 //
-// Replaces the two unbounded thread spawners in the data path: the
-// transport's thread-per-async-call and the HVAC server's bespoke
-// data-mover queue.  The pool holds a constant number of threads for its
-// whole lifetime; submissions beyond the worker count queue up in FIFO
-// order.  Destruction drains the queue (every submitted task runs) before
-// joining — callers that need completion-before-teardown get it for free.
+// Replaces the transport's thread-per-async-call: async completions run
+// on one bounded pool per transport.  The pool holds a constant number of
+// threads for its whole lifetime; submissions beyond the worker count
+// queue up in FIFO order.  Destruction drains the queue (every submitted
+// task runs) before joining — callers that need completion-before-teardown
+// get it for free.
 #pragma once
 
 #include <condition_variable>

@@ -175,8 +175,8 @@ struct RpcRequest {
 struct RpcResponse {
   StatusCode code = StatusCode::kOk;
   /// Refcounted payload: a cache hit hands out a reference to the stored
-  /// bytes — the response, the cache entry, and (on a miss) the data-mover
-  /// queue all share one allocation.
+  /// bytes — the response, the cache entry, and (on a miss) the deferred
+  /// recache all share one allocation.
   common::Buffer payload;
   /// True when the server had the file cached (vs fetched from PFS).
   bool cache_hit = false;

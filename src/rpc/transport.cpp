@@ -6,6 +6,20 @@
 
 namespace ftc::rpc {
 
+namespace {
+/// The after_reply queue of the request the calling endpoint worker is
+/// handling; null on every other thread and while no handler runs.
+thread_local std::vector<std::function<void()>>* tls_after_reply = nullptr;
+}  // namespace
+
+void Transport::after_reply(std::function<void()> task) {
+  if (tls_after_reply != nullptr) {
+    tls_after_reply->push_back(std::move(task));
+  } else {
+    task();
+  }
+}
+
 Transport::~Transport() {
   // Async completions first: they may still be blocked inside call(), so
   // the pool must drain while endpoints are alive.  ThreadPool's
@@ -376,6 +390,9 @@ std::size_t Transport::endpoint_count() const {
 }
 
 void Transport::worker_loop(Endpoint& endpoint) {
+  // Reused across requests, so a steady stream of deferred tasks allocates
+  // the queue once.
+  std::vector<std::function<void()>> deferred;
   for (;;) {
     std::shared_ptr<PendingCall> call;
     std::chrono::milliseconds latency{0};
@@ -429,7 +446,9 @@ void Transport::worker_loop(Endpoint& endpoint) {
     if (latency.count() > 0) std::this_thread::sleep_for(latency);
     // Handler runs outside the endpoint lock so slow service does not block
     // enqueue/kill operations.
+    tls_after_reply = &deferred;
     RpcResponse response = endpoint.handler(call->request);
+    tls_after_reply = nullptr;
     {
       std::lock_guard lock(endpoint.mutex);
       if (endpoint.corruptions_remaining > 0 && !response.payload.empty()) {
@@ -454,6 +473,10 @@ void Transport::worker_loop(Endpoint& endpoint) {
       }
     }
     call->promise.set_value(std::move(response));
+    // after_reply work: the caller already has its answer; this worker
+    // finishes the request's follow-ups before it takes the next one.
+    for (auto& task : deferred) task();
+    deferred.clear();
   }
 }
 

@@ -2,7 +2,10 @@
 //
 // Substitute for Mercury-over-Slingshot: each registered endpoint runs a
 // worker thread consuming a FIFO request queue; clients block on a future
-// with a deadline.  Faults are injected at this layer:
+// with a deadline.  A handler may queue follow-up work with after_reply();
+// the worker runs it once the reply is delivered, before it takes its next
+// request (Mercury's handler idiom: HG_Respond, then keep working).
+// Faults are injected at this layer:
 //   - kill():  endpoint silently discards requests (crash-stop node — the
 //              client sees only timeouts, exactly like a drained Frontier
 //              node); revive() undoes it (a drained node handed back to
@@ -96,6 +99,17 @@ class Transport {
 
   /// Blocks until every in-flight async call has completed.
   void drain_async();
+
+  /// Deferred handler work.  Called from a handler running on an endpoint
+  /// worker, queues `task`; the worker runs the queue, in call order, right
+  /// after it resolves that request's reply and before it picks up its
+  /// next request — the caller is already unblocked, yet one worker's
+  /// follow-ups land before it serves anything else.  Called from any
+  /// other thread (a handler invoked directly, not through the
+  /// transport), runs `task` at once.  A task that calls after_reply runs
+  /// the nested task at once too.  unregister_endpoint() and the
+  /// destructor join workers only after their queued tasks have run.
+  static void after_reply(std::function<void()> task);
 
   /// Upper bound on completion threads, independent of async-call volume.
   /// Sized for hedged reads: every hedged read holds up to two slots

@@ -1,6 +1,7 @@
 // Server-side concurrency stress: many threads issue mixed operations
-// (kReadFile / kPut / kEvict) against ONE server while its async data
-// mover runs and capacity pressure forces evictions.  The old server
+// (kReadFile / kPut / kEvict) against ONE server while write-behind
+// recaches run after each miss's reply and capacity pressure forces
+// evictions.  The old server
 // serialized everything behind a single mutex, which hid accounting races
 // by construction; the lock-striped store must keep the books exact
 // without that crutch.  Run under TSan (scripts/sanitize.sh) for full
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/cluster.hpp"
 #include "cluster/hvac_server.hpp"
 #include "cluster/pfs_store.hpp"
 #include "common/string_util.hpp"
@@ -37,7 +39,7 @@ TEST(Concurrency, MixedOpsUnderCapacityPressureKeepBooksExact) {
   }
 
   HvacServerConfig config;
-  config.async_data_mover = true;  // mover thread races the RPC threads
+  config.async_data_mover = true;  // write-behind races the RPC threads
   // Fits ~1/3 of the dataset: every pass over the universe evicts.
   config.cache_capacity_bytes = (kUniverse / 3) * kFileBytes;
   HvacServer server(0, pfs, config);
@@ -77,7 +79,7 @@ TEST(Concurrency, MixedOpsUnderCapacityPressureKeepBooksExact) {
     });
   }
   for (auto& thread : threads) thread.join();
-  server.flush_data_mover();  // quiescence: mover queue drained
+  server.flush_data_mover();  // quiescence: every recache landed
 
   // Invariant 1: the global byte counter equals the bytes actually held.
   // Every entry in this test is kFileBytes, so counting cached paths over
@@ -132,6 +134,108 @@ TEST(Concurrency, AsyncTransportThreadsStayBounded) {
   EXPECT_EQ(completions.load(), kCalls);
   EXPECT_EQ(transport.async_pool_thread_count(),
             rpc::Transport::kAsyncPoolThreads);
+}
+
+// Write-behind recache runs on the endpoint worker that served the miss,
+// after the reply and before that worker's next request.
+
+TEST(WriteBehind, BackToBackRereadsCostOnePfsReadPerFile) {
+  // One endpoint worker per node: the fill of a miss lands before the
+  // owner serves the next request, so an immediate re-read always hits.
+  // A mover thread that lagged the reply would let the re-read miss and
+  // fetch the file from the PFS a second time.
+  ClusterConfig config;
+  config.node_count = 4;
+  config.client.mode = FtMode::kHashRingRecache;
+  config.client.rpc_timeout = 2000ms;
+  config.server.async_data_mover = true;
+  config.server.endpoint_workers = 1;
+  Cluster cluster(config);
+  constexpr std::uint32_t kFiles = 200;
+  const auto paths = cluster.stage_dataset(kFiles, 256);
+  auto& client = cluster.client(0);
+  for (const auto& path : paths) {
+    ASSERT_TRUE(client.read_file(path).is_ok()) << path;
+    ASSERT_TRUE(client.read_file(path).is_ok()) << path;
+  }
+  EXPECT_EQ(cluster.pfs().read_count(), kFiles);
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  for (NodeId n = 0; n < cluster.node_count(); ++n) {
+    const auto stats = cluster.server(n).stats_snapshot();
+    hits += stats.cache_hits;
+    misses += stats.cache_misses;
+  }
+  EXPECT_EQ(misses, kFiles);
+  EXPECT_EQ(hits, kFiles);
+}
+
+TEST(WriteBehind, DirectHandleMissIsCachedOnReturn) {
+  // Off an endpoint worker there is no reply to wait for: the write-behind
+  // runs inside handle(), so the entry exists when the call returns.
+  PfsStore pfs;
+  pfs.put("/f", "abc");
+  HvacServerConfig config;
+  config.async_data_mover = true;
+  HvacServer server(0, pfs, config);
+  rpc::RpcRequest request;
+  request.path = "/f";
+  ASSERT_EQ(server.handle(request).code, StatusCode::kOk);
+  EXPECT_TRUE(server.has_cached("/f"));
+  const auto stats = server.stats_snapshot();
+  EXPECT_EQ(stats.recache_enqueued, 1u);
+  EXPECT_EQ(stats.recache_completed, 1u);
+}
+
+TEST(WriteBehind, FlushWaitsForEveryConcurrentMiss) {
+  // Four callers miss on distinct files through a four-worker endpoint.
+  // Each reply reaches its caller before its recache lands; flush must
+  // not return until every one of them has.
+  constexpr int kThreads = 4;
+  constexpr std::uint32_t kFilesPerThread = 50;
+  constexpr std::uint32_t kFiles = kThreads * kFilesPerThread;
+  PfsStore pfs;
+  pfs.populate_synthetic("/data", kFiles, 512);
+  HvacServerConfig config;
+  config.async_data_mover = true;
+  config.endpoint_workers = kThreads;
+  HvacServer server(0, pfs, config);
+  rpc::Transport transport;
+  transport.register_endpoint(
+      0,
+      [&server](const rpc::RpcRequest& request) {
+        // A slow follow-up queued ahead of the server's recache holds the
+        // recache back, so every caller holds its reply well before the
+        // fill lands.
+        rpc::Transport::after_reply([] { std::this_thread::sleep_for(1ms); });
+        return server.handle(request);
+      },
+      kThreads);
+
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&transport, t] {
+      for (std::uint32_t i = 0; i < kFilesPerThread; ++i) {
+        rpc::RpcRequest request;
+        request.path = "/data/file_" +
+                       zero_pad(static_cast<std::uint32_t>(t) *
+                                    kFilesPerThread + i,
+                                7) +
+                       ".tfrecord";
+        auto result = transport.call(0, std::move(request), 2000ms);
+        ASSERT_TRUE(result.is_ok());
+        ASSERT_EQ(result.value().code, StatusCode::kOk);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  server.flush_data_mover();
+  const auto stats = server.stats_snapshot();
+  EXPECT_EQ(stats.cache_misses, kFiles);
+  EXPECT_EQ(stats.recache_enqueued, kFiles);
+  EXPECT_EQ(stats.recache_completed, stats.cache_misses);
+  EXPECT_EQ(server.cached_file_count(), kFiles);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Concurrency stress: many client threads hammer the cluster while nodes
 // die underneath them.  Catches data races and lost wakeups in the
-// transport/server/mover paths (run under TSan for full value; asserts
+// transport/server/write-behind paths (run under TSan for full value; asserts
 // functional correctness regardless).
 #include <gtest/gtest.h>
 
@@ -22,7 +22,7 @@ TEST(Stress, ConcurrentReadersWithFailures) {
   config.client.mode = FtMode::kHashRingRecache;
   config.client.rpc_timeout = 50ms;
   config.client.timeout_limit = 2;
-  config.server.async_data_mover = true;  // exercise the mover thread too
+  config.server.async_data_mover = true;  // exercise write-behind too
   Cluster cluster(config);
   const auto paths = cluster.stage_dataset(64, 128);
   cluster.warm_caches(paths);

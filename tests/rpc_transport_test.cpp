@@ -4,6 +4,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <vector>
 
 namespace ftc::rpc {
 namespace {
@@ -150,6 +154,60 @@ TEST(Transport, DestructorDrainsCleanly) {
   caller.join();
   transport.reset();
   SUCCEED();
+}
+
+TEST(Transport, AfterReplyRunsAfterTheReplyBeforeTheNextRequest) {
+  // One worker: a task queued by request N's handler runs once N's caller
+  // holds its reply, and before request N+1 reaches the handler.
+  std::mutex mu;
+  std::vector<std::string> log;
+  const auto append = [&mu, &log](std::string entry) {
+    std::lock_guard lock(mu);
+    log.push_back(std::move(entry));
+  };
+  const auto handler = [&append](const RpcRequest& request) {
+    append("handle " + request.path);
+    Transport::after_reply([&append, path = request.path] {
+      append("after " + path);
+    });
+    Transport::after_reply([&append, path = request.path] {
+      append("after2 " + path);
+    });
+    return echo_handler(request);
+  };
+  Transport transport;
+  ASSERT_TRUE(transport.register_endpoint(0, handler).is_ok());
+  for (const char* path : {"a", "b"}) {
+    RpcRequest request;
+    request.path = path;
+    ASSERT_TRUE(transport.call(0, request, 1000ms).is_ok());
+  }
+  ASSERT_TRUE(transport.unregister_endpoint(0).is_ok());  // joins the worker
+  const std::vector<std::string> expected = {"handle a", "after a", "after2 a",
+                                             "handle b", "after b", "after2 b"};
+  EXPECT_EQ(log, expected);
+}
+
+TEST(Transport, AfterReplyDoesNotDelayTheReply) {
+  // The caller is unblocked before the deferred task finishes: the task
+  // waits for a flag only the caller sets after its call returned.
+  std::atomic<bool> caller_returned{false};
+  std::atomic<bool> task_done{false};
+  Transport transport;
+  transport.register_endpoint(0, [&](const RpcRequest& request) {
+    Transport::after_reply([&] {
+      while (!caller_returned.load()) std::this_thread::yield();
+      task_done.store(true);
+    });
+    return echo_handler(request);
+  });
+  const bool replied = transport.call(0, RpcRequest{}, 1000ms).is_ok();
+  const bool done_before_reply = task_done.load();
+  caller_returned.store(true);  // before any assert: the task must finish
+  ASSERT_TRUE(transport.unregister_endpoint(0).is_ok());
+  EXPECT_TRUE(replied);
+  EXPECT_FALSE(done_before_reply);
+  EXPECT_TRUE(task_done.load());
 }
 
 }  // namespace

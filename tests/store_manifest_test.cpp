@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "common/rng.hpp"
 #include "store/manifest.hpp"
 
 namespace ftc::store {
@@ -60,6 +61,75 @@ TEST(Manifest, GarbageRejected) {
   EXPECT_FALSE(Manifest::parse("ftc-manifest v2\nend 0\n").is_ok());
   EXPECT_FALSE(
       Manifest::parse("ftc-manifest v1\n/p\tnvme\tNaN\t0\nend 1\n").is_ok());
+}
+
+TEST(Manifest, FuzzedMutationsNeverCrash) {
+  // Seeded byte flips, truncations and insertions of a valid manifest must
+  // each parse or fail cleanly — never crash or read out of bounds (ASan
+  // runs this through store_test).  Whatever parses must be a manifest the
+  // store could replay: known tiers, non-empty paths, and a row set that
+  // survives its own round trip.
+  Manifest source = sample();
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    source.entries.push_back(
+        {"/lustre/file_" + std::to_string(i), "nvme", i * 4096, 100 + i});
+  }
+  const std::string valid = source.serialize();
+  Rng rng(0x3A41F);
+  std::size_t parsed_ok = 0;
+  for (int round = 0; round < 2000; ++round) {
+    std::string mutated = valid;
+    const int mutations = 1 + static_cast<int>(rng.below(6));
+    for (int m = 0; m < mutations; ++m) {
+      const std::size_t pos = rng.below(mutated.size() + 1);
+      switch (rng.below(3)) {
+        case 0:  // flip one byte
+          if (pos < mutated.size()) {
+            mutated[pos] = static_cast<char>(rng.below(256));
+          }
+          break;
+        case 1:  // truncate
+          mutated.resize(pos);
+          break;
+        default: {  // insert a short run, biased toward the format's syntax
+          static constexpr char kSyntax[] = "\t\n0123456789 endnvmram";
+          const std::size_t run = 1 + rng.below(4);
+          std::string insert;
+          for (std::size_t k = 0; k < run; ++k) {
+            insert += rng.chance(0.5)
+                          ? kSyntax[rng.below(sizeof(kSyntax) - 1)]
+                          : static_cast<char>(rng.below(256));
+          }
+          mutated.insert(pos, insert);
+          break;
+        }
+      }
+    }
+    const auto result = Manifest::parse(mutated);
+    if (!result.is_ok()) {
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    ++parsed_ok;
+    const Manifest& manifest = result.value();
+    for (const auto& entry : manifest.entries) {
+      EXPECT_FALSE(entry.path.empty());
+      EXPECT_TRUE(entry.tier == "ram" || entry.tier == "nvme") << entry.tier;
+    }
+    const auto again = Manifest::parse(manifest.serialize());
+    ASSERT_TRUE(again.is_ok()) << mutated;
+    ASSERT_EQ(again.value().entries.size(), manifest.entries.size());
+    for (std::size_t i = 0; i < manifest.entries.size(); ++i) {
+      EXPECT_EQ(again.value().entries[i].path, manifest.entries[i].path);
+      EXPECT_EQ(again.value().entries[i].bytes, manifest.entries[i].bytes);
+      EXPECT_EQ(again.value().entries[i].generation,
+                manifest.entries[i].generation);
+    }
+  }
+  // Some mutations (e.g. a digit flipped inside a byte count, or bytes
+  // past the footer) still parse; the loop must exercise both outcomes.
+  EXPECT_GT(parsed_ok, 0u);
+  EXPECT_LT(parsed_ok, 2000u);
 }
 
 }  // namespace

@@ -55,9 +55,18 @@
 # cross-shard peer steals release and re-take shard locks mid-put, and
 # the RamOnlyStore suite checks the byte accounting stays exact under
 # concurrent puts, erases and steals.
+# Every transport call parks on private futexes (rpc_test): the caller on
+# its call's state word, endpoint workers on a per-endpoint sequence word.
+# The reply is published by a release exchange the caller reads with
+# acquire, so TSan checks that the in-place response is never read before
+# it is written; ParkedWorkersNeverMissAWakeup drives 20k calls through
+# one- and three-worker endpoints, where a lost wake-up shows as a timeout;
+# the shutdown tests cancel queued calls while their callers are parked;
+# and LateReplyAfterTimeoutIsNotSeenByTheNextCall has a reply land after its
+# caller left, which ASan checks for use-after-free.
 # The after-reply path (rpc_test, cluster_test WriteBehind and Concurrency
 # suites): a handler queues work with Transport::after_reply, the endpoint
-# worker resolves the caller's promise and then runs it, so a write-behind
+# worker completes the caller's call and then runs it, so a write-behind
 # recache touches the store and the server's pending-recache count while
 # the caller already races ahead with the reply — and flush_data_mover
 # waits on that count from a test thread across four workers.  A missed

@@ -1,12 +1,47 @@
 #include "rpc/transport.hpp"
 
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <climits>
+#include <ctime>
 #include <utility>
 #include <vector>
 
 namespace ftc::rpc {
 
 namespace {
+// Process-private futexes on std::atomic<uint32_t> words.  A private futex
+// is keyed by virtual address alone (no mm/inode lookup or reference), so
+// each wait and wake is cheaper than on the shared futex libstdc++'s
+// promise/future pair uses.  Every wait re-checks its condition in a loop,
+// so a spurious or early return is harmless.
+static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t) &&
+              std::atomic<std::uint32_t>::is_always_lock_free);
+
+/// Sleeps while `*word == expected`, at most `timeout` (negative: no limit).
+void futex_wait(std::atomic<std::uint32_t>& word, std::uint32_t expected,
+                std::chrono::nanoseconds timeout) {
+  timespec ts{};
+  timespec* ts_ptr = nullptr;
+  if (timeout.count() >= 0) {
+    ts.tv_sec = static_cast<std::time_t>(timeout.count() / 1'000'000'000);
+    ts.tv_nsec = static_cast<long>(timeout.count() % 1'000'000'000);
+    ts_ptr = &ts;
+  }
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word),
+          FUTEX_WAIT_PRIVATE, expected, ts_ptr, nullptr, 0);
+}
+
+void futex_wake(std::atomic<std::uint32_t>& word, int count) {
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word),
+          FUTEX_WAKE_PRIVATE, count, nullptr, nullptr, 0);
+}
+
+constexpr std::chrono::nanoseconds kNoTimeout{-1};
+
 /// The after_reply queue of the request the calling endpoint worker is
 /// handling; null on every other thread and while no handler runs.
 thread_local std::vector<std::function<void()>>* tls_after_reply = nullptr;
@@ -31,21 +66,18 @@ Transport::~Transport() {
     pool = std::move(async_pool_);
   }
   pool.reset();
-  // Stop every worker; promises for queued requests are broken, which the
-  // client side surfaces as kCancelled.
-  std::vector<std::unique_ptr<Endpoint>> doomed;
+  // Stop every endpoint: queued calls complete as kCancelled at once, so
+  // callers still parked on them return promptly instead of waiting out
+  // their deadlines; handlers already running finish and reply.
+  std::vector<std::shared_ptr<Endpoint>> doomed;
   {
     std::lock_guard registry_lock(registry_mutex_);
     for (auto& [node, endpoint] : endpoints_) {
-      {
-        std::lock_guard lock(endpoint->mutex);
-        endpoint->stopping = true;
-      }
-      endpoint->cv.notify_all();
       doomed.push_back(std::move(endpoint));
     }
     endpoints_.clear();
   }
+  for (auto& endpoint : doomed) stop_endpoint(*endpoint);
   for (auto& endpoint : doomed) {
     for (auto& worker : endpoint->workers) {
       if (worker.joinable()) worker.join();
@@ -63,7 +95,7 @@ Status Transport::register_endpoint(NodeId node, Handler handler,
   if (workers == 0) {
     return Status::invalid_argument("endpoint needs at least one worker");
   }
-  auto endpoint = std::make_unique<Endpoint>();
+  auto endpoint = std::make_shared<Endpoint>();
   endpoint->node = node;
   endpoint->handler = std::move(handler);
   Endpoint* raw = endpoint.get();
@@ -76,7 +108,7 @@ Status Transport::register_endpoint(NodeId node, Handler handler,
 }
 
 Status Transport::unregister_endpoint(NodeId node) {
-  std::unique_ptr<Endpoint> endpoint;
+  std::shared_ptr<Endpoint> endpoint;
   {
     std::lock_guard registry_lock(registry_mutex_);
     const auto it = endpoints_.find(node);
@@ -86,126 +118,162 @@ Status Transport::unregister_endpoint(NodeId node) {
     endpoint = std::move(it->second);
     endpoints_.erase(it);
   }
-  {
-    std::lock_guard lock(endpoint->mutex);
-    endpoint->stopping = true;
-  }
-  endpoint->cv.notify_all();
+  stop_endpoint(*endpoint);
   for (auto& worker : endpoint->workers) {
     if (worker.joinable()) worker.join();
   }
   return Status::ok();
 }
 
+std::shared_ptr<Transport::Endpoint> Transport::find_endpoint(
+    NodeId node) const {
+  std::shared_lock registry_lock(registry_mutex_);
+  const auto it = endpoints_.find(node);
+  return it == endpoints_.end() ? nullptr : it->second;
+}
+
+void Transport::PendingCall::complete(std::uint32_t outcome) {
+  if (state.exchange(outcome, std::memory_order_release) == kParked) {
+    futex_wake(state, 1);
+  }
+}
+
+std::uint32_t Transport::PendingCall::wait_until(Clock::time_point deadline) {
+  std::uint32_t seen = state.load(std::memory_order_acquire);
+  for (;;) {
+    if (seen == kDone || seen == kCancelled) return seen;
+    if (seen == kPending &&
+        !state.compare_exchange_strong(seen, kParked,
+                                       std::memory_order_acquire)) {
+      continue;  // completed meanwhile; `seen` holds the outcome
+    }
+    const auto left = deadline - Clock::now();
+    if (left <= Clock::duration::zero()) return kPending;
+    futex_wait(state, kParked, left);
+    seen = state.load(std::memory_order_acquire);
+  }
+}
+
+void Transport::stop_endpoint(Endpoint& endpoint) {
+  std::deque<std::shared_ptr<PendingCall>> cancelled;
+  {
+    std::lock_guard lock(endpoint.mutex);
+    endpoint.stopping = true;
+    cancelled.swap(endpoint.queue);
+    endpoint.wake_seq.fetch_add(1, std::memory_order_relaxed);
+  }
+  futex_wake(endpoint.wake_seq, INT_MAX);
+  for (auto& call : cancelled) call->complete(PendingCall::kCancelled);
+}
+
 StatusOr<RpcResponse> Transport::call(NodeId target, RpcRequest request,
                                       std::chrono::milliseconds timeout) {
+  const std::shared_ptr<Endpoint> found = find_endpoint(target);
+  if (!found) {
+    return Status::unavailable("no endpoint " + std::to_string(target));
+  }
+  Endpoint& endpoint = *found;
+  // The queue's reference keeps the record alive if we time out and the
+  // worker later writes its reply into the void.
   auto call = std::make_shared<PendingCall>();
   call->request = std::move(request);
-  std::future<RpcResponse> future = call->promise.get_future();
+  bool wake_worker = false;
   {
-    std::lock_guard registry_lock(registry_mutex_);
-    const auto it = endpoints_.find(target);
-    if (it == endpoints_.end()) {
-      return Status::unavailable("no endpoint " + std::to_string(target));
-    }
-    Endpoint& endpoint = *it->second;
-    {
-      std::lock_guard lock(endpoint.mutex);
-      ++endpoint.stats.received;
-      if (!is_membership_op(call->request.op)) ++endpoint.stats.received_data;
-      // Partition fault: a blocked sender's request dies on the wire — no
-      // admission verdict, no response, the caller times out exactly as if
-      // the link were cut.  Checked before admission so a severed link can
-      // never be mistaken for a fast, live kBusy answer.
-      const bool link_cut =
-          !endpoint.blocked_senders.empty() &&
-          endpoint.blocked_senders.contains(call->request.client_node);
-      if (link_cut) {
-        ++endpoint.stats.dropped;
-        ++endpoint.stats.partition_dropped;
-      } else {
-        // Admission control: shed at enqueue so a rejection is a fast kBusy
-        // answer, not a queue wait.  Membership traffic is never shed, and a
-        // killed endpoint never sheds (a dead node cannot answer — a fast
-        // rejection would read as liveness and break timeout detection).
-        const std::size_t limit = endpoint.admission.queue_limit;
-        if (limit > 0 && !endpoint.killed &&
-            !is_membership_op(call->request.op)) {
-          const std::size_t bound =
-              call->request.op == Op::kPut ? limit * 2 : limit;
-          if (endpoint.queue.size() >= bound) {
-            ++endpoint.stats.requests_shed;
-            if (endpoint.recorder != nullptr && call->request.trace.sampled) {
-              endpoint.recorder->record_event(
-                  obs::RecordKind::kServerShed, call->request.trace.child(),
-                  endpoint.node, static_cast<std::uint32_t>(StatusCode::kBusy),
-                  endpoint.queue.size(), "admission");
-            }
-            RpcResponse busy;
-            busy.code = StatusCode::kBusy;
-            const auto backlog =
-                static_cast<std::uint32_t>(endpoint.queue.size() - bound + 1);
-            busy.retry_after_ms =
-                endpoint.admission.retry_after_base_ms * backlog;
-            // A shed IS load evidence — the one response an overloaded node
-            // is guaranteed to send quickly, so it carries the hint too.
-            if (endpoint.load_report.enabled) {
-              busy.load_hint = encode_load_hint(endpoint.load_ewma);
-            }
-            return busy;
+    std::lock_guard lock(endpoint.mutex);
+    // Lost the race with unregister_endpoint/~Transport, whose sweep
+    // cancelled everything queued before this.
+    if (endpoint.stopping) return Status::cancelled("endpoint shut down");
+    ++endpoint.stats.received;
+    if (!is_membership_op(call->request.op)) ++endpoint.stats.received_data;
+    // Partition fault: a blocked sender's request dies on the wire — no
+    // admission verdict, no response, the caller times out exactly as if
+    // the link were cut.  Checked before admission so a severed link can
+    // never be mistaken for a fast, live kBusy answer.
+    const bool link_cut =
+        !endpoint.blocked_senders.empty() &&
+        endpoint.blocked_senders.contains(call->request.client_node);
+    if (link_cut) {
+      ++endpoint.stats.dropped;
+      ++endpoint.stats.partition_dropped;
+    } else {
+      // Admission control: shed at enqueue so a rejection is a fast kBusy
+      // answer, not a queue wait.  Membership traffic is never shed, and a
+      // killed endpoint never sheds (a dead node cannot answer — a fast
+      // rejection would read as liveness and break timeout detection).
+      const std::size_t limit = endpoint.admission.queue_limit;
+      if (limit > 0 && !endpoint.killed &&
+          !is_membership_op(call->request.op)) {
+        const std::size_t bound =
+            call->request.op == Op::kPut ? limit * 2 : limit;
+        if (endpoint.queue.size() >= bound) {
+          ++endpoint.stats.requests_shed;
+          if (endpoint.recorder != nullptr && call->request.trace.sampled) {
+            endpoint.recorder->record_event(
+                obs::RecordKind::kServerShed, call->request.trace.child(),
+                endpoint.node, static_cast<std::uint32_t>(StatusCode::kBusy),
+                endpoint.queue.size(), "admission");
           }
-        }
-        if (endpoint.recorder != nullptr && call->request.trace.sampled) {
-          call->enqueue_ns = obs::now_ns();
-        }
-        endpoint.queue.push_back(call);
-        // Duplication fault: enqueue a second, untraced delivery of the
-        // same request.  Its promise has no future attached — the server
-        // handles it and the response evaporates, which is exactly what a
-        // fabric-level re-send looks like to an application.
-        if (endpoint.duplicate_probability > 0.0 &&
-            endpoint.duplicate_rng.chance(endpoint.duplicate_probability)) {
-          auto clone = std::make_shared<PendingCall>();
-          clone->request = call->request;
-          endpoint.queue.push_back(std::move(clone));
-          ++endpoint.stats.received;
-          if (!is_membership_op(call->request.op)) {
-            ++endpoint.stats.received_data;
+          RpcResponse busy;
+          busy.code = StatusCode::kBusy;
+          const auto backlog =
+              static_cast<std::uint32_t>(endpoint.queue.size() - bound + 1);
+          busy.retry_after_ms =
+              endpoint.admission.retry_after_base_ms * backlog;
+          // A shed IS load evidence — the one response an overloaded node
+          // is guaranteed to send quickly, so it carries the hint too.
+          if (endpoint.load_report.enabled) {
+            busy.load_hint = encode_load_hint(endpoint.load_ewma);
           }
-          ++endpoint.stats.duplicated;
-        }
-        // Reordering fault: let this arrival overtake up to reorder_depth
-        // queued requests (bounded, seeded — deterministic per sequence).
-        if (endpoint.reorder_probability > 0.0 && endpoint.queue.size() > 1 &&
-            endpoint.reorder_rng.chance(endpoint.reorder_probability)) {
-          const std::size_t depth = std::min<std::size_t>(
-              1 + endpoint.reorder_rng.below(
-                      std::max<std::uint32_t>(1, endpoint.reorder_depth)),
-              endpoint.queue.size() - 1);
-          auto moved = std::move(endpoint.queue.back());
-          endpoint.queue.pop_back();
-          endpoint.queue.insert(endpoint.queue.end() - depth,
-                                std::move(moved));
-          ++endpoint.stats.reordered;
+          return busy;
         }
       }
+      if (endpoint.recorder != nullptr && call->request.trace.sampled) {
+        call->enqueue_ns = obs::now_ns();
+      }
+      endpoint.queue.push_back(call);
+      // Duplication fault: enqueue a second, untraced delivery of the
+      // same request.  No caller waits on its record — the server
+      // handles it and the response evaporates, which is exactly what a
+      // fabric-level re-send looks like to an application.
+      if (endpoint.duplicate_probability > 0.0 &&
+          endpoint.duplicate_rng.chance(endpoint.duplicate_probability)) {
+        auto clone = std::make_shared<PendingCall>();
+        clone->request = call->request;
+        endpoint.queue.push_back(std::move(clone));
+        ++endpoint.stats.received;
+        if (!is_membership_op(call->request.op)) {
+          ++endpoint.stats.received_data;
+        }
+        ++endpoint.stats.duplicated;
+      }
+      // Reordering fault: let this arrival overtake up to reorder_depth
+      // queued requests (bounded, seeded — deterministic per sequence).
+      if (endpoint.reorder_probability > 0.0 && endpoint.queue.size() > 1 &&
+          endpoint.reorder_rng.chance(endpoint.reorder_probability)) {
+        const std::size_t depth = std::min<std::size_t>(
+            1 + endpoint.reorder_rng.below(
+                    std::max<std::uint32_t>(1, endpoint.reorder_depth)),
+            endpoint.queue.size() - 1);
+        auto moved = std::move(endpoint.queue.back());
+        endpoint.queue.pop_back();
+        endpoint.queue.insert(endpoint.queue.end() - depth,
+                              std::move(moved));
+        ++endpoint.stats.reordered;
+      }
+      if (endpoint.sleepers > 0) {
+        endpoint.wake_seq.fetch_add(1, std::memory_order_relaxed);
+        wake_worker = true;
+      }
     }
-    endpoint.cv.notify_one();
   }
-  // The shared_ptr keeps the pending call alive even if we time out and the
-  // worker later fulfills the promise into the void.
-  switch (future.wait_for(timeout)) {
-    case std::future_status::ready:
-      break;
-    case std::future_status::timeout:
+  if (wake_worker) futex_wake(endpoint.wake_seq, 1);
+  switch (call->wait_until(Clock::now() + timeout)) {
+    case PendingCall::kDone:
+      return std::move(call->response);
+    case PendingCall::kCancelled:
+      return Status::cancelled("endpoint shut down");
+    default:
       return Status::timeout("rpc to node " + std::to_string(target));
-    case std::future_status::deferred:
-      return Status::internal("unexpected deferred future");
-  }
-  try {
-    return future.get();
-  } catch (const std::future_error&) {
-    return Status::cancelled("endpoint shut down");
   }
 }
 
@@ -246,146 +314,125 @@ std::size_t Transport::async_pool_thread_count() const {
 }
 
 void Transport::kill(NodeId node) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  {
-    std::lock_guard lock(it->second->mutex);
-    it->second->killed = true;
-  }
-  it->second->cv.notify_all();
+  const auto endpoint = find_endpoint(node);
+  if (!endpoint) return;
+  std::lock_guard lock(endpoint->mutex);
+  endpoint->killed = true;
 }
 
 void Transport::revive(NodeId node) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  {
-    std::lock_guard lock(it->second->mutex);
-    it->second->killed = false;
-  }
-  it->second->cv.notify_all();
+  const auto endpoint = find_endpoint(node);
+  if (!endpoint) return;
+  std::lock_guard lock(endpoint->mutex);
+  endpoint->killed = false;
 }
 
 bool Transport::is_killed(NodeId node) const {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return false;
-  std::lock_guard lock(it->second->mutex);
-  return it->second->killed;
+  const auto endpoint = find_endpoint(node);
+  if (!endpoint) return false;
+  std::lock_guard lock(endpoint->mutex);
+  return endpoint->killed;
 }
 
 void Transport::set_extra_latency(NodeId node,
                                   std::chrono::milliseconds latency) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
-  it->second->extra_latency = latency;
+  const auto endpoint = find_endpoint(node);
+  if (!endpoint) return;
+  std::lock_guard lock(endpoint->mutex);
+  endpoint->extra_latency = latency;
 }
 
 void Transport::drop_next(NodeId node, std::uint32_t count) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
-  it->second->drops_remaining += count;
+  const auto endpoint = find_endpoint(node);
+  if (!endpoint) return;
+  std::lock_guard lock(endpoint->mutex);
+  endpoint->drops_remaining += count;
 }
 
 void Transport::set_drop_probability(NodeId node, double p,
                                      std::uint64_t seed) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
-  it->second->drop_probability = p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p);
-  it->second->drop_rng.reseed(seed);
+  const auto endpoint = find_endpoint(node);
+  if (!endpoint) return;
+  std::lock_guard lock(endpoint->mutex);
+  endpoint->drop_probability = p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p);
+  endpoint->drop_rng.reseed(seed);
 }
 
 void Transport::corrupt_next(NodeId node, std::uint32_t count) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
-  it->second->corruptions_remaining += count;
+  const auto endpoint = find_endpoint(node);
+  if (!endpoint) return;
+  std::lock_guard lock(endpoint->mutex);
+  endpoint->corruptions_remaining += count;
 }
 
 void Transport::set_blocked_senders(NodeId node,
                                     std::vector<NodeId> senders) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
-  it->second->blocked_senders.clear();
-  it->second->blocked_senders.insert(senders.begin(), senders.end());
+  const auto endpoint = find_endpoint(node);
+  if (!endpoint) return;
+  std::lock_guard lock(endpoint->mutex);
+  endpoint->blocked_senders.clear();
+  endpoint->blocked_senders.insert(senders.begin(), senders.end());
 }
 
 bool Transport::is_sender_blocked(NodeId node, NodeId sender) const {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return false;
-  std::lock_guard lock(it->second->mutex);
-  return it->second->blocked_senders.contains(sender);
+  const auto endpoint = find_endpoint(node);
+  if (!endpoint) return false;
+  std::lock_guard lock(endpoint->mutex);
+  return endpoint->blocked_senders.contains(sender);
 }
 
 void Transport::set_duplicate_probability(NodeId node, double p,
                                           std::uint64_t seed) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
-  it->second->duplicate_probability = p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p);
-  it->second->duplicate_rng.reseed(seed);
+  const auto endpoint = find_endpoint(node);
+  if (!endpoint) return;
+  std::lock_guard lock(endpoint->mutex);
+  endpoint->duplicate_probability = p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p);
+  endpoint->duplicate_rng.reseed(seed);
 }
 
 void Transport::set_reorder(NodeId node, double p,
                             std::uint32_t max_displacement,
                             std::uint64_t seed) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
-  it->second->reorder_probability = p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p);
-  it->second->reorder_depth = max_displacement == 0 ? 1 : max_displacement;
-  it->second->reorder_rng.reseed(seed);
+  const auto endpoint = find_endpoint(node);
+  if (!endpoint) return;
+  std::lock_guard lock(endpoint->mutex);
+  endpoint->reorder_probability = p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p);
+  endpoint->reorder_depth = max_displacement == 0 ? 1 : max_displacement;
+  endpoint->reorder_rng.reseed(seed);
 }
 
 void Transport::set_admission(NodeId node, AdmissionConfig config) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
-  it->second->admission = config;
+  const auto endpoint = find_endpoint(node);
+  if (!endpoint) return;
+  std::lock_guard lock(endpoint->mutex);
+  endpoint->admission = config;
 }
 
 void Transport::set_load_reporting(NodeId node, LoadReportConfig config) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
+  const auto endpoint = find_endpoint(node);
+  if (!endpoint) return;
+  std::lock_guard lock(endpoint->mutex);
   if (config.alpha <= 0.0 || config.alpha > 1.0) config.alpha = 0.2;
-  it->second->load_report = config;
+  endpoint->load_report = config;
 }
 
 void Transport::set_flight_recorder(NodeId node,
                                     obs::FlightRecorder* recorder) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
-  it->second->recorder = recorder;
+  const auto endpoint = find_endpoint(node);
+  if (!endpoint) return;
+  std::lock_guard lock(endpoint->mutex);
+  endpoint->recorder = recorder;
 }
 
 Transport::EndpointStats Transport::stats(NodeId node) const {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return {};
-  std::lock_guard lock(it->second->mutex);
-  return it->second->stats;
+  const auto endpoint = find_endpoint(node);
+  if (!endpoint) return {};
+  std::lock_guard lock(endpoint->mutex);
+  return endpoint->stats;
 }
 
 std::size_t Transport::endpoint_count() const {
-  std::lock_guard registry_lock(registry_mutex_);
+  std::shared_lock registry_lock(registry_mutex_);
   return endpoints_.size();
 }
 
@@ -398,15 +445,24 @@ void Transport::worker_loop(Endpoint& endpoint) {
     std::chrono::milliseconds latency{0};
     {
       std::unique_lock lock(endpoint.mutex);
-      endpoint.cv.wait(lock, [&endpoint] {
-        return endpoint.stopping || !endpoint.queue.empty();
-      });
+      while (!endpoint.stopping && endpoint.queue.empty()) {
+        // Read the word before unlocking: an enqueue after the unlock bumps
+        // it, so the park below returns at once instead of sleeping through
+        // that enqueue's wake-up.
+        const std::uint32_t seq =
+            endpoint.wake_seq.load(std::memory_order_relaxed);
+        ++endpoint.sleepers;
+        lock.unlock();
+        futex_wait(endpoint.wake_seq, seq, kNoTimeout);
+        lock.lock();
+        --endpoint.sleepers;
+      }
       if (endpoint.stopping) return;
       call = std::move(endpoint.queue.front());
       endpoint.queue.pop_front();
       if (endpoint.killed) {
-        // Crash-stop: discard silently; the caller's future never resolves
-        // and the client observes a timeout.
+        // Crash-stop: discard silently; the call never completes and the
+        // client observes a timeout.
         ++endpoint.stats.dropped;
         continue;
       }
@@ -447,7 +503,9 @@ void Transport::worker_loop(Endpoint& endpoint) {
     // Handler runs outside the endpoint lock so slow service does not block
     // enqueue/kill operations.
     tls_after_reply = &deferred;
-    RpcResponse response = endpoint.handler(call->request);
+    // Written in place: the caller reads it only after complete() below.
+    RpcResponse& response = call->response;
+    response = endpoint.handler(call->request);
     tls_after_reply = nullptr;
     {
       std::lock_guard lock(endpoint.mutex);
@@ -461,7 +519,7 @@ void Transport::worker_loop(Endpoint& endpoint) {
         corrupted[0] ^= 0x01;
         response.payload = common::Buffer(std::move(corrupted));
       }
-      // Count BEFORE resolving the promise: a caller that observes the
+      // Count BEFORE completing the call: a caller that observes the
       // response must also observe it in the stats.
       ++endpoint.stats.handled;
       --endpoint.inflight;
@@ -472,7 +530,7 @@ void Transport::worker_loop(Endpoint& endpoint) {
         response.load_hint = encode_load_hint(endpoint.load_ewma);
       }
     }
-    call->promise.set_value(std::move(response));
+    call->complete(PendingCall::kDone);
     // after_reply work: the caller already has its answer; this worker
     // finishes the request's follow-ups before it takes the next one.
     for (auto& task : deferred) task();

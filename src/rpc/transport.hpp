@@ -1,10 +1,15 @@
 // transport.hpp - In-process threaded RPC transport with fault injection.
 //
-// Substitute for Mercury-over-Slingshot: each registered endpoint runs a
-// worker thread consuming a FIFO request queue; clients block on a future
-// with a deadline.  A handler may queue follow-up work with after_reply();
-// the worker runs it once the reply is delivered, before it takes its next
-// request (Mercury's handler idiom: HG_Respond, then keep working).
+// Substitute for Mercury-over-Slingshot: each registered endpoint runs
+// worker threads consuming a FIFO request queue.  A call is one shared
+// completion record (PendingCall): the caller parks on its 32-bit state
+// word with a deadline, the worker writes the reply in place and wakes the
+// caller only if it parked.  Both sides sleep on Linux private futexes
+// (workers on a per-endpoint sequence word), so an uncontended call costs
+// at most four futex syscalls.  A handler may queue
+// follow-up work with after_reply(); the worker runs it once the reply is
+// delivered, before it takes its next request (Mercury's handler idiom:
+// HG_Respond, then keep working).
 // Faults are injected at this layer:
 //   - kill():  endpoint silently discards requests (crash-stop node — the
 //              client sees only timeouts, exactly like a drained Frontier
@@ -31,14 +36,14 @@
 // seed-deterministic fault scenarios (flapping, staged degradation).
 #pragma once
 
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -62,6 +67,10 @@ class Transport {
   using Handler = std::function<RpcResponse(const RpcRequest&)>;
 
   Transport() = default;
+  /// Drains async completions, then stops every endpoint: calls still
+  /// queued complete kCancelled at once (their callers return promptly),
+  /// handlers already running finish and reply, and workers are joined
+  /// after their after_reply tasks have run.
   ~Transport();
 
   Transport(const Transport&) = delete;
@@ -76,8 +85,8 @@ class Transport {
   Status register_endpoint(NodeId node, Handler handler,
                            std::size_t workers = 1);
 
-  /// Stops and joins an endpoint's worker.  Outstanding requests fail with
-  /// kCancelled.
+  /// Stops and joins an endpoint's workers.  Calls still queued fail with
+  /// kCancelled at once; handlers already running finish and reply.
   Status unregister_endpoint(NodeId node);
 
   /// Blocking call with deadline.  Timeout produces StatusCode::kTimeout;
@@ -166,7 +175,7 @@ class Transport {
   /// Message-duplication fault: each request accepted at `node` is, with
   /// probability p in [0, 1], enqueued twice.  The duplicate is handled by
   /// the server like any request but its response goes nowhere (the caller
-  /// already holds the first delivery's future) — exactly an at-least-once
+  /// waits on the first delivery only) — exactly an at-least-once
   /// fabric re-send.  Seeded per endpoint; p = 0 restores exactly-once.
   void set_duplicate_probability(NodeId node, double p,
                                  std::uint64_t seed = 0);
@@ -246,11 +255,31 @@ class Transport {
   [[nodiscard]] std::size_t endpoint_count() const;
 
  private:
+  /// One call's completion record, shared by the caller and the endpoint
+  /// queue so a reply that lands after the caller timed out still writes
+  /// into live memory.  `state` is the caller's futex word: kPending until
+  /// the caller parks (kParked); the worker writes `response` and then
+  /// publishes kDone (or the shutdown sweep kCancelled) with release
+  /// semantics, issuing a wake only when the caller parked.
   struct PendingCall {
+    static constexpr std::uint32_t kPending = 0;
+    static constexpr std::uint32_t kParked = 1;
+    static constexpr std::uint32_t kDone = 2;
+    static constexpr std::uint32_t kCancelled = 3;
+
     RpcRequest request;
-    std::promise<RpcResponse> promise;
+    std::atomic<std::uint32_t> state{kPending};
+    /// Valid once `state` reads kDone (acquire).
+    RpcResponse response;
     /// Enqueue timestamp for the kServerQueue span; 0 when untraced.
     std::int64_t enqueue_ns = 0;
+
+    /// Publishes kDone (after writing `response`) or kCancelled; called
+    /// once, by whoever popped the call from the queue.
+    void complete(std::uint32_t outcome);
+    /// Caller side: parks until completed or `deadline`; returns kDone,
+    /// kCancelled, or kPending on timeout.
+    std::uint32_t wait_until(Clock::time_point deadline);
   };
 
   struct Endpoint {
@@ -258,7 +287,14 @@ class Transport {
     Handler handler;
     std::vector<std::thread> workers;
     mutable std::mutex mutex;
-    std::condition_variable cv;
+    /// Workers' futex word.  An idle worker reads it under `mutex`, counts
+    /// itself in `sleepers`, unlocks and parks while it is unchanged; an
+    /// enqueuer that sees sleepers bumps it under `mutex` and wakes one
+    /// after unlocking, so a wake-up between the unlock and the park is
+    /// never lost.
+    std::atomic<std::uint32_t> wake_seq{0};
+    /// Workers parked or about to park on wake_seq (guarded by `mutex`).
+    std::size_t sleepers = 0;
     std::deque<std::shared_ptr<PendingCall>> queue;
     AdmissionConfig admission;
     LoadReportConfig load_report;
@@ -290,8 +326,19 @@ class Transport {
 
   void worker_loop(Endpoint& endpoint);
 
-  mutable std::mutex registry_mutex_;
-  std::unordered_map<NodeId, std::unique_ptr<Endpoint>> endpoints_;
+  /// Looks up `node` under the registry lock (shared); null when absent.
+  /// The returned reference keeps the endpoint alive after the lock is
+  /// released, so a caller can wake its workers outside every lock.
+  std::shared_ptr<Endpoint> find_endpoint(NodeId node) const;
+
+  /// Marks the endpoint stopping, cancels every queued call and wakes all
+  /// of its workers; the caller then joins them.
+  static void stop_endpoint(Endpoint& endpoint);
+
+  /// Exclusive only in register/unregister/~Transport; every other path,
+  /// the call path included, takes it shared and only for the lookup.
+  mutable std::shared_mutex registry_mutex_;
+  std::unordered_map<NodeId, std::shared_ptr<Endpoint>> endpoints_;
 
   // Async-call bookkeeping: completions run on a bounded pool, created
   // lazily so transports that never go async pay no threads.

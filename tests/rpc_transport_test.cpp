@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -19,6 +22,68 @@ RpcResponse echo_handler(const RpcRequest& request) {
   response.code = StatusCode::kOk;
   response.payload = "echo:" + request.path;
   return response;
+}
+
+/// Polls `done` every millisecond for up to two seconds.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto deadline = Clock::now() + 2s;
+  while (!done()) {
+    if (Clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
+struct ShutdownOutcome {
+  std::vector<StatusCode> codes;
+  std::vector<Clock::duration> took;
+};
+
+/// Four callers to a one-worker endpoint whose handler takes 50 ms: one
+/// call is running and three are queued when `shut_down` runs.  Returns
+/// each caller's status code and how long its call took.
+template <typename ShutDown>
+ShutdownOutcome shutdown_with_queued_calls(Transport& transport,
+                                           ShutDown shut_down) {
+  std::atomic<bool> started{false};
+  transport.register_endpoint(0, [&started](const RpcRequest& request) {
+    started.store(true);
+    std::this_thread::sleep_for(50ms);
+    return echo_handler(request);
+  });
+  ShutdownOutcome outcome;
+  outcome.codes.resize(4);
+  outcome.took.resize(4);
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < 4; ++i) {
+    callers.emplace_back([&transport, &outcome, i] {
+      const auto start = Clock::now();
+      const auto result = transport.call(0, RpcRequest{}, 2000ms);
+      outcome.took[i] = Clock::now() - start;
+      outcome.codes[i] = result.status().code();
+    });
+  }
+  const bool queued = eventually([&] {
+    return started.load() && transport.stats(0).received == 4;
+  });
+  shut_down();
+  for (auto& caller : callers) caller.join();
+  EXPECT_TRUE(queued);
+  return outcome;
+}
+
+void expect_queued_calls_cancelled(const ShutdownOutcome& outcome) {
+  int ok = 0;
+  int cancelled = 0;
+  for (std::size_t i = 0; i < outcome.codes.size(); ++i) {
+    if (outcome.codes[i] == StatusCode::kOk) ++ok;
+    if (outcome.codes[i] == StatusCode::kCancelled) ++cancelled;
+    // Well before the 2 s deadline: no queued call waits it out.
+    EXPECT_LT(outcome.took[i], 1000ms) << "call " << i;
+  }
+  EXPECT_EQ(ok, 1);  // the running handler still replies
+  EXPECT_EQ(cancelled, 3);
 }
 
 TEST(Transport, CallRoundTrip) {
@@ -154,6 +219,106 @@ TEST(Transport, DestructorDrainsCleanly) {
   caller.join();
   transport.reset();
   SUCCEED();
+}
+
+TEST(Transport, UnregisterCancelsQueuedCalls) {
+  Transport transport;
+  const auto outcome = shutdown_with_queued_calls(transport, [&transport] {
+    ASSERT_TRUE(transport.unregister_endpoint(0).is_ok());
+  });
+  expect_queued_calls_cancelled(outcome);
+}
+
+TEST(Transport, DestructorCancelsQueuedCalls) {
+  auto transport = std::make_unique<Transport>();
+  const auto outcome =
+      shutdown_with_queued_calls(*transport, [&transport] { transport.reset(); });
+  expect_queued_calls_cancelled(outcome);
+}
+
+TEST(Transport, LateReplyAfterTimeoutIsNotSeenByTheNextCall) {
+  // A reply that lands after its caller gave up must write into that
+  // call's own record, never into the next call this thread makes.
+  Transport transport;
+  transport.register_endpoint(0, [](const RpcRequest& request) {
+    std::this_thread::sleep_for(30ms);
+    return echo_handler(request);
+  });
+  transport.register_endpoint(1, echo_handler);
+  RpcRequest late;
+  late.path = "/late";
+  EXPECT_EQ(transport.call(0, late, 5ms).status().code(),
+            StatusCode::kTimeout);
+  RpcRequest next;
+  next.path = "/next";
+  const auto result = transport.call(1, next, 1000ms);
+  ASSERT_TRUE(result.is_ok());
+  EXPECT_EQ(result.value().payload, "echo:/next");
+  // Let the late reply land before the transport goes away.
+  EXPECT_TRUE(eventually([&] { return transport.stats(0).handled == 1; }));
+  const auto again = transport.call(1, next, 1000ms);
+  ASSERT_TRUE(again.is_ok());
+  EXPECT_EQ(again.value().payload, "echo:/next");
+}
+
+TEST(Transport, ParkedWorkersNeverMissAWakeup) {
+  // Callers 0-5 each own a one-worker endpoint, so a lost worker wake-up
+  // strands that caller until its deadline; callers 6-7 share two
+  // three-worker endpoints, so several workers park and wake at once.
+  // Every few calls the handler defers a 0-31 us spin with after_reply,
+  // which slides the worker's return to its queue across the caller's next
+  // enqueue.  A monitor thread polls stats() throughout, so the endpoint
+  // mutex is contended and unlocking it can cost the worker a syscall right
+  // where a wake-up could slip between its unlock and its park.
+  constexpr int kCallers = 8;
+  constexpr int kCallsPerCaller = 2500;
+  Transport transport;
+  const auto handler = [](const RpcRequest& request) {
+    const std::uint64_t n = std::stoull(request.path);
+    if (n % 4 == 0) {
+      Transport::after_reply([until = Clock::now() +
+                                      std::chrono::microseconds(n / 4 % 32)] {
+        while (Clock::now() < until) {
+        }
+      });
+    }
+    return echo_handler(request);
+  };
+  constexpr NodeId kPrivate = 6;  // endpoints 0-5: one worker each
+  for (NodeId node = 0; node < kPrivate + 2; ++node) {
+    const std::size_t workers = node < kPrivate ? 1 : 3;
+    ASSERT_TRUE(transport.register_endpoint(node, handler, workers).is_ok());
+  }
+  std::array<int, kCallers> failures{};
+  std::atomic<bool> calls_done{false};
+  std::thread monitor([&transport, &calls_done] {
+    while (!calls_done.load()) {
+      for (NodeId node = 0; node < kPrivate; ++node) {
+        (void)transport.stats(node);
+      }
+    }
+  });
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&transport, &failures, c] {
+      for (int k = 0; k < kCallsPerCaller; ++k) {
+        const auto target = static_cast<NodeId>(
+            c < static_cast<int>(kPrivate) ? c : kPrivate + k % 2);
+        RpcRequest request;
+        request.path = std::to_string(k * 7 + c);
+        if (!transport.call(target, request, 2000ms).is_ok()) ++failures[c];
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  calls_done.store(true);
+  monitor.join();
+  std::uint64_t handled = 0;
+  for (NodeId node = 0; node < kPrivate + 2; ++node) {
+    handled += transport.stats(node).handled;
+  }
+  for (int c = 0; c < kCallers; ++c) EXPECT_EQ(failures[c], 0) << "caller " << c;
+  EXPECT_EQ(handled, static_cast<std::uint64_t>(kCallers * kCallsPerCaller));
 }
 
 TEST(Transport, AfterReplyRunsAfterTheReplyBeforeTheNextRequest) {

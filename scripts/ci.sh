@@ -100,9 +100,12 @@ with open(sys.argv[1]) as f:
 metrics = doc["export_sample"]["metrics"]
 assert metrics, "exporter emitted no metrics"
 names = {m["name"] for m in metrics}
-for required in ("ftc_client_reads_total", "ftc_server_cache_hits_total",
-                 "ftc_transport_received_total", "ftc_client_read_latency_us"):
-    assert required in names, f"exporter missing {required}"
+# One series at least from each component the obs_check cluster builds
+# (it has no SWIM agent and no PFS guard, so ftc_swim_/ftc_pfs_guard_ are
+# not required here).
+for family in ("ftc_client_", "ftc_server_", "ftc_store_", "ftc_transport_"):
+    assert any(n.startswith(family) for n in names), \
+        f"exporter emitted no {family}* series"
 print(f"exporter JSON parses: {len(metrics)} series, "
       f"overhead {doc['overhead_pct']}%")
 EOF

@@ -255,221 +255,64 @@ void Cluster::collect_metrics(obs::MetricsRegistry::Collection& out) const {
   // NVMe-hit / PFS-fetch / storm-retry regimes.
   static const std::vector<double> kLatencyBoundsUs = {
       50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000};
+  // Each component's counters come from its X-macro list; the series
+  // written out by hand below are the values its list leaves out.
   for (NodeId n = 0; n < static_cast<NodeId>(clients_.size()); ++n) {
-    const obs::Labels node_label = {{"node", std::to_string(n)}};
-    const auto with_outcome = [&](const char* outcome) {
-      obs::Labels labels = node_label;
-      labels.emplace_back("outcome", outcome);
-      return labels;
-    };
-
-    const HvacClient::Stats c = clients_[n]->stats_snapshot();
-    out.counter("ftc_client_reads_total", node_label, c.reads);
-    out.counter("ftc_client_served_total", with_outcome("remote_cache"),
-                c.served_remote_cache);
-    out.counter("ftc_client_served_total", with_outcome("remote_fetch"),
-                c.served_remote_fetch);
-    out.counter("ftc_client_served_total", with_outcome("pfs_direct"),
-                c.served_pfs_direct);
-    out.counter("ftc_client_timeouts_total", node_label, c.timeouts);
-    out.counter("ftc_client_nodes_flagged_total", node_label, c.nodes_flagged);
-    out.counter("ftc_client_ring_updates_total", node_label, c.ring_updates);
-    out.counter("ftc_client_checksum_failures_total", node_label,
-                c.checksum_failures);
-    out.counter("ftc_client_replicas_pushed_total", node_label,
-                c.replicas_pushed);
-    out.counter("ftc_client_hedges_total", with_outcome("launched"),
-                c.hedges_launched);
-    out.counter("ftc_client_hedges_total", with_outcome("hedge_win"),
-                c.hedge_wins);
-    out.counter("ftc_client_hedges_total", with_outcome("primary_win"),
-                c.primary_wins_after_hedge);
-    out.counter("ftc_client_hedges_total", with_outcome("to_pfs"),
-                c.hedges_to_pfs);
-    out.counter("ftc_client_probes_sent_total", node_label, c.probes_sent);
-    out.counter("ftc_client_nodes_reinstated_total", node_label,
-                c.nodes_reinstated);
-    out.counter("ftc_client_suspicions_reported_total", node_label,
-                c.suspicions_reported);
-    out.counter("ftc_client_stale_view_hints_total", node_label,
-                c.stale_view_hints);
-    out.counter("ftc_client_epoch_fast_forwards_total", node_label,
-                c.epoch_fast_forwards);
-    out.counter("ftc_client_busy_rejections_total", node_label,
-                c.busy_rejections);
-    out.counter("ftc_client_retries_denied_total", node_label,
-                c.retries_denied_by_budget);
-    out.counter("ftc_client_deadline_give_ups_total", node_label,
-                c.deadline_give_ups);
-    // Skew-tolerant placement (all zero with the knobs off):
-    out.counter("ftc_ring_load_hints_total", node_label,
-                c.load_hints_observed);
-    out.counter("ftc_ring_spilled_reads_total", node_label, c.spilled_reads);
-    out.counter("ftc_ring_load_spread_reads_total", node_label,
-                c.load_spread_reads);
-    out.counter("ftc_ring_hot_promotions_total", node_label,
-                c.hot_promotions);
-    out.counter("ftc_ring_hot_demotions_total", node_label, c.hot_demotions);
-    out.counter("ftc_ring_hot_invalidations_total", node_label,
-                c.hot_invalidations);
-    // Warm failover (all zero with warm_standby off):
-    out.counter("ftc_client_warm_pushes_total", node_label, c.warm_pushes);
-    out.counter("ftc_client_warm_restores_total", node_label, c.warm_restores);
-    out.counter("ftc_client_warm_deferred_total", node_label, c.warm_deferred);
-    out.counter("ftc_client_warm_invalidations_total", node_label,
-                c.warm_invalidations);
-    // Epoch-ahead prefetch / p2p recache (all zero with prefetch.* off):
-    out.counter("ftc_prefetch_planned_total", node_label, c.prefetch_planned);
-    out.counter("ftc_prefetch_pulls_total", node_label, c.prefetch_pulls);
-    out.counter("ftc_prefetch_pulls_outcome_total", with_outcome("hit"),
-                c.prefetch_hits);
-    out.counter("ftc_prefetch_pulls_outcome_total", with_outcome("miss"),
-                c.prefetch_misses);
-    out.counter("ftc_prefetch_pulls_outcome_total", with_outcome("deferred"),
-                c.prefetch_deferred);
-    out.counter("ftc_prefetch_local_hits_total", node_label,
-                c.prefetch_local_hits);
-    out.counter("ftc_p2p_rescues_total", node_label, c.p2p_rescues);
-    out.counter("ftc_p2p_bytes_total", node_label, c.p2p_bytes);
-    // Partition tolerance (all zero with fencing off / no partitions):
-    out.counter("ftc_client_fenced_puts_total", node_label, c.fenced_puts);
-    out.counter("ftc_client_reconcile_repushes_total", node_label,
-                c.reconcile_repushes);
-    const LatencyRecorder::BucketSnapshot lat =
-        clients_[n]->latency().cumulative_buckets(kLatencyBoundsUs);
-    out.histogram("ftc_client_read_latency_us", node_label, kLatencyBoundsUs,
-                  lat.cumulative, lat.count, lat.sum);
-
-    const HvacServer::Stats s = servers_[n]->stats_snapshot();
-    out.counter("ftc_server_reads_total", node_label, s.reads);
-    out.counter("ftc_server_cache_hits_total", node_label, s.cache_hits);
-    out.counter("ftc_server_cache_misses_total", node_label, s.cache_misses);
-    out.counter("ftc_server_pfs_fetches_total", node_label, s.pfs_fetches);
-    out.counter("ftc_server_recache_enqueued_total", node_label,
-                s.recache_enqueued);
-    out.counter("ftc_server_recache_completed_total", node_label,
-                s.recache_completed);
-    out.counter("ftc_server_replicas_stored_total", node_label,
-                s.replicas_stored);
-    out.counter("ftc_server_warm_replicas_stored_total", node_label,
-                s.warm_replicas_stored);
-    out.counter("ftc_server_stale_replica_puts_total", node_label,
-                s.stale_replica_puts);
-    out.counter("ftc_server_warm_replica_bytes_total", node_label,
-                s.warm_replica_bytes);
-    out.counter("ftc_server_payload_bytes_copied_total", node_label,
-                s.payload_bytes_copied);
-    out.counter("ftc_server_evictions_total", node_label, s.evictions);
-    out.counter("ftc_server_expired_on_arrival_total", node_label,
-                s.expired_on_arrival);
-    out.counter("ftc_server_peer_gets_total", node_label, s.peer_gets);
-    out.counter("ftc_server_peer_get_hits_total", node_label,
-                s.peer_get_hits);
-    out.counter("ftc_server_peer_get_bytes_total", node_label,
-                s.peer_get_bytes);
-    out.counter("ftc_server_fenced_writes_total", node_label,
-                s.fenced_writes);
-    out.counter("ftc_server_stale_epoch_puts_total", node_label,
-                s.stale_epoch_puts_accepted);
-    out.gauge("ftc_server_cache_used_bytes", node_label,
-              static_cast<double>(s.used_bytes));
-    out.gauge("ftc_server_cache_capacity_bytes", node_label,
-              static_cast<double>(servers_[n]->cache_capacity_bytes()));
-
+    const std::string node = std::to_string(n);
+    const obs::Labels node_label = {{"node", node}};
     {
-      // Store series (one family per concept, dimensions as labels).  Every node has a store; the nvme rows read 0 when
-      // it has no cold tier.
-      const ftc::store::StoreStats st = servers_[n]->store_stats();
-      const auto with_tier = [&](const char* tier) {
-        obs::Labels labels = node_label;
-        labels.emplace_back("tier", tier);
-        return labels;
-      };
-      obs::Labels policy_label = node_label;
-      policy_label.emplace_back("policy",
-                                ftc::store::policy_kind_name(
-                                    servers_[n]->config().store.policy));
-      out.gauge("ftc_store_tier_used_bytes", with_tier("ram"),
-                static_cast<double>(st.ram_used_bytes));
-      out.gauge("ftc_store_tier_used_bytes", with_tier("nvme"),
-                static_cast<double>(st.nvme_used_bytes));
-      out.counter("ftc_store_hits_total", with_tier("ram"), st.hot_hits);
-      out.counter("ftc_store_hits_total", with_tier("nvme"), st.cold_hits);
-      out.counter("ftc_store_misses_total", node_label, st.misses);
-      out.counter("ftc_store_demotions_total", node_label, st.demotions);
-      out.counter("ftc_store_promotions_total", node_label, st.promotions);
-      out.counter("ftc_store_evictions_total", policy_label, st.evictions);
-      out.counter("ftc_store_reclaim_runs_total", node_label,
-                  st.reclaim_runs);
-      out.counter("ftc_store_overflow_writes_total", node_label,
-                  st.overflow_writes);
-      out.counter("ftc_store_manifest_restored_total", node_label,
-                  st.manifest_restored);
-      out.counter("ftc_store_manifest_rejected_stale_total", node_label,
-                  st.manifest_rejected_stale);
-      out.gauge("ftc_store_hit_ratio", node_label, st.hit_ratio());
+      const HvacClient::Stats s = clients_[n]->stats_snapshot();
+      FTC_HVAC_CLIENT_STATS(FTC_STATS_COUNTER)
+      const LatencyRecorder::BucketSnapshot lat =
+          clients_[n]->latency().cumulative_buckets(kLatencyBoundsUs);
+      out.histogram("ftc_client_read_latency_us", node_label,
+                    kLatencyBoundsUs, lat.cumulative, lat.count, lat.sum);
     }
-
+    {
+      const HvacServer::Stats s = servers_[n]->stats_snapshot();
+      FTC_HVAC_SERVER_STATS(FTC_STATS_KEYED_COUNTER)
+      out.counter("ftc_server_evictions_total", node_label, s.evictions);
+      out.gauge("ftc_server_cache_used_bytes", node_label,
+                static_cast<double>(s.used_bytes));
+      out.gauge("ftc_server_cache_capacity_bytes", node_label,
+                static_cast<double>(servers_[n]->cache_capacity_bytes()));
+    }
+    {
+      // Every node has a store; the nvme rows read 0 without a cold tier.
+      const ftc::store::StoreStats s = servers_[n]->store_stats();
+      const char* policy =
+          ftc::store::policy_kind_name(servers_[n]->config().store.policy);
+      FTC_STORE_STATS(FTC_STATS_COUNTER)
+      out.gauge("ftc_store_tier_used_bytes", {{"node", node}, {"tier", "ram"}},
+                static_cast<double>(s.ram_used_bytes));
+      out.gauge("ftc_store_tier_used_bytes",
+                {{"node", node}, {"tier", "nvme"}},
+                static_cast<double>(s.nvme_used_bytes));
+      out.counter("ftc_store_hits_total", {{"node", node}, {"tier", "ram"}},
+                  s.hot_hits);
+      out.gauge("ftc_store_hit_ratio", node_label, s.hit_ratio());
+    }
     if (const PfsFetchGuard* guard = servers_[n]->pfs_guard()) {
-      const PfsFetchGuard::Stats g = guard->stats_snapshot();
-      out.counter("ftc_pfs_guard_fetches_total", node_label, g.fetches);
-      out.counter("ftc_pfs_guard_coalesced_total", node_label, g.coalesced);
-      out.counter("ftc_pfs_guard_rejections_total", with_outcome("slots"),
-                  g.slot_rejections);
-      out.counter("ftc_pfs_guard_rejections_total", with_outcome("breaker"),
-                  g.breaker_rejections);
-      out.counter("ftc_pfs_guard_breaker_trips_total", node_label,
-                  g.breaker_trips);
+      const PfsFetchGuard::Stats s = guard->stats_snapshot();
+      FTC_PFS_GUARD_STATS(FTC_STATS_COUNTER)
       out.gauge("ftc_pfs_guard_breaker_open", node_label,
                 guard->breaker_open() ? 1.0 : 0.0);
     }
-
-    const rpc::Transport::EndpointStats t = transport_.stats(n);
-    out.counter("ftc_transport_received_total", node_label, t.received);
-    out.counter("ftc_transport_received_data_total", node_label,
-                t.received_data);
-    out.counter("ftc_transport_handled_total", node_label, t.handled);
-    out.counter("ftc_transport_dropped_total", node_label, t.dropped);
-    out.counter("ftc_transport_requests_shed_total", node_label,
-                t.requests_shed);
-    out.counter("ftc_transport_partition_dropped_total", node_label,
-                t.partition_dropped);
-    out.counter("ftc_transport_duplicated_total", node_label, t.duplicated);
-    out.counter("ftc_transport_reordered_total", node_label, t.reordered);
-
-    if (n < static_cast<NodeId>(agents_.size())) {
-      const membership::MembershipAgent::Stats m =
-          agents_[n]->stats_snapshot();
-      out.gauge("ftc_swim_epoch", node_label, static_cast<double>(m.epoch));
-      out.gauge("ftc_swim_members_alive", node_label,
-                static_cast<double>(m.members_alive));
-      out.gauge("ftc_swim_members_suspect", node_label,
-                static_cast<double>(m.members_suspect));
-      out.gauge("ftc_swim_members_failed", node_label,
-                static_cast<double>(m.members_failed));
-      out.counter("ftc_swim_probes_sent_total", node_label, m.probes_sent);
-      out.counter("ftc_swim_indirect_probes_total", node_label,
-                  m.indirect_probes_sent);
-      out.counter("ftc_swim_acks_received_total", node_label, m.acks_received);
-      out.counter("ftc_swim_suspicions_total", node_label, m.suspicions);
-      out.counter("ftc_swim_confirms_total", node_label, m.confirms);
-      out.counter("ftc_swim_refutations_total", node_label, m.refutations);
-      out.counter("ftc_swim_reinstatements_total", node_label,
-                  m.reinstatements);
-      out.counter("ftc_swim_joins_total", node_label, m.joins);
-      out.counter("ftc_swim_gossip_claims_sent_total", node_label,
-                  m.gossip_claims_sent);
-      out.counter("ftc_swim_claims_applied_total", node_label,
-                  m.claims_applied);
-      out.counter("ftc_swim_fast_forwards_total", node_label, m.fast_forwards);
-      out.counter("ftc_swim_false_suspicions_total", node_label,
-                  m.false_suspicions);
-      out.counter("ftc_swim_confirms_deferred_total", node_label,
-                  m.confirms_deferred);
-      out.counter("ftc_swim_duplicate_verdicts_total", node_label,
-                  m.duplicate_verdicts);
+    {
+      const rpc::Transport::EndpointStats s = transport_.stats(n);
+      FTC_TRANSPORT_STATS(FTC_STATS_COUNTER)
     }
-
+    if (n < static_cast<NodeId>(agents_.size())) {
+      const membership::MembershipAgent::Stats s = agents_[n]->stats_snapshot();
+      FTC_SWIM_STATS(FTC_STATS_COUNTER)
+      out.gauge("ftc_swim_epoch", node_label, static_cast<double>(s.epoch));
+      out.gauge("ftc_swim_members_alive", node_label,
+                static_cast<double>(s.members_alive));
+      out.gauge("ftc_swim_members_suspect", node_label,
+                static_cast<double>(s.members_suspect));
+      out.gauge("ftc_swim_members_failed", node_label,
+                static_cast<double>(s.members_failed));
+    }
     if (n < static_cast<NodeId>(recorders_.size())) {
       out.counter("ftc_obs_records_written_total", node_label,
                   recorders_[n]->records_written());

@@ -287,6 +287,14 @@ HvacClient::HvacClient(NodeId self, rpc::Transport& transport, PfsStore& pfs,
   }
   warm_inflight_ = std::make_shared<std::atomic<std::uint32_t>>(0);
   prefetch_inflight_ = std::make_shared<std::atomic<std::uint32_t>>(0);
+  prefetch_epoch_inflight_ = std::make_shared<std::atomic<std::uint32_t>>(0);
+  if (config_.prefetch.enabled) {
+    // Pulls ride the transport's async pool.  Created lazily by the first
+    // epoch's pulls, its fresh threads were measured, on a CPU-saturated
+    // machine, to complete no pull for several short epochs in a row;
+    // created here, ahead of the first epoch, they were not.
+    transport_.start_async_pool();
+  }
   if (config_.prefetch.p2p) {
     peer_policy_ = std::make_unique<placement::PeerRecachePolicy>();
   }
@@ -326,67 +334,7 @@ void HvacClient::attach_observability(obs::FlightRecorder* recorder,
 HvacClient::Stats HvacClient::stats_snapshot() const {
   const auto load_all = [this] {
     Stats s;
-    s.reads = stats_.reads.load(std::memory_order_relaxed);
-    s.served_remote_cache =
-        stats_.served_remote_cache.load(std::memory_order_relaxed);
-    s.served_remote_fetch =
-        stats_.served_remote_fetch.load(std::memory_order_relaxed);
-    s.served_pfs_direct =
-        stats_.served_pfs_direct.load(std::memory_order_relaxed);
-    s.timeouts = stats_.timeouts.load(std::memory_order_relaxed);
-    s.nodes_flagged = stats_.nodes_flagged.load(std::memory_order_relaxed);
-    s.ring_updates = stats_.ring_updates.load(std::memory_order_relaxed);
-    s.checksum_failures =
-        stats_.checksum_failures.load(std::memory_order_relaxed);
-    s.replicas_pushed = stats_.replicas_pushed.load(std::memory_order_relaxed);
-    s.hedges_launched = stats_.hedges_launched.load(std::memory_order_relaxed);
-    s.hedge_wins = stats_.hedge_wins.load(std::memory_order_relaxed);
-    s.primary_wins_after_hedge =
-        stats_.primary_wins_after_hedge.load(std::memory_order_relaxed);
-    s.hedges_to_pfs = stats_.hedges_to_pfs.load(std::memory_order_relaxed);
-    s.probes_sent = stats_.probes_sent.load(std::memory_order_relaxed);
-    s.nodes_reinstated =
-        stats_.nodes_reinstated.load(std::memory_order_relaxed);
-    s.suspicions_reported =
-        stats_.suspicions_reported.load(std::memory_order_relaxed);
-    s.stale_view_hints =
-        stats_.stale_view_hints.load(std::memory_order_relaxed);
-    s.epoch_fast_forwards =
-        stats_.epoch_fast_forwards.load(std::memory_order_relaxed);
-    s.busy_rejections = stats_.busy_rejections.load(std::memory_order_relaxed);
-    s.retries_denied_by_budget =
-        stats_.retries_denied_by_budget.load(std::memory_order_relaxed);
-    s.deadline_give_ups =
-        stats_.deadline_give_ups.load(std::memory_order_relaxed);
-    s.load_hints_observed =
-        stats_.load_hints_observed.load(std::memory_order_relaxed);
-    s.spilled_reads = stats_.spilled_reads.load(std::memory_order_relaxed);
-    s.load_spread_reads =
-        stats_.load_spread_reads.load(std::memory_order_relaxed);
-    s.hot_promotions = stats_.hot_promotions.load(std::memory_order_relaxed);
-    s.hot_demotions = stats_.hot_demotions.load(std::memory_order_relaxed);
-    s.hot_invalidations =
-        stats_.hot_invalidations.load(std::memory_order_relaxed);
-    s.warm_pushes = stats_.warm_pushes.load(std::memory_order_relaxed);
-    s.warm_restores = stats_.warm_restores.load(std::memory_order_relaxed);
-    s.warm_deferred = stats_.warm_deferred.load(std::memory_order_relaxed);
-    s.warm_invalidations =
-        stats_.warm_invalidations.load(std::memory_order_relaxed);
-    s.prefetch_planned =
-        stats_.prefetch_planned.load(std::memory_order_relaxed);
-    s.prefetch_pulls = stats_.prefetch_pulls.load(std::memory_order_relaxed);
-    s.prefetch_hits = stats_.prefetch_hits.load(std::memory_order_relaxed);
-    s.prefetch_misses =
-        stats_.prefetch_misses.load(std::memory_order_relaxed);
-    s.prefetch_deferred =
-        stats_.prefetch_deferred.load(std::memory_order_relaxed);
-    s.prefetch_local_hits =
-        stats_.prefetch_local_hits.load(std::memory_order_relaxed);
-    s.p2p_rescues = stats_.p2p_rescues.load(std::memory_order_relaxed);
-    s.p2p_bytes = stats_.p2p_bytes.load(std::memory_order_relaxed);
-    s.fenced_puts = stats_.fenced_puts.load(std::memory_order_relaxed);
-    s.reconcile_repushes =
-        stats_.reconcile_repushes.load(std::memory_order_relaxed);
+    FTC_HVAC_CLIENT_STATS(FTC_STATS_LOAD)
     return s;
   };
   // Torn-snapshot guard: per-field loads are individually atomic but the
@@ -1199,6 +1147,9 @@ void HvacClient::prefetch_epoch(const std::vector<std::string>& upcoming) {
   const std::uint64_t deferred = prefetch_pending_.size();
   stats_.prefetch_deferred += deferred;
   prefetch_pending_.clear();
+  // The in-flight pulls stop holding prefetch.depth slots: a stale pull
+  // whose completion is slow must not stall this epoch's pipeline.
+  prefetch_epoch_inflight_ = std::make_shared<std::atomic<std::uint32_t>>(0);
   const prefetch::PrefetchPlan plan = prefetch_planner_.plan(
       upcoming, self_,
       [this](const std::string& path) { return resolve_owner(path); },
@@ -1243,7 +1194,7 @@ void HvacClient::drain_prefetch() {
 
 void HvacClient::issue_prefetch_pulls() {
   while (!prefetch_pending_.empty() &&
-         prefetch_inflight_->load(std::memory_order_relaxed) <
+         prefetch_epoch_inflight_->load(std::memory_order_relaxed) <
              config_.prefetch.depth) {
     const std::string path = std::move(prefetch_pending_.front());
     prefetch_pending_.pop_front();
@@ -1279,13 +1230,15 @@ bool HvacClient::issue_prefetch_pull(const std::string& path,
   if (membership_ != nullptr) membership_->stamp_request(request);
   ++stats_.prefetch_pulls;
   prefetch_inflight_->fetch_add(1, std::memory_order_relaxed);
+  prefetch_epoch_inflight_->fetch_add(1, std::memory_order_relaxed);
   const bool verify = config_.verify_checksums;
   // The completion only touches the refcounted mailbox/counter — never
   // the client, which may be gone by the time a pull against a dead peer
   // times out.
   transport_.call_async(
       target, std::move(request), config_.rpc_timeout,
-      [mailbox = mailbox_, inflight = prefetch_inflight_, target, path, hop,
+      [mailbox = mailbox_, inflight = prefetch_inflight_,
+       epoch_inflight = prefetch_epoch_inflight_, target, path, hop,
        verify](StatusOr<rpc::RpcResponse> result) {
         if (result.is_ok() && result.value().code == StatusCode::kOk) {
           rpc::RpcResponse response = std::move(result).value();
@@ -1315,6 +1268,7 @@ bool HvacClient::issue_prefetch_pull(const std::string& path,
         // Decrement strictly AFTER the post: inflight == 0 then implies
         // every outcome is in the mailbox (drain_prefetch's exit sweep
         // relies on this ordering to never strand a staged payload).
+        epoch_inflight->fetch_sub(1, std::memory_order_relaxed);
         inflight->fetch_sub(1, std::memory_order_release);
       });
   return true;

@@ -61,6 +61,7 @@
 #include "common/buffer.hpp"
 #include "common/latency_recorder.hpp"
 #include "common/rng.hpp"
+#include "common/stats_macros.hpp"
 #include "common/types.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/trace_context.hpp"
@@ -217,6 +218,80 @@ struct HvacClientConfig {
   [[nodiscard]] Status validate(std::size_t cluster_size = 0) const;
 };
 
+/// HvacClient's counters, the one definition of each: X(field, metric
+/// [, label key, label value]) (common/stats_macros.hpp).  Expands to
+/// HvacClient::Stats, its atomic twin, stats_snapshot() and the client's
+/// block of Cluster::collect_metrics.
+#define FTC_HVAC_CLIENT_STATS(X)                                             \
+  X(reads, "ftc_client_reads_total")                                         \
+  /* server had it on NVMe / fetched it from PFS / client read the PFS */    \
+  X(served_remote_cache, "ftc_client_served_total", "outcome", "remote_cache") \
+  X(served_remote_fetch, "ftc_client_served_total", "outcome", "remote_fetch") \
+  X(served_pfs_direct, "ftc_client_served_total", "outcome", "pfs_direct")   \
+  X(timeouts, "ftc_client_timeouts_total")                                   \
+  /* healthy/suspect -> out of service */                                    \
+  X(nodes_flagged, "ftc_client_nodes_flagged_total")                         \
+  X(ring_updates, "ftc_client_ring_updates_total")                           \
+  X(checksum_failures, "ftc_client_checksum_failures_total")                 \
+  /* backup kPut ops issued (warm puts included: the one total) */           \
+  X(replicas_pushed, "ftc_client_replicas_pushed_total")                     \
+  /* Gray-failure path: hedges raced / won / lost / sent to the PFS       */ \
+  /* (no successor), reinstatement probes, probation -> healthy.         */ \
+  X(hedges_launched, "ftc_client_hedges_total", "outcome", "launched")       \
+  X(hedge_wins, "ftc_client_hedges_total", "outcome", "hedge_win")           \
+  X(primary_wins_after_hedge, "ftc_client_hedges_total", "outcome",          \
+    "primary_win")                                                           \
+  X(hedges_to_pfs, "ftc_client_hedges_total", "outcome", "to_pfs")           \
+  X(probes_sent, "ftc_client_probes_sent_total")                             \
+  X(nodes_reinstated, "ftc_client_nodes_reinstated_total")                   \
+  /* Membership path (zero while no agent is attached): detector verdicts */ \
+  /* gossiped, kStaleView responses seen, ingests that advanced epoch.    */ \
+  X(suspicions_reported, "ftc_client_suspicions_reported_total")             \
+  X(stale_view_hints, "ftc_client_stale_view_hints_total")                   \
+  X(epoch_fast_forwards, "ftc_client_epoch_fast_forwards_total")             \
+  /* Failover-storm hardening (zero with the knobs off): kBusy answers,   */ \
+  /* retry-budget spends refused, reads ended by total_deadline.          */ \
+  X(busy_rejections, "ftc_client_busy_rejections_total")                     \
+  X(retries_denied_by_budget, "ftc_client_retries_denied_total")             \
+  X(deadline_give_ups, "ftc_client_deadline_give_ups_total")                 \
+  /* Skew-tolerant placement (zero with the knobs off): responses with a  */ \
+  /* load hint, bounded-load reads routed past the primary, p2c reads     */ \
+  /* over a hot replica set, files entering a set, promotions dropped by  */ \
+  /* heat decay and by a ring epoch.                                      */ \
+  X(load_hints_observed, "ftc_ring_load_hints_total")                        \
+  X(spilled_reads, "ftc_ring_spilled_reads_total")                           \
+  X(load_spread_reads, "ftc_ring_load_spread_reads_total")                   \
+  X(hot_promotions, "ftc_ring_hot_promotions_total")                         \
+  X(hot_demotions, "ftc_ring_hot_demotions_total")                           \
+  X(hot_invalidations, "ftc_ring_hot_invalidations_total")                   \
+  /* Warm failover (zero with replication.warm_standby off): standby puts */ \
+  /* acknowledged, of which generation repairs, pushes skipped at the     */ \
+  /* depth cap, standby sets moved by a ring change (repair issued).      */ \
+  X(warm_pushes, "ftc_client_warm_pushes_total")                             \
+  X(warm_restores, "ftc_client_warm_restores_total")                         \
+  X(warm_deferred, "ftc_client_warm_deferred_total")                         \
+  X(warm_invalidations, "ftc_client_warm_invalidations_total")               \
+  /* Epoch-ahead prefetch / p2p recache (zero with prefetch.* off): pulls */ \
+  /* planned, kPeerGet pulls issued, pulls that staged a payload, pulls   */ \
+  /* answered kNotFound, pulls dropped (stale epoch / admission shed),    */ \
+  /* reads served from staging, PFS fallbacks averted via kPeerGet, bytes */ \
+  /* received over kPeerGet.                                              */ \
+  X(prefetch_planned, "ftc_prefetch_planned_total")                          \
+  X(prefetch_pulls, "ftc_prefetch_pulls_total")                              \
+  X(prefetch_hits, "ftc_prefetch_pulls_outcome_total", "outcome", "hit")     \
+  X(prefetch_misses, "ftc_prefetch_pulls_outcome_total", "outcome", "miss")  \
+  X(prefetch_deferred, "ftc_prefetch_pulls_outcome_total", "outcome",        \
+    "deferred")                                                              \
+  X(prefetch_local_hits, "ftc_prefetch_local_hits_total")                    \
+  X(p2p_rescues, "ftc_p2p_rescues_total")                                    \
+  X(p2p_bytes, "ftc_p2p_bytes_total")                                        \
+  /* Partition tolerance (zero with fencing off / no partitions): kPut/   */ \
+  /* kEvict refused kFencedEpoch (the attached delta fast-forwarded us    */ \
+  /* before the retry); post-heal standby re-pushes for files whose       */ \
+  /* replica chain crossed the heal delta.                                */ \
+  X(fenced_puts, "ftc_client_fenced_puts_total")                             \
+  X(reconcile_repushes, "ftc_client_reconcile_repushes_total")
+
 class HvacClient {
  public:
   /// `servers` = the job's initial allocation (clients and servers are
@@ -280,7 +355,8 @@ class HvacClient {
   /// against ring placement and what is already staged, then starts
   /// bounded-depth background kPeerGet pulls for the remote-owned rest.
   /// Pending pulls from the previous epoch are dropped (counted
-  /// prefetch_deferred); in-flight ones complete normally.  The pipeline
+  /// prefetch_deferred); in-flight ones complete normally but no longer
+  /// count against prefetch.depth.  The pipeline
   /// advances as the owning thread drains completions on every read.
   void prefetch_epoch(const std::vector<std::string>& upcoming);
 
@@ -332,62 +408,7 @@ class HvacClient {
   }
 
   struct Stats {
-    std::uint64_t reads = 0;
-    std::uint64_t served_remote_cache = 0;  ///< server had it on NVMe
-    std::uint64_t served_remote_fetch = 0;  ///< server fetched from PFS
-    std::uint64_t served_pfs_direct = 0;    ///< client read the PFS itself
-    std::uint64_t timeouts = 0;
-    std::uint64_t nodes_flagged = 0;   ///< healthy/suspect -> out of service
-    std::uint64_t ring_updates = 0;
-    std::uint64_t checksum_failures = 0;
-    std::uint64_t replicas_pushed = 0;  ///< backup kPut ops issued
-    // Gray-failure path:
-    std::uint64_t hedges_launched = 0;  ///< second requests raced
-    std::uint64_t hedge_wins = 0;       ///< hedge answered first
-    std::uint64_t primary_wins_after_hedge = 0;  ///< hedge raced, lost
-    std::uint64_t hedges_to_pfs = 0;    ///< no successor; hedged to PFS
-    std::uint64_t probes_sent = 0;      ///< reinstatement probes launched
-    std::uint64_t nodes_reinstated = 0; ///< probation -> healthy, re-added
-    // Membership path (zero while no agent is attached):
-    std::uint64_t suspicions_reported = 0;  ///< detector verdicts gossiped
-    std::uint64_t stale_view_hints = 0;     ///< kStaleView responses seen
-    std::uint64_t epoch_fast_forwards = 0;  ///< ingests that advanced epoch
-    // Failover-storm hardening (zero with the knobs off):
-    std::uint64_t busy_rejections = 0;  ///< kBusy answers (shed/breaker)
-    std::uint64_t retries_denied_by_budget = 0;  ///< spends refused
-    std::uint64_t deadline_give_ups = 0;  ///< reads ended by total_deadline
-    // Skew-tolerant placement (zero with the knobs off):
-    std::uint64_t load_hints_observed = 0;  ///< responses carrying load
-    std::uint64_t spilled_reads = 0;     ///< bounded-load routed past primary
-    std::uint64_t load_spread_reads = 0;  ///< p2c over a hot replica set
-    std::uint64_t hot_promotions = 0;     ///< files entering a replica set
-    std::uint64_t hot_demotions = 0;      ///< promotions dropped (heat decay)
-    std::uint64_t hot_invalidations = 0;  ///< promotions dropped (ring epoch)
-    // Warm failover (zero with replication.warm_standby off).  Successful
-    // warm puts also count toward replicas_pushed — that field stays the
-    // one total over every backup kPut, exactly as before.
-    std::uint64_t warm_pushes = 0;        ///< standby puts acknowledged
-    std::uint64_t warm_restores = 0;      ///< of which: generation repairs
-    std::uint64_t warm_deferred = 0;      ///< pushes skipped at depth cap
-    std::uint64_t warm_invalidations = 0;  ///< standby sets moved by a
-                                           ///< ring change (repair issued)
-    // Epoch-ahead prefetch / p2p recache (zero with prefetch.* off):
-    std::uint64_t prefetch_planned = 0;  ///< pulls the planner selected
-    std::uint64_t prefetch_pulls = 0;    ///< kPeerGet pulls issued
-    std::uint64_t prefetch_hits = 0;     ///< pulls that staged a payload
-    std::uint64_t prefetch_misses = 0;   ///< pulls answered kNotFound
-    std::uint64_t prefetch_deferred = 0;  ///< pulls dropped (stale epoch /
-                                          ///< admission shed)
-    std::uint64_t prefetch_local_hits = 0;  ///< reads served from staging
-    std::uint64_t p2p_rescues = 0;  ///< PFS fallbacks averted via kPeerGet
-    std::uint64_t p2p_bytes = 0;    ///< bytes received over kPeerGet
-    // Partition tolerance (zero with fencing off / no partitions):
-    std::uint64_t fenced_puts = 0;  ///< kPut/kEvict refused kFencedEpoch;
-                                    ///< the attached delta fast-forwarded
-                                    ///< us before the retry
-    std::uint64_t reconcile_repushes = 0;  ///< post-heal standby re-pushes
-                                           ///< for files whose replica
-                                           ///< chain crossed the heal delta
+    FTC_HVAC_CLIENT_STATS(FTC_STATS_FIELD)
   };
   /// Value snapshot of the counters.  There is deliberately no reference
   /// accessor: callers can neither mutate the client's counters nor
@@ -502,8 +523,9 @@ class HvacClient {
   /// Tears down one demoted/invalidated promotion: best-effort async
   /// kEvict to the (current) replica chain beyond the primary.
   void retire_hot_replicas(const std::string& path, bool epoch_bump);
-  /// Starts queued prefetch pulls until prefetch.depth are in flight
-  /// (owning thread only; completion handlers call it again via drain).
+  /// Starts queued prefetch pulls until prefetch.depth of this epoch's
+  /// are in flight (owning thread only; completion handlers call it again
+  /// via drain).
   void issue_prefetch_pulls();
   /// One async kPeerGet pull for `path` against replica-chain hop `hop`
   /// (0 = ring owner).  Returns false when no eligible target exists at
@@ -534,47 +556,7 @@ class HvacClient {
   /// plain fields would be a torn (and formally racy) read.  Field names
   /// mirror the public Stats POD; stats_snapshot() assembles it.
   struct AtomicStats {
-    std::atomic<std::uint64_t> reads{0};
-    std::atomic<std::uint64_t> served_remote_cache{0};
-    std::atomic<std::uint64_t> served_remote_fetch{0};
-    std::atomic<std::uint64_t> served_pfs_direct{0};
-    std::atomic<std::uint64_t> timeouts{0};
-    std::atomic<std::uint64_t> nodes_flagged{0};
-    std::atomic<std::uint64_t> ring_updates{0};
-    std::atomic<std::uint64_t> checksum_failures{0};
-    std::atomic<std::uint64_t> replicas_pushed{0};
-    std::atomic<std::uint64_t> hedges_launched{0};
-    std::atomic<std::uint64_t> hedge_wins{0};
-    std::atomic<std::uint64_t> primary_wins_after_hedge{0};
-    std::atomic<std::uint64_t> hedges_to_pfs{0};
-    std::atomic<std::uint64_t> probes_sent{0};
-    std::atomic<std::uint64_t> nodes_reinstated{0};
-    std::atomic<std::uint64_t> suspicions_reported{0};
-    std::atomic<std::uint64_t> stale_view_hints{0};
-    std::atomic<std::uint64_t> epoch_fast_forwards{0};
-    std::atomic<std::uint64_t> busy_rejections{0};
-    std::atomic<std::uint64_t> retries_denied_by_budget{0};
-    std::atomic<std::uint64_t> deadline_give_ups{0};
-    std::atomic<std::uint64_t> load_hints_observed{0};
-    std::atomic<std::uint64_t> spilled_reads{0};
-    std::atomic<std::uint64_t> load_spread_reads{0};
-    std::atomic<std::uint64_t> hot_promotions{0};
-    std::atomic<std::uint64_t> hot_demotions{0};
-    std::atomic<std::uint64_t> hot_invalidations{0};
-    std::atomic<std::uint64_t> warm_pushes{0};
-    std::atomic<std::uint64_t> warm_restores{0};
-    std::atomic<std::uint64_t> warm_deferred{0};
-    std::atomic<std::uint64_t> warm_invalidations{0};
-    std::atomic<std::uint64_t> prefetch_planned{0};
-    std::atomic<std::uint64_t> prefetch_pulls{0};
-    std::atomic<std::uint64_t> prefetch_hits{0};
-    std::atomic<std::uint64_t> prefetch_misses{0};
-    std::atomic<std::uint64_t> prefetch_deferred{0};
-    std::atomic<std::uint64_t> prefetch_local_hits{0};
-    std::atomic<std::uint64_t> p2p_rescues{0};
-    std::atomic<std::uint64_t> p2p_bytes{0};
-    std::atomic<std::uint64_t> fenced_puts{0};
-    std::atomic<std::uint64_t> reconcile_repushes{0};
+    FTC_HVAC_CLIENT_STATS(FTC_STATS_ATOMIC)
   };
   AtomicStats stats_;
   LatencyRecorder latency_;
@@ -660,7 +642,12 @@ class HvacClient {
   };
   std::unordered_map<std::string, StagedPrefetch> staged_prefetch_;
   std::deque<std::string> prefetch_pending_;
+  /// Every pull in flight (drain_prefetch waits for 0).
   std::shared_ptr<std::atomic<std::uint32_t>> prefetch_inflight_;
+  /// Of those, the pulls issued since the last prefetch_epoch: the count
+  /// prefetch.depth caps.  Each epoch gets a fresh counter, so pulls of a
+  /// superseded epoch decrement one nobody reads any more.
+  std::shared_ptr<std::atomic<std::uint32_t>> prefetch_epoch_inflight_;
   /// Peer-recache placement arithmetic; null unless prefetch.p2p is on.
   std::unique_ptr<placement::PeerRecachePolicy> peer_policy_;
   /// Observability (attach_observability): nullptr recorder = tracing off,

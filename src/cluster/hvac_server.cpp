@@ -165,28 +165,16 @@ rpc::RpcResponse HvacServer::dispatch_impl(const rpc::RpcRequest& request) {
     case rpc::Op::kStats: {
       rpc::RpcResponse response;
       const Stats s = stats_snapshot();
-      response.payload = common::Buffer(
-          "reads=" + std::to_string(s.reads) +
-          " hits=" + std::to_string(s.cache_hits) +
-          " misses=" + std::to_string(s.cache_misses) +
-          " pfs_fetches=" + std::to_string(s.pfs_fetches) +
-          " recache_enqueued=" + std::to_string(s.recache_enqueued) +
-          " recache_completed=" + std::to_string(s.recache_completed) +
-          " replicas_stored=" + std::to_string(s.replicas_stored) +
-          " warm_replicas_stored=" + std::to_string(s.warm_replicas_stored) +
-          " stale_replica_puts=" + std::to_string(s.stale_replica_puts) +
-          " warm_replica_bytes=" + std::to_string(s.warm_replica_bytes) +
-          " payload_bytes_copied=" + std::to_string(s.payload_bytes_copied) +
-          " evictions=" + std::to_string(s.evictions) +
-          " expired_on_arrival=" + std::to_string(s.expired_on_arrival) +
-          " pfs_coalesced=" + std::to_string(s.pfs_coalesced) +
-          " pfs_breaker_open=" + std::to_string(s.pfs_breaker_open) +
-          " fenced_writes=" + std::to_string(s.fenced_writes) +
-          " stale_epoch_puts_accepted=" +
-          std::to_string(s.stale_epoch_puts_accepted) +
-          " used_bytes=" + std::to_string(s.used_bytes) +
-          " capacity_bytes=" + std::to_string(cache_->capacity_bytes()) +
-          " files=" + std::to_string(cache_->file_count()));
+      std::string text;
+      FTC_HVAC_SERVER_STATS(FTC_STATS_KEYED_TEXT)
+      // Values the server reads from its cache and guard (not in the list).
+      text += "evictions=" + std::to_string(s.evictions) +
+              " pfs_coalesced=" + std::to_string(s.pfs_coalesced) +
+              " pfs_breaker_open=" + std::to_string(s.pfs_breaker_open) +
+              " used_bytes=" + std::to_string(s.used_bytes) +
+              " capacity_bytes=" + std::to_string(cache_->capacity_bytes()) +
+              " files=" + std::to_string(cache_->file_count());
+      response.payload = common::Buffer(std::move(text));
       return response;
     }
     case rpc::Op::kPut: {
@@ -403,33 +391,9 @@ HvacServer::Stats HvacServer::stats_snapshot() const {
   // last read wins, which is no worse than the old single pass.
   const auto load_all = [this] {
     Stats s;
-    s.reads = stats_.reads.load(std::memory_order_relaxed);
-    s.cache_hits = stats_.cache_hits.load(std::memory_order_relaxed);
-    s.cache_misses = stats_.cache_misses.load(std::memory_order_relaxed);
-    s.pfs_fetches = stats_.pfs_fetches.load(std::memory_order_relaxed);
-    s.recache_enqueued =
-        stats_.recache_enqueued.load(std::memory_order_relaxed);
-    s.recache_completed =
-        stats_.recache_completed.load(std::memory_order_relaxed);
-    s.replicas_stored = stats_.replicas_stored.load(std::memory_order_relaxed);
-    s.warm_replicas_stored =
-        stats_.warm_replicas_stored.load(std::memory_order_relaxed);
-    s.stale_replica_puts =
-        stats_.stale_replica_puts.load(std::memory_order_relaxed);
-    s.warm_replica_bytes =
-        stats_.warm_replica_bytes.load(std::memory_order_relaxed);
-    s.payload_bytes_copied =
-        stats_.payload_bytes_copied.load(std::memory_order_relaxed);
+    FTC_HVAC_SERVER_STATS(FTC_STATS_LOAD)
     s.evictions = cache_->eviction_count();
     s.used_bytes = cache_->used_bytes();
-    s.expired_on_arrival =
-        stats_.expired_on_arrival.load(std::memory_order_relaxed);
-    s.peer_gets = stats_.peer_gets.load(std::memory_order_relaxed);
-    s.peer_get_hits = stats_.peer_get_hits.load(std::memory_order_relaxed);
-    s.peer_get_bytes = stats_.peer_get_bytes.load(std::memory_order_relaxed);
-    s.fenced_writes = stats_.fenced_writes.load(std::memory_order_relaxed);
-    s.stale_epoch_puts_accepted =
-        stats_.stale_epoch_puts_accepted.load(std::memory_order_relaxed);
     if (pfs_guard_) {
       const PfsFetchGuard::Stats guard = pfs_guard_->stats_snapshot();
       s.pfs_coalesced = guard.coalesced;

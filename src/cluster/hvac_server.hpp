@@ -30,6 +30,7 @@
 #include "cluster/fault_detector.hpp"  // NodeId
 #include "cluster/pfs_guard.hpp"
 #include "cluster/pfs_store.hpp"
+#include "common/stats_macros.hpp"
 #include "obs/flight_recorder.hpp"
 #include "placement/replication_policy.hpp"
 #include "rpc/message.hpp"
@@ -110,6 +111,50 @@ struct HvacServerConfig {
   [[nodiscard]] Status validate() const;
 };
 
+/// HvacServer's counters, the one definition of each: X(field, kStats
+/// key, metric) (common/stats_macros.hpp).  Expands to HvacServer::Stats,
+/// its atomic twin, stats_snapshot(), the kStats reply and the server's
+/// block of Cluster::collect_metrics.
+#define FTC_HVAC_SERVER_STATS(X)                                             \
+  X(reads, reads, "ftc_server_reads_total")                                  \
+  X(cache_hits, hits, "ftc_server_cache_hits_total")                         \
+  X(cache_misses, misses, "ftc_server_cache_misses_total")                   \
+  X(pfs_fetches, pfs_fetches, "ftc_server_pfs_fetches_total")                \
+  X(recache_enqueued, recache_enqueued, "ftc_server_recache_enqueued_total") \
+  X(recache_completed, recache_completed,                                    \
+    "ftc_server_recache_completed_total")                                    \
+  /* kPut backups accepted; of those, generation-stamped warm standbys   */  \
+  /* (0 with every legacy sender); stamped kPuts refused kCancelled      */  \
+  /* because a fresher generation was already stored; payload bytes of   */  \
+  /* accepted warm standbys.                                             */  \
+  X(replicas_stored, replicas_stored, "ftc_server_replicas_stored_total")    \
+  X(warm_replicas_stored, warm_replicas_stored,                              \
+    "ftc_server_warm_replicas_stored_total")                                 \
+  X(stale_replica_puts, stale_replica_puts,                                  \
+    "ftc_server_stale_replica_puts_total")                                   \
+  X(warm_replica_bytes, warm_replica_bytes,                                  \
+    "ftc_server_warm_replica_bytes_total")                                   \
+  /* Payload bytes memcpy'd on the serve path.  Stays 0 on the refcounted */ \
+  /* data path (hits share the cache entry's bytes; a miss shares one     */ \
+  /* buffer between response and recache); nonzero means a regression.   */ \
+  X(payload_bytes_copied, payload_bytes_copied,                              \
+    "ftc_server_payload_bytes_copied_total")                                 \
+  /* Requests whose deadline had passed on arrival: shed, never run. */      \
+  X(expired_on_arrival, expired_on_arrival,                                  \
+    "ftc_server_expired_on_arrival_total")                                   \
+  /* kPeerGet requests received (prefetch pulls + p2p rescues; cache-only */ \
+  /* by contract, never a PFS fetch), those served from the cache, and    */ \
+  /* the payload bytes shipped node-to-node.                              */ \
+  X(peer_gets, peer_gets, "ftc_server_peer_gets_total")                      \
+  X(peer_get_hits, peer_get_hits, "ftc_server_peer_get_hits_total")          \
+  X(peer_get_bytes, peer_get_bytes, "ftc_server_peer_get_bytes_total")       \
+  /* Mutating RPCs refused kFencedEpoch because the sender's ring epoch   */ \
+  /* lagged ours (fencing.enabled only), and stale-epoch ones *accepted*  */ \
+  /* because fencing is off (the exposure the fence closes).              */ \
+  X(fenced_writes, fenced_writes, "ftc_server_fenced_writes_total")          \
+  X(stale_epoch_puts_accepted, stale_epoch_puts_accepted,                    \
+    "ftc_server_stale_epoch_puts_total")
+
 class HvacServer {
  public:
   /// Throws std::invalid_argument when `config.validate()` rejects —
@@ -152,49 +197,16 @@ class HvacServer {
   [[nodiscard]] NodeId id() const { return id_; }
 
   struct Stats {
-    std::uint64_t reads = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
-    std::uint64_t pfs_fetches = 0;
-    std::uint64_t recache_enqueued = 0;
-    std::uint64_t recache_completed = 0;
-    std::uint64_t replicas_stored = 0;  ///< kPut backups accepted
-    /// Of the accepted backups: generation-stamped warm standbys (warm
-    /// failover extension; 0 with every legacy sender).
-    std::uint64_t warm_replicas_stored = 0;
-    /// Stamped kPuts refused kCancelled because a fresher generation of
-    /// the same replica was already stored (replica freshness rule).
-    std::uint64_t stale_replica_puts = 0;
-    /// Payload bytes of accepted warm standbys (freshness telemetry).
-    std::uint64_t warm_replica_bytes = 0;
-    /// Bytes of payload memcpy'd on the serve path.  Stays 0 on the
-    /// refcounted data path (hits share the cache entry's bytes; a miss
-    /// shares one buffer between response and recache task); kept so
-    /// bench_throughput can prove it and regressions show up as nonzero.
-    std::uint64_t payload_bytes_copied = 0;
-    std::uint64_t evictions = 0;        ///< cache evictions to date
-    std::uint64_t used_bytes = 0;       ///< current cache occupancy
-    /// Requests whose deadline had already passed on arrival — shed
-    /// before dispatch, never executed.
-    std::uint64_t expired_on_arrival = 0;
+    FTC_HVAC_SERVER_STATS(FTC_STATS_FIELD)
+    // Read from the cache and the PFS guard, which count them; not in the
+    // list because the server keeps no counter of its own for them.
+    std::uint64_t evictions = 0;   ///< cache evictions to date
+    std::uint64_t used_bytes = 0;  ///< current cache occupancy
     /// Miss-path calls that shared another caller's in-flight PFS fetch
     /// (singleflight followers; 0 with the guard off).
     std::uint64_t pfs_coalesced = 0;
     /// Miss-path calls fast-rejected kBusy by the open PFS breaker.
     std::uint64_t pfs_breaker_open = 0;
-    /// kPeerGet requests received (prefetch pulls + p2p rescues).  Cache-
-    /// only by contract: a peer-get can never cause a PFS fetch.
-    std::uint64_t peer_gets = 0;
-    /// Of those, served from NVMe (the rest answered kNotFound).
-    std::uint64_t peer_get_hits = 0;
-    /// Payload bytes shipped node-to-node over kPeerGet.
-    std::uint64_t peer_get_bytes = 0;
-    /// Mutating RPCs refused kFencedEpoch because the sender's ring epoch
-    /// lagged ours (fencing.enabled only).
-    std::uint64_t fenced_writes = 0;
-    /// Stale-epoch mutating RPCs *accepted* because fencing is off —
-    /// the exposure the fence exists to close (0 with fencing on).
-    std::uint64_t stale_epoch_puts_accepted = 0;
   };
   /// Value snapshot of the lock-free counters plus cache occupancy.  As
   /// with HvacClient, there is deliberately no reference accessor —
@@ -263,23 +275,7 @@ class HvacServer {
 
   /// Lock-free counters (snapshotted by stats()).
   struct AtomicStats {
-    std::atomic<std::uint64_t> reads{0};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> cache_misses{0};
-    std::atomic<std::uint64_t> pfs_fetches{0};
-    std::atomic<std::uint64_t> recache_enqueued{0};
-    std::atomic<std::uint64_t> recache_completed{0};
-    std::atomic<std::uint64_t> replicas_stored{0};
-    std::atomic<std::uint64_t> warm_replicas_stored{0};
-    std::atomic<std::uint64_t> stale_replica_puts{0};
-    std::atomic<std::uint64_t> warm_replica_bytes{0};
-    std::atomic<std::uint64_t> payload_bytes_copied{0};
-    std::atomic<std::uint64_t> expired_on_arrival{0};
-    std::atomic<std::uint64_t> peer_gets{0};
-    std::atomic<std::uint64_t> peer_get_hits{0};
-    std::atomic<std::uint64_t> peer_get_bytes{0};
-    std::atomic<std::uint64_t> fenced_writes{0};
-    std::atomic<std::uint64_t> stale_epoch_puts_accepted{0};
+    FTC_HVAC_SERVER_STATS(FTC_STATS_ATOMIC)
   };
 
   NodeId id_;

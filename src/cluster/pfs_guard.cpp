@@ -37,7 +37,7 @@ PfsFetchGuard::Outcome PfsFetchGuard::fetch(const std::string& key,
   Outcome out = std::move(flight.value);
   if (!flight.leader) {
     out.coalesced = true;
-    coalesced_.fetch_add(1, std::memory_order_relaxed);
+    stats_.coalesced.fetch_add(1, std::memory_order_relaxed);
     if (traced) {
       // The joiner's span covers its coalesced wait on the leader's
       // flight; the leader span (if the leader was sampled) carries the
@@ -60,7 +60,7 @@ PfsFetchGuard::Outcome PfsFetchGuard::fetch_as_leader(
   const bool traced = recorder_ != nullptr && trace.sampled;
   std::uint32_t retry_after_ms = 0;
   if (!breaker_admit(retry_after_ms)) {
-    breaker_rejections_.fetch_add(1, std::memory_order_relaxed);
+    stats_.breaker_rejections.fetch_add(1, std::memory_order_relaxed);
     if (traced) {
       recorder_->record_event(obs::RecordKind::kPfsRejected, trace.child(),
                               node_,
@@ -75,7 +75,7 @@ PfsFetchGuard::Outcome PfsFetchGuard::fetch_as_leader(
       return slots_in_use_ < options_.max_concurrent_fetches;
     });
     if (!got_slot) {
-      slot_rejections_.fetch_add(1, std::memory_order_relaxed);
+      stats_.slot_rejections.fetch_add(1, std::memory_order_relaxed);
       lock.unlock();
       // A half-open trial that never reached the PFS proves nothing —
       // hand the trial back so the next arrival attempts it.
@@ -91,7 +91,7 @@ PfsFetchGuard::Outcome PfsFetchGuard::fetch_as_leader(
     }
     ++slots_in_use_;
   }
-  fetches_.fetch_add(1, std::memory_order_relaxed);
+  stats_.fetches.fetch_add(1, std::memory_order_relaxed);
   const obs::TraceContext leader_ctx = traced ? trace.child() : obs::TraceContext{};
   const std::int64_t leader_start = traced ? obs::now_ns() : 0;
   const Clock::time_point started = Clock::now();
@@ -150,7 +150,7 @@ void PfsFetchGuard::breaker_record(bool failure) {
     if (failure) {
       breaker_state_ = BreakerState::kOpen;
       open_until_ = Clock::now() + options_.breaker_cooldown;
-      breaker_trips_.fetch_add(1, std::memory_order_relaxed);
+      stats_.breaker_trips.fetch_add(1, std::memory_order_relaxed);
     } else {
       breaker_state_ = BreakerState::kClosed;
       consecutive_failures_ = 0;
@@ -165,7 +165,7 @@ void PfsFetchGuard::breaker_record(bool failure) {
       breaker_state_ == BreakerState::kClosed) {
     breaker_state_ = BreakerState::kOpen;
     open_until_ = Clock::now() + options_.breaker_cooldown;
-    breaker_trips_.fetch_add(1, std::memory_order_relaxed);
+    stats_.breaker_trips.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -190,11 +190,7 @@ PfsFetchGuard::Stats PfsFetchGuard::stats_snapshot() const {
   // for the last read if the counters keep moving.
   const auto load_all = [this] {
     Stats s;
-    s.fetches = fetches_.load(std::memory_order_relaxed);
-    s.coalesced = coalesced_.load(std::memory_order_relaxed);
-    s.slot_rejections = slot_rejections_.load(std::memory_order_relaxed);
-    s.breaker_rejections = breaker_rejections_.load(std::memory_order_relaxed);
-    s.breaker_trips = breaker_trips_.load(std::memory_order_relaxed);
+    FTC_PFS_GUARD_STATS(FTC_STATS_LOAD)
     return s;
   };
   Stats snap = load_all();

@@ -34,6 +34,7 @@
 #include <string>
 
 #include "common/buffer.hpp"
+#include "common/stats_macros.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "obs/flight_recorder.hpp"
@@ -55,6 +56,20 @@ struct PfsGuardOptions {
   /// (gray-failing PFS).  0 disables latency-based tripping.
   std::chrono::milliseconds breaker_latency_threshold{0};
 };
+
+/// PfsFetchGuard's counters, the one definition of each: X(field, metric
+/// [, label key, label value]) (common/stats_macros.hpp).  Expands to
+/// PfsFetchGuard::Stats, its atomic twin, stats_snapshot() and the
+/// guard's block of Cluster::collect_metrics.
+#define FTC_PFS_GUARD_STATS(X)                                               \
+  X(fetches, "ftc_pfs_guard_fetches_total")     /* leader executions */      \
+  X(coalesced, "ftc_pfs_guard_coalesced_total") /* shared a flight */        \
+  /* kBusy: no slot in time / breaker open */                                \
+  X(slot_rejections, "ftc_pfs_guard_rejections_total", "outcome", "slots")   \
+  X(breaker_rejections, "ftc_pfs_guard_rejections_total", "outcome",         \
+    "breaker")                                                               \
+  /* closed/half-open -> open */                                             \
+  X(breaker_trips, "ftc_pfs_guard_breaker_trips_total")
 
 class PfsFetchGuard {
  public:
@@ -96,11 +111,7 @@ class PfsFetchGuard {
   [[nodiscard]] bool breaker_open() const;
 
   struct Stats {
-    std::uint64_t fetches = 0;             ///< leader executions of fn
-    std::uint64_t coalesced = 0;           ///< calls that shared a flight
-    std::uint64_t slot_rejections = 0;     ///< kBusy: no slot in time
-    std::uint64_t breaker_rejections = 0;  ///< kBusy: breaker open
-    std::uint64_t breaker_trips = 0;       ///< closed/half-open -> open
+    FTC_PFS_GUARD_STATS(FTC_STATS_FIELD)
   };
   [[nodiscard]] Stats stats_snapshot() const;
 
@@ -139,11 +150,10 @@ class PfsFetchGuard {
   std::condition_variable slot_cv_;
   std::size_t slots_in_use_ = 0;
 
-  std::atomic<std::uint64_t> fetches_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
-  std::atomic<std::uint64_t> slot_rejections_{0};
-  std::atomic<std::uint64_t> breaker_rejections_{0};
-  std::atomic<std::uint64_t> breaker_trips_{0};
+  struct AtomicStats {
+    FTC_PFS_GUARD_STATS(FTC_STATS_ATOMIC)
+  };
+  AtomicStats stats_;
 };
 
 }  // namespace ftc::cluster

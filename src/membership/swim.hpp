@@ -45,6 +45,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/stats_macros.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "membership/event.hpp"
@@ -106,6 +107,38 @@ struct SwimConfig {
 
   [[nodiscard]] Status validate() const;
 };
+
+/// The agent's protocol counters (guarded by the agent mutex), the one
+/// definition of each: X(field, metric) (common/stats_macros.hpp).
+/// Expands to the counter fields of MembershipAgent::Stats and the SWIM
+/// block of Cluster::collect_metrics.
+#define FTC_SWIM_STATS(X)                                                    \
+  X(probes_sent, "ftc_swim_probes_sent_total")                               \
+  X(indirect_probes_sent, "ftc_swim_indirect_probes_total")                  \
+  X(acks_received, "ftc_swim_acks_received_total")                           \
+  /* proxy-side kSwimVerdict pushes; origin-side verdicts ingested, and   */ \
+  /* of those the "could not reach" ones                                  */ \
+  X(verdicts_sent, "ftc_swim_verdicts_sent_total")                           \
+  X(verdicts_received, "ftc_swim_verdicts_received_total")                   \
+  X(verdicts_unreachable, "ftc_swim_verdicts_unreachable_total")             \
+  X(suspicions, "ftc_swim_suspicions_total") /* suspect transitions */       \
+  X(confirms, "ftc_swim_confirms_total")     /* failure confirmations */     \
+  X(refutations, "ftc_swim_refutations_total") /* own-incarnation bumps */   \
+  X(reinstatements, "ftc_swim_reinstatements_total") /* failed -> alive */   \
+  X(joins, "ftc_swim_joins_total") /* nodes admitted after epoch 0 */        \
+  X(gossip_claims_sent, "ftc_swim_gossip_claims_sent_total")                 \
+  /* ingested claims that changed state */                                   \
+  X(claims_applied, "ftc_swim_claims_applied_total")                         \
+  X(stale_view_hints_sent, "ftc_swim_stale_view_hints_sent_total")           \
+  X(deltas_served, "ftc_swim_deltas_served_total")                           \
+  X(full_syncs_served, "ftc_swim_full_syncs_served_total")                   \
+  /* kStaleView hints acted upon */                                          \
+  X(fast_forwards, "ftc_swim_fast_forwards_total")                           \
+  /* Partition tolerance: nodes we accused that refuted, confirm attempts */ \
+  /* held for quorum, re-delivered kSwimVerdict pushes.                   */ \
+  X(false_suspicions, "ftc_swim_false_suspicions_total")                     \
+  X(confirms_deferred, "ftc_swim_confirms_deferred_total")                   \
+  X(duplicate_verdicts, "ftc_swim_duplicate_verdicts_total")
 
 class MembershipAgent {
  public:
@@ -175,31 +208,13 @@ class MembershipAgent {
   [[nodiscard]] std::uint64_t incarnation(NodeId node) const;
 
   struct Stats {
+    // Gauges read from the ring and the member table at snapshot time,
+    // not counted, so not in the list.
     std::uint64_t epoch = 0;
     std::size_t members_alive = 0;
     std::size_t members_suspect = 0;
     std::size_t members_failed = 0;
-    std::uint64_t probes_sent = 0;
-    std::uint64_t indirect_probes_sent = 0;
-    std::uint64_t acks_received = 0;
-    std::uint64_t verdicts_sent = 0;      ///< proxy-side kSwimVerdict pushes
-    std::uint64_t verdicts_received = 0;  ///< origin-side verdicts ingested
-    std::uint64_t verdicts_unreachable = 0;  ///< of those, "could not reach"
-    std::uint64_t suspicions = 0;       ///< suspect transitions applied
-    std::uint64_t confirms = 0;         ///< failure confirmations applied
-    std::uint64_t refutations = 0;      ///< own-incarnation bumps
-    std::uint64_t reinstatements = 0;   ///< failed -> alive transitions
-    std::uint64_t joins = 0;            ///< nodes admitted after epoch 0
-    std::uint64_t gossip_claims_sent = 0;
-    std::uint64_t claims_applied = 0;   ///< ingested claims that changed state
-    std::uint64_t stale_view_hints_sent = 0;
-    std::uint64_t deltas_served = 0;
-    std::uint64_t full_syncs_served = 0;
-    std::uint64_t fast_forwards = 0;    ///< kStaleView hints acted upon
-    // Partition tolerance (PR 10).
-    std::uint64_t false_suspicions = 0;   ///< nodes we accused that refuted
-    std::uint64_t confirms_deferred = 0;  ///< confirm attempts held for quorum
-    std::uint64_t duplicate_verdicts = 0;  ///< re-delivered kSwimVerdict pushes
+    FTC_SWIM_STATS(FTC_STATS_FIELD)
   };
   [[nodiscard]] Stats stats_snapshot() const;
 

@@ -21,8 +21,9 @@ struct PrefetchConfig {
   /// remote-owned files ahead of use.  Requires hash-ring placement (the
   /// owning config enforces the mode gate).
   bool enabled = false;
-  /// Max in-flight background pulls per client.  Bounds both the memory
-  /// staged ahead of the trainer and the load prefetch may put on peers.
+  /// Max in-flight background pulls per client and epoch.  Bounds both
+  /// the memory staged ahead of the trainer and the load prefetch may put
+  /// on peers; pulls left over from a superseded epoch do not count.
   /// Valid with enabled: 1..256.
   std::uint32_t depth = 8;
   /// Peer-to-peer recache: when a read would otherwise fall back to the

@@ -299,6 +299,13 @@ void Transport::call_async(
       });
 }
 
+void Transport::start_async_pool() {
+  std::lock_guard lock(async_mutex_);
+  if (!async_shutdown_ && !async_pool_) {
+    async_pool_ = std::make_unique<common::ThreadPool>(kAsyncPoolThreads);
+  }
+}
+
 void Transport::drain_async() {
   common::ThreadPool* pool = nullptr;
   {

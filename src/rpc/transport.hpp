@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/stats_macros.hpp"
 #include "common/status.hpp"
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
@@ -61,6 +62,27 @@ namespace ftc::rpc {
 /// Alias of the library-wide node identifier (see common/types.hpp).
 using NodeId = ftc::NodeId;
 using Clock = std::chrono::steady_clock;
+
+/// An endpoint's counters (guarded by the endpoint mutex), the one
+/// definition of each: X(field, metric) (common/stats_macros.hpp).
+/// Expands to Transport::EndpointStats and the transport's block of
+/// Cluster::collect_metrics.
+#define FTC_TRANSPORT_STATS(X)                                               \
+  X(received, "ftc_transport_received_total")                                \
+  /* Of `received`, requests on the data plane (all but the SWIM verbs):  */ \
+  /* separates duplicated client work aimed at a dead node from the       */ \
+  /* bounded membership-protocol traffic.                                 */ \
+  X(received_data, "ftc_transport_received_data_total")                      \
+  X(handled, "ftc_transport_handled_total")                                  \
+  X(dropped, "ftc_transport_dropped_total")                                  \
+  /* kBusy from admission control (in `received` too; never SWIM verbs) */   \
+  X(requests_shed, "ftc_transport_requests_shed_total")                      \
+  /* sender in the partition block set (in `dropped` too) */                 \
+  X(partition_dropped, "ftc_transport_partition_dropped_total")              \
+  /* extra deliveries by the duplication fault (in `received` too) */        \
+  X(duplicated, "ftc_transport_duplicated_total")                            \
+  /* requests displaced out of FIFO order by the reordering fault */         \
+  X(reordered, "ftc_transport_reordered_total")
 
 class Transport {
  public:
@@ -98,13 +120,18 @@ class Transport {
   /// Non-blocking variant (Mercury-style): `on_complete` runs on a
   /// background thread with the same result `call` would return.  Async
   /// calls run on a fixed-size completion pool (kAsyncPoolThreads workers,
-  /// created lazily on first use) — issuing N calls never spawns N
-  /// threads; excess calls queue FIFO.  Pending completions are drained
-  /// before the transport destructs; callbacks must not destroy the
-  /// transport.
+  /// created on first use or by start_async_pool) — issuing N calls never
+  /// spawns N threads; excess calls queue FIFO.  Pending completions are
+  /// drained before the transport destructs; callbacks must not destroy
+  /// the transport.
   void call_async(NodeId target, RpcRequest request,
                   std::chrono::milliseconds timeout,
                   std::function<void(StatusOr<RpcResponse>)> on_complete);
+
+  /// Creates the completion pool now rather than at the first
+  /// call_async (no-op once it exists).  A caller whose async work is
+  /// latency-sensitive from the first call starts it ahead of use.
+  void start_async_pool();
 
   /// Blocks until every in-flight async call has completed.
   void drain_async();
@@ -130,7 +157,8 @@ class Transport {
   static constexpr std::size_t kAsyncPoolThreads = 16;
 
   /// Threads currently owned by the async completion pool: 0 before the
-  /// first call_async, kAsyncPoolThreads after — never per-call.
+  /// first call_async or start_async_pool, kAsyncPoolThreads after —
+  /// never per-call.
   [[nodiscard]] std::size_t async_pool_thread_count() const;
 
   /// Crash-stop fault: the endpoint stays registered but discards every
@@ -231,24 +259,7 @@ class Transport {
 
   /// Telemetry counters.
   struct EndpointStats {
-    std::uint64_t received = 0;
-    /// Of `received`, requests on the data plane (everything except the
-    /// SWIM verbs) — lets benchmarks separate duplicated client work
-    /// aimed at a dead node from the bounded membership-protocol traffic.
-    std::uint64_t received_data = 0;
-    std::uint64_t handled = 0;
-    std::uint64_t dropped = 0;
-    /// Requests rejected with kBusy by admission control (counted in
-    /// `received` too; never includes membership-protocol traffic).
-    std::uint64_t requests_shed = 0;
-    /// Requests dropped because their sender was in the endpoint's
-    /// partition block set (counted in `dropped` too).
-    std::uint64_t partition_dropped = 0;
-    /// Extra deliveries manufactured by the duplication fault (each also
-    /// counts in `received`/`received_data`).
-    std::uint64_t duplicated = 0;
-    /// Requests displaced out of FIFO order by the reordering fault.
-    std::uint64_t reordered = 0;
+    FTC_TRANSPORT_STATS(FTC_STATS_FIELD)
   };
   [[nodiscard]] EndpointStats stats(NodeId node) const;
 

@@ -379,26 +379,15 @@ std::uint64_t TieredCacheStore::used_bytes() const {
 }
 
 StoreStats TieredCacheStore::stats_snapshot() const {
-  StoreStats stats;
-  stats.ram_used_bytes = ram_used_.load(std::memory_order_relaxed);
-  stats.nvme_used_bytes = device_ ? device_->used_bytes() : 0;
+  StoreStats s;
+  s.ram_used_bytes = ram_used_.load(std::memory_order_relaxed);
+  s.nvme_used_bytes = device_ ? device_->used_bytes() : 0;
   for (const auto& shard : shards_) {
     std::lock_guard lock(shard->mutex);
-    stats.hot_hits += shard->hot_hits;
+    s.hot_hits += shard->hot_hits;
   }
-  stats.cold_hits = stats_.cold_hits.load(std::memory_order_relaxed);
-  stats.misses = stats_.misses.load(std::memory_order_relaxed);
-  stats.demotions = stats_.demotions.load(std::memory_order_relaxed);
-  stats.promotions = stats_.promotions.load(std::memory_order_relaxed);
-  stats.evictions = stats_.evictions.load(std::memory_order_relaxed);
-  stats.reclaim_runs = stats_.reclaim_runs.load(std::memory_order_relaxed);
-  stats.overflow_writes =
-      stats_.overflow_writes.load(std::memory_order_relaxed);
-  stats.manifest_restored =
-      stats_.manifest_restored.load(std::memory_order_relaxed);
-  stats.manifest_rejected_stale =
-      stats_.manifest_rejected_stale.load(std::memory_order_relaxed);
-  return stats;
+  FTC_STORE_STATS(FTC_STATS_LOAD)
+  return s;
 }
 
 // --- warm restart ------------------------------------------------------

@@ -61,6 +61,7 @@
 #include <vector>
 
 #include "common/buffer.hpp"
+#include "common/stats_macros.hpp"
 #include "common/status.hpp"
 #include "store/eviction.hpp"
 #include "store/nvme_device.hpp"
@@ -68,21 +69,35 @@
 
 namespace ftc::store {
 
+/// TieredCacheStore's counters, the one definition of each: X(field,
+/// metric[, label key, label value]) (common/stats_macros.hpp).  Expands
+/// to StoreStats, the store's atomic twin, stats_snapshot() and the
+/// store's block of Cluster::collect_metrics, where `policy` names the
+/// node's eviction policy.
+#define FTC_STORE_STATS(X)                                                   \
+  X(cold_hits, "ftc_store_hits_total", "tier", "nvme") /* paid latency */    \
+  X(misses, "ftc_store_misses_total")                                        \
+  X(demotions, "ftc_store_demotions_total")   /* RAM -> NVMe (pressure) */   \
+  X(promotions, "ftc_store_promotions_total") /* NVMe -> RAM (cold hit) */   \
+  /* dropped from the store entirely */                                      \
+  X(evictions, "ftc_store_evictions_total", "policy", policy)                \
+  X(reclaim_runs, "ftc_store_reclaim_runs_total") /* background reclaims */  \
+  /* puts routed to NVMe at the RAM hard cap */                              \
+  X(overflow_writes, "ftc_store_overflow_writes_total")                      \
+  /* warm-restart entries kept / dropped for a stale generation */           \
+  X(manifest_restored, "ftc_store_manifest_restored_total")                  \
+  X(manifest_rejected_stale, "ftc_store_manifest_rejected_stale_total")
+
 /// Tier/pressure telemetry.  Without a cold tier the nvme row and the
 /// tier-move counters stay 0.
 struct StoreStats {
+  // Read from the tiers' occupancy, not counted, so not in the list.
   std::uint64_t ram_used_bytes = 0;
   std::uint64_t nvme_used_bytes = 0;
-  std::uint64_t hot_hits = 0;        ///< served from RAM (zero-copy)
-  std::uint64_t cold_hits = 0;       ///< served from NVMe (paid latency)
-  std::uint64_t misses = 0;
-  std::uint64_t demotions = 0;       ///< RAM -> NVMe (pressure, not loss)
-  std::uint64_t promotions = 0;      ///< NVMe -> RAM (cold hit)
-  std::uint64_t evictions = 0;       ///< dropped from the store entirely
-  std::uint64_t reclaim_runs = 0;    ///< background reclaim activations
-  std::uint64_t overflow_writes = 0; ///< puts routed to NVMe at RAM hard cap
-  std::uint64_t manifest_restored = 0;       ///< warm-restart entries kept
-  std::uint64_t manifest_rejected_stale = 0; ///< dropped: stale generation
+  /// Served from RAM (zero-copy).  Not in the list: each shard counts its
+  /// own under its lock, and stats_snapshot() sums them.
+  std::uint64_t hot_hits = 0;
+  FTC_STORE_STATS(FTC_STATS_FIELD)
 
   /// Hits over lookups (0 before the first lookup).
   [[nodiscard]] double hit_ratio() const {
@@ -254,15 +269,7 @@ class TieredCacheStore {
   }
 
   struct AtomicStats {
-    std::atomic<std::uint64_t> cold_hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> demotions{0};
-    std::atomic<std::uint64_t> promotions{0};
-    std::atomic<std::uint64_t> evictions{0};
-    std::atomic<std::uint64_t> reclaim_runs{0};
-    std::atomic<std::uint64_t> overflow_writes{0};
-    std::atomic<std::uint64_t> manifest_restored{0};
-    std::atomic<std::uint64_t> manifest_rejected_stale{0};
+    FTC_STORE_STATS(FTC_STATS_ATOMIC)
   };
 
   std::uint64_t ram_bytes_;

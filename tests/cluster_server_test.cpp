@@ -183,6 +183,22 @@ TEST(HvacServer, StatsOpEmitsFullSnapshot) {
   EXPECT_EQ(kv.at("used_bytes"), 70u);  // /b (60) + /replica (10)
   EXPECT_EQ(kv.at("capacity_bytes"), 100u);
   EXPECT_EQ(kv.at("files"), 2u);
+
+  // Every Stats field has a key (cache_hits and cache_misses as hits and
+  // misses), plus capacity_bytes and files; a field added to Stats but
+  // left out of the reply fails the count.
+  EXPECT_EQ(kv.size(), sizeof(HvacServer::Stats) / sizeof(std::uint64_t) + 2);
+  EXPECT_EQ(kv.at("warm_replicas_stored"), s.warm_replicas_stored);
+  EXPECT_EQ(kv.at("stale_replica_puts"), s.stale_replica_puts);
+  EXPECT_EQ(kv.at("warm_replica_bytes"), s.warm_replica_bytes);
+  EXPECT_EQ(kv.at("expired_on_arrival"), s.expired_on_arrival);
+  EXPECT_EQ(kv.at("pfs_coalesced"), s.pfs_coalesced);
+  EXPECT_EQ(kv.at("pfs_breaker_open"), s.pfs_breaker_open);
+  EXPECT_EQ(kv.at("peer_gets"), s.peer_gets);
+  EXPECT_EQ(kv.at("peer_get_hits"), s.peer_get_hits);
+  EXPECT_EQ(kv.at("peer_get_bytes"), s.peer_get_bytes);
+  EXPECT_EQ(kv.at("fenced_writes"), s.fenced_writes);
+  EXPECT_EQ(kv.at("stale_epoch_puts_accepted"), s.stale_epoch_puts_accepted);
 }
 
 // The default store has no cold tier: overfilling it evicts inline, with

@@ -9,6 +9,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -17,10 +19,13 @@
 #include "cluster/cluster.hpp"
 #include "cluster/hvac_client.hpp"
 #include "cluster/hvac_server.hpp"
+#include "cluster/pfs_guard.hpp"
 #include "cluster/pfs_store.hpp"
+#include "membership/swim.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/trace_context.hpp"
 #include "rpc/transport.hpp"
+#include "store/tiered_store.hpp"
 
 namespace ftc::cluster {
 namespace {
@@ -279,7 +284,14 @@ TEST(PfsSingleflightTrace, LeaderAndJoinersAttributed) {
 }
 
 TEST(MetricsMigration, ExportMatchesLegacySnapshots) {
-  Cluster cluster(traced_config());
+  // Every stats-bearing component on: SWIM agents (ticked by hand, so no
+  // protocol traffic races the snapshots), the PFS guard and a cold tier.
+  ClusterConfig config = traced_config();
+  config.membership.enabled = true;
+  config.membership.background = false;
+  config.server.pfs_singleflight = true;
+  config.server.store.nvme_bytes = 1 << 20;
+  Cluster cluster(config);
   const auto paths = cluster.stage_dataset(12, 64);
   cluster.warm_caches(paths);
   for (const auto& path : paths) {
@@ -310,6 +322,41 @@ TEST(MetricsMigration, ExportMatchesLegacySnapshots) {
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"name\":\"ftc_client_reads_total\""),
             std::string::npos);
+
+  // Completeness: each component exports one node-0 series per Stats
+  // field, so a field added outside the component's list fails here.
+  std::map<std::string, std::size_t> series;  // component -> node-0 series
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    if (line.find("node=\"0\"") == std::string::npos) continue;
+    const std::string name = line.substr(0, line.find('{'));
+    // The read-latency histogram comes from the LatencyRecorder, not Stats.
+    if (name.rfind("ftc_client_read_latency_us", 0) == 0) continue;
+    for (const auto& [prefix, component] :
+         {std::pair{"ftc_client_", "client"}, {"ftc_ring_", "client"},
+          {"ftc_prefetch_", "client"}, {"ftc_p2p_", "client"},
+          {"ftc_server_", "server"}, {"ftc_store_", "store"},
+          {"ftc_pfs_guard_", "guard"}, {"ftc_transport_", "transport"},
+          {"ftc_swim_", "swim"}}) {
+      if (name.rfind(prefix, 0) == 0) ++series[component];
+    }
+  }
+  constexpr std::size_t kField = sizeof(std::uint64_t);
+  EXPECT_EQ(series["client"], sizeof(HvacClient::Stats) / kField);
+  // The server's pfs_coalesced and pfs_breaker_open mirror the guard's
+  // counters and are exported by the guard; its capacity gauge has no
+  // Stats field.
+  EXPECT_EQ(series["server"], sizeof(HvacServer::Stats) / kField - 2 + 1);
+  // The hit-ratio gauge is derived from three fields.
+  EXPECT_EQ(series["store"], sizeof(ftc::store::StoreStats) / kField + 1);
+  // The breaker-open gauge reads the breaker state, not a counter.
+  EXPECT_EQ(series["guard"], sizeof(PfsFetchGuard::Stats) / kField + 1);
+  EXPECT_EQ(series["transport"],
+            sizeof(rpc::Transport::EndpointStats) / kField);
+  EXPECT_EQ(series["swim"],
+            sizeof(membership::MembershipAgent::Stats) / kField);
 }
 
 TEST(MetricsMigration, TracingKnobsDoNotChangeLegacyStats) {

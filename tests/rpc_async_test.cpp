@@ -100,6 +100,23 @@ TEST(TransportAsync, UnknownEndpointImmediateError) {
   EXPECT_EQ(code.load(), static_cast<int>(StatusCode::kUnavailable));
 }
 
+TEST(TransportAsync, StartAsyncPoolSpawnsThePoolOnce) {
+  Transport transport;
+  transport.register_endpoint(0, echo_handler);
+  EXPECT_EQ(transport.async_pool_thread_count(), 0u);
+  transport.start_async_pool();
+  EXPECT_EQ(transport.async_pool_thread_count(), Transport::kAsyncPoolThreads);
+  transport.start_async_pool();
+  std::atomic<int> completions{0};
+  transport.call_async(0, RpcRequest{}, 2000ms,
+                       [&](StatusOr<RpcResponse> result) {
+                         if (result.is_ok()) completions.fetch_add(1);
+                       });
+  transport.drain_async();
+  EXPECT_EQ(completions.load(), 1);
+  EXPECT_EQ(transport.async_pool_thread_count(), Transport::kAsyncPoolThreads);
+}
+
 TEST(TransportAsync, DestructorDrainsInFlightCalls) {
   std::atomic<int> completions{0};
   {

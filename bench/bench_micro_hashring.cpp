@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hash/crc32.hpp"
@@ -182,26 +183,39 @@ void BM_HashXx(benchmark::State& state) {
 }
 BENCHMARK(BM_HashXx);
 
+/// False (and the run skipped) when the CPU lacks the kernel's
+/// instructions.
+using KernelSupported = bool (*)();
+
+bool kernel_runs(benchmark::State& state, KernelSupported supported) {
+  if (supported()) return true;
+  state.SkipWithError("CPU lacks this CRC-32 kernel's instructions");
+  return false;
+}
+
 /// CRC-32 over a payload-sized buffer (the per-read integrity check):
 /// bytes/s is the kernel's throughput.
-void BM_Crc32(benchmark::State& state) {
+void BM_Crc32(benchmark::State& state, hash::detail::Kernel kernel,
+              KernelSupported supported) {
+  if (!kernel_runs(state, supported)) return;
   std::string payload(static_cast<std::size_t>(state.range(0)), '\0');
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<char>(i * 131 + 7);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hash::crc32(payload));
+    benchmark::DoNotOptimize(kernel(payload, 0));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
 /// CRC-32 over bytes that are not in the core's cache: walks a 64 MiB
 /// buffer (train_failover's dataset size) in 1 MiB slices, the way a
 /// client verifies each freshly received 1 MiB payload.  BM_Crc32 above
 /// re-hashes one cache-resident buffer, so it shows the hot ceiling.
-void BM_Crc32Cold(benchmark::State& state) {
+void BM_Crc32Cold(benchmark::State& state, hash::detail::Kernel kernel,
+                  KernelSupported supported) {
+  if (!kernel_runs(state, supported)) return;
   constexpr std::size_t kBuffer = 64 << 20;
   constexpr std::size_t kSlice = 1 << 20;
   std::string buffer(kBuffer, '\0');
@@ -211,13 +225,37 @@ void BM_Crc32Cold(benchmark::State& state) {
   const std::string_view view(buffer);
   std::size_t offset = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hash::crc32(view.substr(offset, kSlice)));
+    benchmark::DoNotOptimize(kernel(view.substr(offset, kSlice), 0));
     offset = (offset + kSlice) % kBuffer;
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kSlice));
 }
-BENCHMARK(BM_Crc32Cold);
+
+// One run measures every folding kernel on the same box, so the wide
+// (512-bit) vs 128-bit ratio comes from a single binary and CPU.
+#if defined(__x86_64__)
+BENCHMARK_CAPTURE(BM_Crc32, clmul, hash::detail::crc32_clmul,
+                  hash::detail::clmul_supported)
+    ->Arg(4 << 10)
+    ->Arg(64 << 10)
+    ->Arg(1 << 20);
+BENCHMARK_CAPTURE(BM_Crc32, vpclmul, hash::detail::crc32_vpclmul,
+                  hash::detail::vpclmul_supported)
+    ->Arg(4 << 10)
+    ->Arg(64 << 10)
+    ->Arg(1 << 20);
+BENCHMARK_CAPTURE(BM_Crc32Cold, clmul, hash::detail::crc32_clmul,
+                  hash::detail::clmul_supported);
+BENCHMARK_CAPTURE(BM_Crc32Cold, vpclmul, hash::detail::crc32_vpclmul,
+                  hash::detail::vpclmul_supported);
+#else
+BENCHMARK_CAPTURE(BM_Crc32, portable, hash::detail::crc32_portable,
+                  [] { return true; })
+    ->Arg(4 << 10)
+    ->Arg(64 << 10)
+    ->Arg(1 << 20);
+#endif
 
 /// Manual budget check: 200k prehashed lookups, plain vs bounded (same
 /// ring, same hash stream), best of 3 rounds each.  The bounded walk may

@@ -1,6 +1,7 @@
 #include "hash/crc32.hpp"
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 
 #if defined(__x86_64__)
@@ -38,7 +39,43 @@ std::uint32_t update_portable(std::uint32_t c, const unsigned char* p,
 
 #if defined(__x86_64__)
 
+// Fold constant k(e) = reflect32(x^e mod P) << 1, P the CRC-32 polynomial
+// (0x04C11DB7 unreflected).  Folding a register a distance of D bits
+// multiplies its low and high 64-bit halves by k(D + 32) and k(D - 32).
+constexpr std::uint64_t fold_constant(unsigned e) {
+  std::uint32_t r = 1;  // x^0
+  for (unsigned i = 0; i < e; ++i) {
+    r = (r & 0x80000000U) ? (r << 1) ^ 0x04C11DB7U : r << 1;
+  }
+  std::uint32_t reflected = 0;
+  for (int bit = 0; bit < 32; ++bit) {
+    reflected |= ((r >> bit) & 1U) << (31 - bit);
+  }
+  return std::uint64_t{reflected} << 1;
+}
+
+struct FoldPair {
+  std::uint64_t lo;
+  std::uint64_t hi;
+};
+
+constexpr FoldPair fold_pair(unsigned distance_bits) {
+  return {fold_constant(distance_bits + 32), fold_constant(distance_bits - 32)};
+}
+
+// The published constants (Gopal et al.; zlib-ng, Chromium) are these.
+static_assert(fold_pair(512).lo == 0x0154442bd4 &&
+              fold_pair(512).hi == 0x01c6e41596);  // k1k2: 64-byte fold
+static_assert(fold_pair(128).lo == 0x01751997d0 &&
+              fold_pair(128).hi == 0x00ccaa009e);  // k3k4: 16-byte fold
+static_assert(fold_constant(64) == 0x0163cd6124);  // k5: 128 -> 64 bits
+
+constexpr FoldPair kFold64B = fold_pair(512);
+constexpr FoldPair kFold16B = fold_pair(128);
+constexpr FoldPair kFold256B = fold_pair(2048);
+
 constexpr std::size_t kFoldBlock = 64;
+constexpr std::size_t kWideFoldBlock = 256;
 using detail::kPrefetchDistance;
 
 __m128i load(const unsigned char* p) {
@@ -54,52 +91,21 @@ __attribute__((target("pclmul,sse4.1"))) inline __m128i fold(__m128i x,
   return _mm_xor_si128(_mm_xor_si128(hi, lo), next);
 }
 
-// Folds a whole number of 16-byte blocks (len >= 64, len % 16 == 0) into
-// the raw CRC register with carry-less multiplies: four 128-bit lanes fold
-// 64 bytes per round, collapse to one lane, fold the remaining 16-byte
-// blocks, then reduce 128 -> 64 -> 32 bits with a Barrett reduction.  The
-// constants are the bit-reflected fold distances (powers of x mod P) and
-// Barrett pair published in "Fast CRC Computation for Generic Polynomials
-// Using PCLMULQDQ Instruction" (Gopal et al., Intel, 2009); zlib-ng and
-// Chromium's crc32_simd use the same ones.
-__attribute__((target("pclmul,sse4.1"))) std::uint32_t fold_clmul(
-    std::uint32_t crc, const unsigned char* p, std::size_t len) {
-  alignas(16) static constexpr std::uint64_t k1k2[] = {0x0154442bd4,
-                                                       0x01c6e41596};
-  alignas(16) static constexpr std::uint64_t k3k4[] = {0x01751997d0,
-                                                       0x00ccaa009e};
-  alignas(16) static constexpr std::uint64_t k5k0[] = {0x0163cd6124, 0};
+// Shared by both folding kernels: collapses four 128-bit lanes (x1 the
+// lowest address) into one, folds the remaining whole 16-byte blocks of
+// [p, p + len), then reduces 128 -> 64 -> 32 bits with a Barrett
+// reduction.  The Barrett pair is P' and the reflected quotient
+// floor(x^64 / P), as published.  Always inlined, so the wide kernel's
+// copy is VEX-encoded like the rest of it and no call sits between them.
+__attribute__((target("pclmul,sse4.1"), always_inline)) inline std::uint32_t
+fold_tail(__m128i x1, __m128i x2, __m128i x3, __m128i x4,
+          const unsigned char* p, std::size_t len) {
+  alignas(16) static constexpr std::uint64_t k3k4[] = {kFold16B.lo,
+                                                       kFold16B.hi};
+  alignas(16) static constexpr std::uint64_t k5k0[] = {fold_constant(64), 0};
   alignas(16) static constexpr std::uint64_t poly[] = {0x01db710641,
                                                        0x01f7011641};
-  __m128i x1 = _mm_xor_si128(load(p),
-                             _mm_cvtsi32_si128(static_cast<int>(crc)));
-  __m128i x2 = load(p + 16);
-  __m128i x3 = load(p + 32);
-  __m128i x4 = load(p + 48);
-  p += kFoldBlock;
-  len -= kFoldBlock;
-
-  __m128i k = _mm_load_si128(reinterpret_cast<const __m128i*>(k1k2));
-  // Prefetch only while the line kPrefetchDistance ahead still lies inside
-  // the input; the plain loop folds the last kPrefetchDistance bytes (and
-  // all of a shorter input).
-  for (; len >= kPrefetchDistance + kFoldBlock;
-       p += kFoldBlock, len -= kFoldBlock) {
-    _mm_prefetch(reinterpret_cast<const char*>(p + kPrefetchDistance),
-                 _MM_HINT_T0);
-    x1 = fold(x1, k, load(p));
-    x2 = fold(x2, k, load(p + 16));
-    x3 = fold(x3, k, load(p + 32));
-    x4 = fold(x4, k, load(p + 48));
-  }
-  for (; len >= kFoldBlock; p += kFoldBlock, len -= kFoldBlock) {
-    x1 = fold(x1, k, load(p));
-    x2 = fold(x2, k, load(p + 16));
-    x3 = fold(x3, k, load(p + 32));
-    x4 = fold(x4, k, load(p + 48));
-  }
-
-  k = _mm_load_si128(reinterpret_cast<const __m128i*>(k3k4));
+  __m128i k = _mm_load_si128(reinterpret_cast<const __m128i*>(k3k4));
   x1 = fold(x1, k, x2);
   x1 = fold(x1, k, x3);
   x1 = fold(x1, k, x4);
@@ -126,11 +132,151 @@ __attribute__((target("pclmul,sse4.1"))) std::uint32_t fold_clmul(
   return static_cast<std::uint32_t>(_mm_extract_epi32(x1, 1));
 }
 
+// Folds a whole number of 16-byte blocks (len >= 64, len % 16 == 0) into
+// the raw CRC register with carry-less multiplies: four 128-bit lanes fold
+// 64 bytes per round, then fold_tail finishes.  The scheme and constants
+// are those of "Fast CRC Computation for Generic Polynomials Using
+// PCLMULQDQ Instruction" (Gopal et al., Intel, 2009), as in zlib-ng and
+// Chromium's crc32_simd.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t fold_clmul(
+    std::uint32_t crc, const unsigned char* p, std::size_t len) {
+  alignas(16) static constexpr std::uint64_t k1k2[] = {kFold64B.lo,
+                                                       kFold64B.hi};
+  __m128i x1 = _mm_xor_si128(load(p),
+                             _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x2 = load(p + 16);
+  __m128i x3 = load(p + 32);
+  __m128i x4 = load(p + 48);
+  p += kFoldBlock;
+  len -= kFoldBlock;
+
+  const __m128i k = _mm_load_si128(reinterpret_cast<const __m128i*>(k1k2));
+  // Prefetch only while the line kPrefetchDistance ahead still lies inside
+  // the input; the plain loop folds the last kPrefetchDistance bytes (and
+  // all of a shorter input).
+  for (; len >= kPrefetchDistance + kFoldBlock;
+       p += kFoldBlock, len -= kFoldBlock) {
+    _mm_prefetch(reinterpret_cast<const char*>(p + kPrefetchDistance),
+                 _MM_HINT_T0);
+    x1 = fold(x1, k, load(p));
+    x2 = fold(x2, k, load(p + 16));
+    x3 = fold(x3, k, load(p + 32));
+    x4 = fold(x4, k, load(p + 48));
+  }
+  for (; len >= kFoldBlock; p += kFoldBlock, len -= kFoldBlock) {
+    x1 = fold(x1, k, load(p));
+    x2 = fold(x2, k, load(p + 16));
+    x3 = fold(x3, k, load(p + 32));
+    x4 = fold(x4, k, load(p + 48));
+  }
+  return fold_tail(x1, x2, x3, x4, p, len);
+}
+
+#define FTC_CRC32_WIDE_TARGET "avx512f,avx512vl,vpclmulqdq,pclmul,sse4.1"
+
+__attribute__((target(FTC_CRC32_WIDE_TARGET))) inline __m512i load512(
+    const unsigned char* p) {
+  return _mm512_loadu_si512(p);
+}
+
+// A fold pair in each of a 512-bit register's four 128-bit lanes.
+__attribute__((target(FTC_CRC32_WIDE_TARGET))) inline __m512i broadcast(
+    FoldPair k) {
+  const auto lo = static_cast<long long>(k.lo);
+  const auto hi = static_cast<long long>(k.hi);
+  return _mm512_set_epi64(hi, lo, hi, lo, hi, lo, hi, lo);
+}
+
+// fold() on four 128-bit lanes at once; the three-way XOR is one
+// ternary-logic op (0x96 = a ^ b ^ c).
+__attribute__((target(FTC_CRC32_WIDE_TARGET))) inline __m512i fold512(
+    __m512i x, __m512i k, __m512i next) {
+  const __m512i lo = _mm512_clmulepi64_epi128(x, k, 0x00);
+  const __m512i hi = _mm512_clmulepi64_epi128(x, k, 0x11);
+  return _mm512_ternarylogic_epi64(hi, lo, next, 0x96);
+}
+
+// fold_clmul's scheme with 512-bit registers (len >= 256, len % 16 == 0):
+// four registers hold sixteen 128-bit lanes and fold 256 bytes per round
+// (a distance of 2048 bits), collapse into one register at a 512-bit
+// distance, fold any remaining 64-byte blocks, and hand that register's
+// four lanes to fold_tail.  The constants are built with
+// _mm512_set_epi64 and the lanes leave through one aligned store rather
+// than through the broadcast/extract intrinsics, whose
+// _mm512_undefined_* operands trip GCC 12's -Wuninitialized.
+__attribute__((target(FTC_CRC32_WIDE_TARGET))) std::uint32_t fold_vpclmul(
+    std::uint32_t crc, const unsigned char* p, std::size_t len) {
+  __m512i x1 = _mm512_xor_si512(
+      load512(p),
+      _mm512_zextsi128_si512(_mm_cvtsi32_si128(static_cast<int>(crc))));
+  __m512i x2 = load512(p + 64);
+  __m512i x3 = load512(p + 128);
+  __m512i x4 = load512(p + 192);
+  p += kWideFoldBlock;
+  len -= kWideFoldBlock;
+
+  __m512i k = broadcast(kFold256B);
+  // The same 4 KiB prefetch as fold_clmul: one line per 64 bytes folded.
+  for (; len >= kPrefetchDistance + kWideFoldBlock;
+       p += kWideFoldBlock, len -= kWideFoldBlock) {
+    const char* ahead = reinterpret_cast<const char*>(p + kPrefetchDistance);
+    _mm_prefetch(ahead, _MM_HINT_T0);
+    _mm_prefetch(ahead + 64, _MM_HINT_T0);
+    _mm_prefetch(ahead + 128, _MM_HINT_T0);
+    _mm_prefetch(ahead + 192, _MM_HINT_T0);
+    x1 = fold512(x1, k, load512(p));
+    x2 = fold512(x2, k, load512(p + 64));
+    x3 = fold512(x3, k, load512(p + 128));
+    x4 = fold512(x4, k, load512(p + 192));
+  }
+  for (; len >= kWideFoldBlock; p += kWideFoldBlock, len -= kWideFoldBlock) {
+    x1 = fold512(x1, k, load512(p));
+    x2 = fold512(x2, k, load512(p + 64));
+    x3 = fold512(x3, k, load512(p + 128));
+    x4 = fold512(x4, k, load512(p + 192));
+  }
+
+  k = broadcast(kFold64B);
+  x1 = fold512(x1, k, x2);
+  x1 = fold512(x1, k, x3);
+  x1 = fold512(x1, k, x4);
+  for (; len >= kFoldBlock; p += kFoldBlock, len -= kFoldBlock) {
+    x1 = fold512(x1, k, load512(p));
+  }
+
+  alignas(64) __m128i lanes[4] = {};
+  _mm512_store_si512(lanes, x1);
+  return fold_tail(lanes[0], lanes[1], lanes[2], lanes[3], p, len);
+}
+
+#undef FTC_CRC32_WIDE_TARGET
+
 #endif  // __x86_64__
 
 const unsigned char* bytes_of(std::string_view data) {
   return reinterpret_cast<const unsigned char*>(data.data());
 }
+
+#if defined(__x86_64__)
+
+// A folding kernel takes the 16-byte multiple of an input of 64 bytes or
+// more, the table loop the rest (all of a short input).
+template <typename Fold>
+std::uint32_t fold_then_table(std::string_view data, std::uint32_t initial,
+                              Fold fold) {
+  std::uint32_t c = initial ^ 0xFFFFFFFFU;
+  const unsigned char* p = bytes_of(data);
+  std::size_t len = data.size();
+  if (len >= kFoldBlock) {
+    const std::size_t bulk = len & ~std::size_t{15};
+    c = fold(c, p, bulk);
+    p += bulk;
+    len -= bulk;
+  }
+  return update_portable(c, p, len) ^ 0xFFFFFFFFU;
+}
+
+#endif  // __x86_64__
 
 }  // namespace
 
@@ -149,32 +295,61 @@ bool clmul_supported() {
   return supported;
 }
 
-// The folding kernel takes the 16-byte multiple of a long input, the table
-// loop the rest (all of a short input).
+bool vpclmul_supported() {
+  static const bool supported = clmul_supported() &&
+                                __builtin_cpu_supports("avx512f") &&
+                                __builtin_cpu_supports("avx512vl") &&
+                                __builtin_cpu_supports("vpclmulqdq");
+  return supported;
+}
+
 std::uint32_t crc32_clmul(std::string_view data, std::uint32_t initial) {
-  std::uint32_t c = initial ^ 0xFFFFFFFFU;
-  const unsigned char* p = bytes_of(data);
-  std::size_t len = data.size();
-  if (len >= kFoldBlock) {
-    const std::size_t bulk = len & ~std::size_t{15};
-    c = fold_clmul(c, p, bulk);
-    p += bulk;
-    len -= bulk;
-  }
-  return update_portable(c, p, len) ^ 0xFFFFFFFFU;
+  return fold_then_table(data, initial, fold_clmul);
+}
+
+std::uint32_t crc32_vpclmul(std::string_view data, std::uint32_t initial) {
+  return fold_then_table(
+      data, initial,
+      [](std::uint32_t crc, const unsigned char* p, std::size_t len) {
+        return len >= kWideFoldBlock ? fold_vpclmul(crc, p, len)
+                                     : fold_clmul(crc, p, len);
+      });
 }
 
 #endif  // __x86_64__
 
+Kernel active_kernel() {
+  static const Kernel kernel = []() -> Kernel {
+#if defined(__x86_64__)
+    if (vpclmul_supported()) return crc32_vpclmul;
+    if (clmul_supported()) return crc32_clmul;
+#endif
+    return crc32_portable;
+  }();
+  return kernel;
+}
+
 }  // namespace detail
 
+namespace {
+
+std::uint32_t resolve_then_run(std::string_view data, std::uint32_t initial);
+
+// crc32() calls through this pointer.  It starts at resolve_then_run,
+// which swaps in the CPU's kernel on the first call; after that a call
+// costs one relaxed load and an indirect call, with no static-guard check.
+std::atomic<detail::Kernel> g_kernel{resolve_then_run};
+
+std::uint32_t resolve_then_run(std::string_view data, std::uint32_t initial) {
+  const detail::Kernel kernel = detail::active_kernel();
+  g_kernel.store(kernel, std::memory_order_relaxed);
+  return kernel(data, initial);
+}
+
+}  // namespace
+
 std::uint32_t crc32(std::string_view data, std::uint32_t initial) {
-#if defined(__x86_64__)
-  if (detail::clmul_supported()) {
-    return detail::crc32_clmul(data, initial);
-  }
-#endif
-  return detail::crc32_portable(data, initial);
+  return g_kernel.load(std::memory_order_relaxed)(data, initial);
 }
 
 }  // namespace ftc::hash

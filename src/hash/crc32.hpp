@@ -5,20 +5,27 @@
 // client verifies it before handing bytes to training (`accept_response`,
 // `peer_rescue`, prefetch completions).
 //
-// Two kernels compute identical values.  On x86-64 CPUs with PCLMULQDQ,
-// inputs of 64 bytes or more are folded 64 bytes at a time with carry-less
-// multiplies and a Barrett reduction; everything else (other CPUs and
-// architectures, short inputs, the last 0-15 bytes) runs a bytewise table
-// loop.  The CPU is probed once, on first use.
+// Three kernels compute identical values.  On x86-64 CPUs with AVX-512F,
+// AVX-512VL and VPCLMULQDQ, a 16-byte-multiple bulk of 256 bytes or more
+// is folded 256 bytes a round in four 512-bit registers (sixteen 128-bit
+// lanes).  On CPUs with PCLMULQDQ (and, on the wide CPUs, for a bulk of
+// 64-255 bytes) the bulk is folded 64 bytes a round in four 128-bit
+// registers.  Both finish with the same 16-byte folds and Barrett
+// reduction.  Everything else (other CPUs and architectures, inputs under
+// 64 bytes, the last 0-15 bytes) runs a bytewise table loop.  crc32()
+// calls through a function pointer that is set to the CPU's kernel on the
+// first call; no option or build flag selects it.
 //
-// A client verifies bytes it has not touched yet, so the folding loop
-// prefetches kPrefetchDistance (4 KiB) ahead while that line is still
-// inside the input.  Release build, 4-vCPU x86-64 VM: 14-18 GiB/s on a
-// cache-resident buffer (bench_micro_hashring BM_Crc32), and on 1 MiB
-// slices of a 64 MiB buffer (BM_Crc32Cold) 5-5.5 GiB/s without the
-// prefetch, 9.5-11 GiB/s with it.  Inputs under 4 KiB + 128 B never prefetch.
-// hash_test places inputs flush against a PROT_NONE page to show that no
-// kernel loads past the end of its input.
+// A client verifies bytes it has not touched yet, so both folding loops
+// prefetch kPrefetchDistance (4 KiB) ahead while that line is still inside
+// the input (one line per 64 bytes folded); inputs under 4 KiB + 128 B
+// (128-bit) or 4 KiB + 512 B (512-bit) never prefetch.  Release build,
+// 4-vCPU Xeon VM with AVX-512 VPCLMULQDQ (bench_micro_hashring, medians
+// of five repetitions): on a cache-resident buffer (BM_Crc32) the 128-bit
+// fold runs at 17.7-18.8 GiB/s and the 512-bit fold at 60-77 GiB/s; on
+// 1 MiB slices of a 64 MiB buffer (BM_Crc32Cold), which is memory-bound,
+// at 16.0 and 20.8 GiB/s.  hash_test places inputs flush against a
+// PROT_NONE page to show that no kernel loads past the end of its input.
 #pragma once
 
 #include <cstddef>
@@ -41,10 +48,21 @@ std::uint32_t crc32_portable(std::string_view data, std::uint32_t initial);
 bool clmul_supported();
 std::uint32_t crc32_clmul(std::string_view data, std::uint32_t initial);
 
-/// How far ahead of the 64-byte fold crc32_clmul prefetches, in bytes.
-/// Inputs shorter than this plus 128 bytes are folded without prefetches.
+/// True when the CPU (and OS) support AVX-512F, AVX-512VL and VPCLMULQDQ
+/// as well as what crc32_clmul needs; crc32_vpclmul needs all of them.
+bool vpclmul_supported();
+std::uint32_t crc32_vpclmul(std::string_view data, std::uint32_t initial);
+
+/// How far ahead of the fold both folding kernels prefetch, in bytes.
+/// Inputs shorter than this plus two rounds (128 bytes for crc32_clmul,
+/// 512 for crc32_vpclmul) are folded without prefetches.
 inline constexpr std::size_t kPrefetchDistance = 4096;
 #endif
+
+using Kernel = std::uint32_t (*)(std::string_view, std::uint32_t);
+
+/// The kernel crc32() runs on this CPU.
+Kernel active_kernel();
 
 }  // namespace detail
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
+#include <string>
 
 #include "cluster/cluster.hpp"
 
@@ -21,9 +24,15 @@ ClusterConfig small_cluster(bool verify = true) {
   return config;
 }
 
-TEST(Integrity, CorruptedPayloadDetectedByCrc) {
+// A wire bit-flip in the first payload byte is caught whichever CRC-32
+// path verifies it: 128 B takes the 64-byte fold, 4 KiB and up the wide
+// fold on CPUs that have it, 64 KiB and 1 MiB its prefetching loop too.
+class CorruptionBySize : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(CorruptionBySize, CorruptedPayloadDetectedByCrc) {
   Cluster cluster(small_cluster(/*verify=*/true));
-  const auto paths = cluster.stage_dataset(20, 128);
+  const auto paths =
+      cluster.stage_dataset(20, static_cast<std::uint32_t>(GetParam()));
   cluster.warm_caches(paths);
   const NodeId owner = cluster.client(0).current_owner(paths[0]);
   cluster.transport().corrupt_next(owner, 1);
@@ -34,6 +43,15 @@ TEST(Integrity, CorruptedPayloadDetectedByCrc) {
   // The corruption was transient: the next read is clean.
   EXPECT_TRUE(cluster.client(0).read_file(paths[0]).is_ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(Integrity, CorruptionBySize,
+                         ::testing::Values(std::size_t{128},
+                                           std::size_t{4} << 10,
+                                           std::size_t{64} << 10,
+                                           std::size_t{1} << 20),
+                         [](const auto& info) {
+                           return std::to_string(info.param);
+                         });
 
 TEST(Integrity, ChecksumBypassAcceptsCorruption) {
   Cluster cluster(small_cluster(/*verify=*/false));

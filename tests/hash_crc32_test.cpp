@@ -67,25 +67,34 @@ TEST(Crc32, IncrementalMatchesWhole) {
   EXPECT_EQ(chained, whole);
 }
 
-using Kernel = std::uint32_t (*)(std::string_view, std::uint32_t);
+using detail::Kernel;
 
-// Every length 0..4160 (the 64-byte fold, the 16-byte single folds and
-// every 0-15-byte tail) at start offsets 0..15, with zero and non-zero
+#if defined(__x86_64__)
+// One prefetch distance plus two 256-byte rounds plus one 64-byte block:
+// the longest inputs run one prefetching round of either folding loop
+// before handing over to the plain loop.
+constexpr std::size_t kSweepLen = detail::kPrefetchDistance + 2 * 256 + 64;
+#else
+constexpr std::size_t kSweepLen = 4672;
+#endif
+
+// Every length 0..kSweepLen (the 256-byte and 64-byte rounds with and
+// without prefetches, the 64-byte and 16-byte single folds and every
+// 0-15-byte tail) at start offsets 0..15, with zero and non-zero
 // `initial`.  Expected values come from the reference, advanced one byte
 // per length, so the sweep stays O(n) per offset.
 void expect_matches_reference(Kernel kernel) {
-  constexpr std::size_t kMaxLen = 4160;
   constexpr std::size_t kMaxOffset = 15;
-  const std::string buf = random_bytes(kMaxLen + kMaxOffset, 7);
+  const std::string buf = random_bytes(kSweepLen + kMaxOffset, 7);
   for (const std::uint32_t initial : {0U, 0x12345678U}) {
     for (std::size_t offset = 0; offset <= kMaxOffset; ++offset) {
       std::uint32_t expected = initial;
-      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      for (std::size_t len = 0; len <= kSweepLen; ++len) {
         const std::string_view view(buf.data() + offset, len);
         ASSERT_EQ(kernel(view, initial), expected)
             << "len=" << len << " offset=" << offset
             << " initial=" << initial;
-        if (len < kMaxLen) {
+        if (len < kSweepLen) {
           expected = reference_crc32(
               std::string_view(buf.data() + offset + len, 1), expected);
         }
@@ -109,17 +118,44 @@ TEST(Crc32, ClmulKernelMatchesReference) {
   expect_matches_reference(detail::crc32_clmul);
 }
 
+TEST(Crc32, WideKernelMatchesReference) {
+  if (!detail::vpclmul_supported()) {
+    GTEST_SKIP() << "CPU lacks AVX-512F/AVX-512VL/VPCLMULQDQ";
+  }
+  expect_matches_reference(detail::crc32_vpclmul);
+  const std::string zeros(1U << 20, '\0');
+  EXPECT_EQ(detail::crc32_vpclmul(zeros, 0), 0xA738EA1CU);
+}
+
 TEST(Crc32, DispatchMatchesTheCpusKernel) {
-  const Kernel expected_kernel = detail::clmul_supported()
+  const Kernel expected_kernel = detail::vpclmul_supported()
+                                     ? detail::crc32_vpclmul
+                                 : detail::clmul_supported()
                                      ? detail::crc32_clmul
                                      : detail::crc32_portable;
-  // Lengths either side of the 64-byte fold threshold and its 16-byte steps.
-  constexpr std::size_t kLens[] = {0, 15, 63, 64, 65, 79, 80, 127, 128, 130};
-  const std::string buf = random_bytes(130, 9);
+  // Lengths either side of the 64-byte fold threshold and its 16-byte
+  // steps, and of the 256-byte wide fold threshold and its 64-byte steps.
+  constexpr std::size_t kLens[] = {0,   15,  63,  64,  65,  79,  80,
+                                   127, 128, 130, 255, 256, 257, 271,
+                                   272, 320, 511, 512};
+  const std::string buf = random_bytes(512, 9);
   for (const std::size_t len : kLens) {
     const std::string_view view(buf.data(), len);
     EXPECT_EQ(crc32(view, 0x12345678U), expected_kernel(view, 0x12345678U))
         << "len=" << len;
+  }
+}
+
+TEST(Crc32, DispatchSelectsWideKernelWhenTheCpuHasIt) {
+  const bool wide = __builtin_cpu_supports("avx512f") &&
+                    __builtin_cpu_supports("avx512vl") &&
+                    __builtin_cpu_supports("vpclmulqdq") &&
+                    detail::clmul_supported();
+  EXPECT_EQ(detail::vpclmul_supported(), wide);
+  if (wide) {
+    EXPECT_EQ(detail::active_kernel(), &detail::crc32_vpclmul);
+  } else {
+    EXPECT_NE(detail::active_kernel(), &detail::crc32_vpclmul);
   }
 }
 
@@ -178,10 +214,11 @@ constexpr std::size_t kGuardSweepLen = 4160;
 #endif
 
 // No kernel loads a byte past the end of its input.  Every length up to
-// two prefetch distances plus one fold block (so both the prefetching and
-// the plain 64-byte loop, their boundary, the 16-byte folds and the table
-// tail all run) ends flush against a guard page; the page boundary is
-// 16-byte aligned, so consecutive lengths start at all 16 alignments.
+// two prefetch distances plus one 64-byte block (so the prefetching and
+// the plain 256-byte and 64-byte loops, their boundaries, the single
+// 64-byte and 16-byte folds and the table tail all run) ends flush against
+// a guard page; the page boundary is 16-byte aligned, so consecutive
+// lengths start at all 16 alignments.
 void expect_no_overread(Kernel kernel) {
   constexpr std::size_t kBig = (1U << 20) + 13;
   GuardedRegion region(kBig);
@@ -210,6 +247,13 @@ TEST(Crc32, ClmulKernelNeverReadsPastTheEnd) {
     GTEST_SKIP() << "CPU lacks PCLMULQDQ/SSE4.1";
   }
   expect_no_overread(detail::crc32_clmul);
+}
+
+TEST(Crc32, WideKernelNeverReadsPastTheEnd) {
+  if (!detail::vpclmul_supported()) {
+    GTEST_SKIP() << "CPU lacks AVX-512F/AVX-512VL/VPCLMULQDQ";
+  }
+  expect_no_overread(detail::crc32_vpclmul);
 }
 #endif
 

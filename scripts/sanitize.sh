@@ -63,7 +63,15 @@
 # one- and three-worker endpoints, where a lost wake-up shows as a timeout;
 # the shutdown tests cancel queued calls while their callers are parked;
 # and LateReplyAfterTimeoutIsNotSeenByTheNextCall has a reply land after its
-# caller left, which ASan checks for use-after-free.
+# caller left, which ASan checks for use-after-free.  Those tests send from
+# another node, so they stay on the queued path.
+# Node-local calls (rpc_test TransportLocal suite) run the handler on the
+# caller's thread: TSan sees those handlers race worker-run handlers and
+# task-only items (a caller-thread serve's after_reply work, queued for a
+# worker) through the endpoint's slot count; the unregister tests race the
+# shutdown sweep against a worker for a queued task-only item and wait out
+# a handler still running on its caller's thread, which ASan checks for
+# use-after-free.
 # The after-reply path (rpc_test, cluster_test WriteBehind and Concurrency
 # suites): a handler queues work with Transport::after_reply, the endpoint
 # worker completes the caller's call and then runs it, so a write-behind
@@ -71,6 +79,9 @@
 # the caller already races ahead with the reply — and flush_data_mover
 # waits on that count from a test thread across four workers.  A missed
 # wake-up or an unpublished store write would surface here.
+# WriteBehind.LocalMissFillLandsBeforeARemoteReread adds the node-local
+# miss: the fill a reader's thread hands to its own node's worker races
+# the remote re-read queued behind it.
 # store_test also runs Manifest.FuzzedMutationsNeverCrash, so ASan checks
 # the manifest parser against seeded flips, truncations and insertions.
 # hash_test is not concurrent; it rides along for ASan/UBSan, which check

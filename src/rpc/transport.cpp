@@ -45,6 +45,16 @@ constexpr std::chrono::nanoseconds kNoTimeout{-1};
 /// The after_reply queue of the request the calling endpoint worker is
 /// handling; null on every other thread and while no handler runs.
 thread_local std::vector<std::function<void()>>* tls_after_reply = nullptr;
+
+/// Runs deferred tasks in order, then empties the list (keeping its
+/// capacity).  Off any handler: a task's own after_reply runs at once.
+void run_tasks(std::vector<std::function<void()>>& tasks) {
+  std::vector<std::function<void()>>* const outer = tls_after_reply;
+  tls_after_reply = nullptr;
+  for (auto& task : tasks) task();
+  tasks.clear();
+  tls_after_reply = outer;
+}
 }  // namespace
 
 void Transport::after_reply(std::function<void()> task) {
@@ -78,11 +88,7 @@ Transport::~Transport() {
     endpoints_.clear();
   }
   for (auto& endpoint : doomed) stop_endpoint(*endpoint);
-  for (auto& endpoint : doomed) {
-    for (auto& worker : endpoint->workers) {
-      if (worker.joinable()) worker.join();
-    }
-  }
+  for (auto& endpoint : doomed) join_endpoint(*endpoint);
 }
 
 Status Transport::register_endpoint(NodeId node, Handler handler,
@@ -98,6 +104,7 @@ Status Transport::register_endpoint(NodeId node, Handler handler,
   auto endpoint = std::make_shared<Endpoint>();
   endpoint->node = node;
   endpoint->handler = std::move(handler);
+  endpoint->slots = workers;
   Endpoint* raw = endpoint.get();
   endpoint->workers.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
@@ -119,9 +126,7 @@ Status Transport::unregister_endpoint(NodeId node) {
     endpoints_.erase(it);
   }
   stop_endpoint(*endpoint);
-  for (auto& worker : endpoint->workers) {
-    if (worker.joinable()) worker.join();
-  }
+  join_endpoint(*endpoint);
   return Status::ok();
 }
 
@@ -163,7 +168,155 @@ void Transport::stop_endpoint(Endpoint& endpoint) {
     endpoint.wake_seq.fetch_add(1, std::memory_order_relaxed);
   }
   futex_wake(endpoint.wake_seq, INT_MAX);
-  for (auto& call : cancelled) call->complete(PendingCall::kCancelled);
+  for (auto& call : cancelled) {
+    if (call->tasks.empty()) {
+      call->complete(PendingCall::kCancelled);
+    } else {
+      run_tasks(call->tasks);  // follow-ups of a reply already delivered
+    }
+  }
+}
+
+void Transport::join_endpoint(Endpoint& endpoint) {
+  for (auto& worker : endpoint.workers) {
+    if (worker.joinable()) worker.join();
+  }
+  // Workers give their slots back before they exit, so the slots still
+  // taken belong to handlers running on node-local callers' threads.
+  // Each wakes this thread when it finishes (release_inline_slot).
+  std::unique_lock lock(endpoint.mutex);
+  while (endpoint.active > 0) park(endpoint, lock);
+}
+
+void Transport::park(Endpoint& endpoint, std::unique_lock<std::mutex>& lock) {
+  // Read the word before unlocking: a bump after the unlock makes the park
+  // below return at once instead of sleeping through that wake-up.
+  const std::uint32_t seq = endpoint.wake_seq.load(std::memory_order_relaxed);
+  ++endpoint.sleepers;
+  lock.unlock();
+  futex_wait(endpoint.wake_seq, seq, kNoTimeout);
+  lock.lock();
+  --endpoint.sleepers;
+}
+
+void Transport::begin_handler(Endpoint& endpoint, const RpcRequest& request,
+                              std::int64_t enqueue_ns) {
+  // Load sample at pickup: requests still queued plus handlers already
+  // executing, this one included.  Folding it here (not at enqueue)
+  // means a backlog that drains slowly keeps reporting high load for
+  // as long as it exists, which is what the spill decision needs.
+  ++endpoint.inflight;
+  if (endpoint.load_report.enabled) {
+    const auto raw =
+        static_cast<double>(endpoint.queue.size() + endpoint.inflight);
+    endpoint.load_ewma += endpoint.load_report.alpha *
+                          (raw - endpoint.load_ewma);
+  }
+  // Queue-phase span: admission (enqueue) to pickup.  Recorded under the
+  // endpoint mutex like the counters; the recorder itself is wait-free so
+  // this adds no blocking.
+  if (endpoint.recorder != nullptr && enqueue_ns != 0) {
+    endpoint.recorder->record_span(
+        obs::RecordKind::kServerQueue, request.trace.child(), endpoint.node,
+        enqueue_ns, obs::now_ns(), static_cast<std::uint32_t>(StatusCode::kOk),
+        endpoint.queue.size(), "queue");
+  }
+}
+
+void Transport::finish_handler(Endpoint& endpoint, RpcResponse& response) {
+  if (endpoint.corruptions_remaining > 0 && !response.payload.empty()) {
+    --endpoint.corruptions_remaining;
+    // Post-checksum bit-flip on the wire.  Payload bytes are shared and
+    // immutable, so the corrupted copy must be a fresh buffer — the
+    // server's cached bytes stay intact, exactly like real wire
+    // corruption.
+    std::string corrupted = response.payload.to_string();
+    corrupted[0] ^= 0x01;
+    response.payload = common::Buffer(std::move(corrupted));
+  }
+  // Counted BEFORE the caller gets the response: a caller that observes
+  // the response must also observe it in the stats.
+  ++endpoint.stats.handled;
+  --endpoint.inflight;
+  // Piggyback the smoothed load estimate.  Stamped at the transport layer
+  // (not in the handler) so every op — reads, puts, pings, SWIM — carries
+  // the same signal without the server knowing.
+  if (endpoint.load_report.enabled) {
+    response.load_hint = encode_load_hint(endpoint.load_ewma);
+  }
+}
+
+int Transport::release_inline_slot(Endpoint& endpoint) {
+  --endpoint.active;
+  // A worker that parked while every slot was taken waits for this one.
+  // Once stopping, the only sleeper left is join_endpoint.
+  const int wake = endpoint.stopping ? INT_MAX
+                   : endpoint.queue.empty() ? 0
+                                            : 1;
+  if (wake == 0 || endpoint.sleepers == 0) return 0;
+  endpoint.wake_seq.fetch_add(1, std::memory_order_relaxed);
+  return wake;
+}
+
+std::optional<StatusOr<RpcResponse>> Transport::serve_inline(
+    Endpoint& endpoint, const RpcRequest& request,
+    std::chrono::milliseconds timeout) {
+  const auto deadline = Clock::now() + timeout;
+  {
+    std::lock_guard lock(endpoint.mutex);
+    // Only a call a worker would start at once, with no fault armed: every
+    // fault keeps its queued semantics, and a busy endpoint keeps FIFO
+    // order and its `workers` limit.
+    const bool eligible =
+        !endpoint.stopping && endpoint.queue.empty() &&
+        endpoint.active < endpoint.slots && !endpoint.killed &&
+        endpoint.drops_remaining == 0 && endpoint.drop_probability == 0.0 &&
+        endpoint.corruptions_remaining == 0 &&
+        endpoint.blocked_senders.empty() &&
+        endpoint.duplicate_probability == 0.0 &&
+        endpoint.reorder_probability == 0.0 &&
+        endpoint.extra_latency.count() == 0;
+    if (!eligible) return std::nullopt;
+    ++endpoint.active;
+    ++endpoint.stats.received;
+    if (!is_membership_op(request.op)) ++endpoint.stats.received_data;
+    ++endpoint.stats.local_served;
+    const bool traced = endpoint.recorder != nullptr && request.trace.sampled;
+    begin_handler(endpoint, request, traced ? obs::now_ns() : 0);
+  }
+  std::vector<std::function<void()>> deferred;
+  std::vector<std::function<void()>>* const outer = tls_after_reply;
+  tls_after_reply = &deferred;
+  RpcResponse response = endpoint.handler(request);
+  tls_after_reply = outer;
+  bool run_here = false;
+  int wake = 0;
+  {
+    std::lock_guard lock(endpoint.mutex);
+    finish_handler(endpoint, response);
+    if (!deferred.empty()) {
+      if (endpoint.stopping) {
+        run_here = true;  // the shutdown sweep has already run
+      } else {
+        // Front of the queue: a worker runs these follow-ups before it
+        // takes any request that arrived after this one.
+        auto item = std::make_shared<PendingCall>();
+        item->tasks = std::move(deferred);
+        endpoint.queue.push_front(std::move(item));
+      }
+    }
+    if (!run_here) wake = release_inline_slot(endpoint);
+  }
+  if (run_here) {
+    run_tasks(deferred);
+    std::lock_guard lock(endpoint.mutex);
+    wake = release_inline_slot(endpoint);
+  }
+  if (wake > 0) futex_wake(endpoint.wake_seq, wake);
+  if (Clock::now() > deadline) {
+    return Status::timeout("rpc to node " + std::to_string(endpoint.node));
+  }
+  return response;
 }
 
 StatusOr<RpcResponse> Transport::call(NodeId target, RpcRequest request,
@@ -173,6 +326,11 @@ StatusOr<RpcResponse> Transport::call(NodeId target, RpcRequest request,
     return Status::unavailable("no endpoint " + std::to_string(target));
   }
   Endpoint& endpoint = *found;
+  if (request.client_node == target) {
+    if (auto served = serve_inline(endpoint, request, timeout)) {
+      return std::move(*served);
+    }
+  }
   // The queue's reference keeps the record alive if we time out and the
   // worker later writes its reply into the void.
   auto call = std::make_shared<PendingCall>();
@@ -447,101 +605,73 @@ void Transport::worker_loop(Endpoint& endpoint) {
   // Reused across requests, so a steady stream of deferred tasks allocates
   // the queue once.
   std::vector<std::function<void()>> deferred;
+  // This worker's slot, held from pickup until the item's after_reply
+  // tasks have run, so a node-local call cannot start before they land.
+  bool holding_slot = false;
   for (;;) {
     std::shared_ptr<PendingCall> call;
     std::chrono::milliseconds latency{0};
+    bool task_only = false;
     {
       std::unique_lock lock(endpoint.mutex);
-      while (!endpoint.stopping && endpoint.queue.empty()) {
-        // Read the word before unlocking: an enqueue after the unlock bumps
-        // it, so the park below returns at once instead of sleeping through
-        // that enqueue's wake-up.
-        const std::uint32_t seq =
-            endpoint.wake_seq.load(std::memory_order_relaxed);
-        ++endpoint.sleepers;
-        lock.unlock();
-        futex_wait(endpoint.wake_seq, seq, kNoTimeout);
-        lock.lock();
-        --endpoint.sleepers;
+      if (holding_slot) {
+        --endpoint.active;
+        holding_slot = false;
+      }
+      while (!endpoint.stopping &&
+             (endpoint.queue.empty() ||
+              endpoint.active >= endpoint.slots)) {
+        park(endpoint, lock);
       }
       if (endpoint.stopping) return;
       call = std::move(endpoint.queue.front());
       endpoint.queue.pop_front();
-      if (endpoint.killed) {
-        // Crash-stop: discard silently; the call never completes and the
-        // client observes a timeout.
-        ++endpoint.stats.dropped;
-        continue;
-      }
-      if (endpoint.drops_remaining > 0) {
-        --endpoint.drops_remaining;
-        ++endpoint.stats.dropped;
-        continue;
-      }
-      if (endpoint.drop_probability > 0.0 &&
-          endpoint.drop_rng.chance(endpoint.drop_probability)) {
-        ++endpoint.stats.dropped;
-        continue;
-      }
-      latency = endpoint.extra_latency;
-      // Load sample at pickup: requests still queued plus handlers already
-      // executing, this one included.  Folding it here (not at enqueue)
-      // means a backlog that drains slowly keeps reporting high load for
-      // as long as it exists, which is what the spill decision needs.
-      ++endpoint.inflight;
-      if (endpoint.load_report.enabled) {
-        const auto raw =
-            static_cast<double>(endpoint.queue.size() + endpoint.inflight);
-        endpoint.load_ewma += endpoint.load_report.alpha *
-                              (raw - endpoint.load_ewma);
-      }
-      // Queue-phase span: admission (enqueue) to worker pickup.  Recorded
-      // under the endpoint mutex like the counters; the recorder itself is
-      // wait-free so this adds no blocking.
-      if (endpoint.recorder != nullptr && call->enqueue_ns != 0) {
-        endpoint.recorder->record_span(
-            obs::RecordKind::kServerQueue, call->request.trace.child(),
-            endpoint.node, call->enqueue_ns, obs::now_ns(),
-            static_cast<std::uint32_t>(StatusCode::kOk), endpoint.queue.size(),
-            "queue");
+      ++endpoint.active;
+      holding_slot = true;
+      task_only = !call->tasks.empty();
+      if (task_only) {
+        // A caller-thread serve's follow-ups: they run whatever faults are
+        // armed, as this worker's own follow-ups would.
+        deferred.swap(call->tasks);
+      } else {
+        if (endpoint.killed) {
+          // Crash-stop: discard silently; the call never completes and the
+          // client observes a timeout.
+          ++endpoint.stats.dropped;
+          continue;
+        }
+        if (endpoint.drops_remaining > 0) {
+          --endpoint.drops_remaining;
+          ++endpoint.stats.dropped;
+          continue;
+        }
+        if (endpoint.drop_probability > 0.0 &&
+            endpoint.drop_rng.chance(endpoint.drop_probability)) {
+          ++endpoint.stats.dropped;
+          continue;
+        }
+        latency = endpoint.extra_latency;
+        begin_handler(endpoint, call->request, call->enqueue_ns);
       }
     }
-    if (latency.count() > 0) std::this_thread::sleep_for(latency);
-    // Handler runs outside the endpoint lock so slow service does not block
-    // enqueue/kill operations.
-    tls_after_reply = &deferred;
-    // Written in place: the caller reads it only after complete() below.
-    RpcResponse& response = call->response;
-    response = endpoint.handler(call->request);
-    tls_after_reply = nullptr;
-    {
-      std::lock_guard lock(endpoint.mutex);
-      if (endpoint.corruptions_remaining > 0 && !response.payload.empty()) {
-        --endpoint.corruptions_remaining;
-        // Post-checksum bit-flip on the wire.  Payload bytes are shared
-        // and immutable, so the corrupted copy must be a fresh buffer —
-        // the server's cached bytes stay intact, exactly like real wire
-        // corruption.
-        std::string corrupted = response.payload.to_string();
-        corrupted[0] ^= 0x01;
-        response.payload = common::Buffer(std::move(corrupted));
+    if (!task_only) {
+      if (latency.count() > 0) std::this_thread::sleep_for(latency);
+      // Handler runs outside the endpoint lock so slow service does not
+      // block enqueue/kill operations.
+      tls_after_reply = &deferred;
+      // Written in place: the caller reads it only after complete() below.
+      RpcResponse& response = call->response;
+      response = endpoint.handler(call->request);
+      tls_after_reply = nullptr;
+      {
+        std::lock_guard lock(endpoint.mutex);
+        finish_handler(endpoint, response);
       }
-      // Count BEFORE completing the call: a caller that observes the
-      // response must also observe it in the stats.
-      ++endpoint.stats.handled;
-      --endpoint.inflight;
-      // Piggyback the smoothed load estimate.  Stamped at the transport
-      // layer (not in the handler) so every op — reads, puts, pings,
-      // SWIM — carries the same signal without the server knowing.
-      if (endpoint.load_report.enabled) {
-        response.load_hint = encode_load_hint(endpoint.load_ewma);
-      }
+      call->complete(PendingCall::kDone);
     }
-    call->complete(PendingCall::kDone);
     // after_reply work: the caller already has its answer; this worker
     // finishes the request's follow-ups before it takes the next one.
-    for (auto& task : deferred) task();
-    deferred.clear();
+    run_tasks(deferred);
   }
 }
 

@@ -6,7 +6,11 @@
 // word with a deadline, the worker writes the reply in place and wakes the
 // caller only if it parked.  Both sides sleep on Linux private futexes
 // (workers on a per-endpoint sequence word), so an uncontended call costs
-// at most four futex syscalls.  A handler may queue
+// at most four futex syscalls.  A node-local call (the request's
+// client_node is the target) that the endpoint could start at once, with
+// no fault armed, skips the hand-off: the handler runs on the calling
+// thread, holding one of the endpoint's `workers` slots, and costs no
+// futex syscall.  A handler may queue
 // follow-up work with after_reply(); the worker runs it once the reply is
 // delivered, before it takes its next request (Mercury's handler idiom:
 // HG_Respond, then keep working).
@@ -43,6 +47,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <thread>
 #include <unordered_map>
@@ -82,7 +87,10 @@ using Clock = std::chrono::steady_clock;
   /* extra deliveries by the duplication fault (in `received` too) */        \
   X(duplicated, "ftc_transport_duplicated_total")                            \
   /* requests displaced out of FIFO order by the reordering fault */         \
-  X(reordered, "ftc_transport_reordered_total")
+  X(reordered, "ftc_transport_reordered_total")                              \
+  /* node-local calls served on the caller's thread (in `received` and    */ \
+  /* `handled` too)                                                       */ \
+  X(local_served, "ftc_transport_local_served_total")
 
 class Transport {
  public:
@@ -92,7 +100,7 @@ class Transport {
   /// Drains async completions, then stops every endpoint: calls still
   /// queued complete kCancelled at once (their callers return promptly),
   /// handlers already running finish and reply, and workers are joined
-  /// after their after_reply tasks have run.
+  /// after their after_reply tasks have run (see unregister_endpoint).
   ~Transport();
 
   Transport(const Transport&) = delete;
@@ -108,12 +116,21 @@ class Transport {
                            std::size_t workers = 1);
 
   /// Stops and joins an endpoint's workers.  Calls still queued fail with
-  /// kCancelled at once; handlers already running finish and reply.
+  /// kCancelled at once; handlers already running finish and reply.  Once
+  /// it returns, every after_reply task has run and no handler runs on a
+  /// node-local caller's thread.
   Status unregister_endpoint(NodeId node);
 
   /// Blocking call with deadline.  Timeout produces StatusCode::kTimeout;
   /// calling an unknown endpoint produces kUnavailable immediately (models
   /// a connection refused, distinct from an unresponsive node).
+  ///
+  /// A node-local call (`request.client_node == target`) runs the handler
+  /// on the calling thread when the endpoint could start it at once: it is
+  /// not stopping, its queue is empty, fewer than `workers` handlers are
+  /// running, and no fault is armed on it.  It counts, samples load,
+  /// traces and defers after_reply work as a worker would, and returns
+  /// kTimeout if the handler outlasted `timeout`.  Every other call queues.
   StatusOr<RpcResponse> call(NodeId target, RpcRequest request,
                              std::chrono::milliseconds timeout);
 
@@ -140,7 +157,10 @@ class Transport {
   /// worker, queues `task`; the worker runs the queue, in call order, right
   /// after it resolves that request's reply and before it picks up its
   /// next request — the caller is already unblocked, yet one worker's
-  /// follow-ups land before it serves anything else.  Called from any
+  /// follow-ups land before it serves anything else.  A handler served on
+  /// a node-local caller's thread hands its tasks to the endpoint as one
+  /// item at the front of the queue, which a worker runs before its next
+  /// request.  Called from any
   /// other thread (a handler invoked directly, not through the
   /// transport), runs `task` at once.  A task that calls after_reply runs
   /// the nested task at once too.  unregister_endpoint() and the
@@ -239,10 +259,10 @@ class Transport {
   /// Load reporting: when enabled, every response from `node` (including
   /// admission kBusy rejections) carries an RpcResponse::load_hint — an
   /// EWMA of the endpoint's instantaneous load (ingress queue depth plus
-  /// handlers in flight), sampled at worker pickup.  This is the piggyback
-  /// channel the bounded-load lookup and hot-file load spreading consume;
-  /// clients learn server load purely from traffic they were sending
-  /// anyway.  `alpha` in (0, 1] is the EWMA smoothing factor.  Disabled
+  /// handlers in flight), sampled when a handler starts.  This is the
+  /// piggyback channel the bounded-load lookup and hot-file load spreading
+  /// consume; clients learn server load purely from traffic they were
+  /// sending anyway.  `alpha` in (0, 1] is the EWMA smoothing factor.  Disabled
   /// (the default) leaves load_hint at 0 — bit-for-bit legacy wire.
   struct LoadReportConfig {
     bool enabled = false;
@@ -253,7 +273,8 @@ class Transport {
   /// Attaches the node's flight recorder (not owned; must outlive the
   /// endpoint).  Once attached, *sampled* requests get their server-side
   /// admission verdicts recorded: a kServerQueue span from enqueue to
-  /// worker pickup, and a kServerShed event when admission rejects.
+  /// worker pickup (zero-length for a call served on its caller's
+  /// thread), and a kServerShed event when admission rejects.
   /// nullptr detaches.  Untraced requests pay one null/flag check.
   void set_flight_recorder(NodeId node, obs::FlightRecorder* recorder);
 
@@ -271,7 +292,9 @@ class Transport {
   /// into live memory.  `state` is the caller's futex word: kPending until
   /// the caller parks (kParked); the worker writes `response` and then
   /// publishes kDone (or the shutdown sweep kCancelled) with release
-  /// semantics, issuing a wake only when the caller parked.
+  /// semantics, issuing a wake only when the caller parked.  A record with
+  /// `tasks` is a task-only item instead: the after_reply work of a
+  /// handler served on its caller's thread, run by whoever pops it.
   struct PendingCall {
     static constexpr std::uint32_t kPending = 0;
     static constexpr std::uint32_t kParked = 1;
@@ -284,6 +307,8 @@ class Transport {
     RpcResponse response;
     /// Enqueue timestamp for the kServerQueue span; 0 when untraced.
     std::int64_t enqueue_ns = 0;
+    /// Non-empty only in a task-only item.
+    std::vector<std::function<void()>> tasks;
 
     /// Publishes kDone (after writing `response`) or kCancelled; called
     /// once, by whoever popped the call from the queue.
@@ -312,6 +337,12 @@ class Transport {
     /// Handlers currently executing (incremented at pickup, decremented
     /// when the response is stamped); part of the load sample.
     std::size_t inflight = 0;
+    /// The `workers` count: at most this many handlers run at once.
+    std::size_t slots = 1;
+    /// Slots taken: a worker holds one from pickup until it has run that
+    /// item's after_reply tasks, a node-local caller for its whole serve.
+    /// Workers wait while every slot is taken.
+    std::size_t active = 0;
     /// Smoothed load estimate (queue depth + inflight), updated at worker
     /// pickup under the endpoint mutex.  Only advances while load
     /// reporting is enabled.
@@ -337,14 +368,44 @@ class Transport {
 
   void worker_loop(Endpoint& endpoint);
 
+  /// Serves a node-local call on the calling thread when `endpoint` could
+  /// start it at once with no fault armed; nullopt leaves it to the queue.
+  static std::optional<StatusOr<RpcResponse>> serve_inline(
+      Endpoint& endpoint, const RpcRequest& request,
+      std::chrono::milliseconds timeout);
+
+  /// Under the endpoint mutex, at handler start: counts the handler in
+  /// flight, samples the load EWMA and records the kServerQueue span
+  /// (when `enqueue_ns` is nonzero).
+  static void begin_handler(Endpoint& endpoint, const RpcRequest& request,
+                            std::int64_t enqueue_ns);
+
+  /// Under the endpoint mutex, once the handler returned: applies an
+  /// armed corruption, counts the request handled and stamps load_hint.
+  static void finish_handler(Endpoint& endpoint, RpcResponse& response);
+
+  /// Under the endpoint mutex: gives back a caller-thread serve's slot.
+  /// Returns how many parked threads to wake on `wake_seq` (bumped here):
+  /// one worker when requests wait, all once the endpoint is stopping.
+  static int release_inline_slot(Endpoint& endpoint);
+
   /// Looks up `node` under the registry lock (shared); null when absent.
   /// The returned reference keeps the endpoint alive after the lock is
   /// released, so a caller can wake its workers outside every lock.
   std::shared_ptr<Endpoint> find_endpoint(NodeId node) const;
 
-  /// Marks the endpoint stopping, cancels every queued call and wakes all
-  /// of its workers; the caller then joins them.
+  /// Marks the endpoint stopping, cancels every queued call, runs every
+  /// queued task-only item and wakes all of its workers.
   static void stop_endpoint(Endpoint& endpoint);
+
+  /// After stop_endpoint: joins the workers, then waits until no handler
+  /// runs on a node-local caller's thread.
+  static void join_endpoint(Endpoint& endpoint);
+
+  /// With `lock` held on the endpoint mutex: sleeps on `wake_seq` until a
+  /// bump (an enqueue, a slot release or a stop), then re-locks.  Callers
+  /// re-check their condition in a loop.
+  static void park(Endpoint& endpoint, std::unique_lock<std::mutex>& lock);
 
   /// Exclusive only in register/unregister/~Transport; every other path,
   /// the call path included, takes it shared and only for the lookup.

@@ -170,6 +170,71 @@ TEST(WriteBehind, BackToBackRereadsCostOnePfsReadPerFile) {
   EXPECT_EQ(hits, kFiles);
 }
 
+struct RereadOutcome {
+  std::uint64_t pfs_reads = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t local_served = 0;
+};
+
+/// Four nodes, one endpoint worker each, write-behind on: each file is read
+/// by its owner's own client and, right after, by another node's client,
+/// in the order `owner_first` picks.  The owner's read is node-local, so
+/// it runs on the reader's thread whenever the owner's worker is idle.
+RereadOutcome reread_each_file_from_both_sides(bool owner_first) {
+  ClusterConfig config;
+  config.node_count = 4;
+  config.client.mode = FtMode::kHashRingRecache;
+  config.client.rpc_timeout = 2000ms;
+  config.server.async_data_mover = true;
+  config.server.endpoint_workers = 1;
+  Cluster cluster(config);
+  const auto paths = cluster.stage_dataset(200, 256);
+  for (const auto& path : paths) {
+    const NodeId owner = cluster.client(0).current_owner(path);
+    const NodeId remote = (owner + 1) % cluster.node_count();
+    EXPECT_TRUE(cluster.client(owner_first ? owner : remote)
+                    .read_file(path)
+                    .is_ok())
+        << path;
+    EXPECT_TRUE(cluster.client(owner_first ? remote : owner)
+                    .read_file(path)
+                    .is_ok())
+        << path;
+  }
+  RereadOutcome outcome;
+  outcome.pfs_reads = cluster.pfs().read_count();
+  for (NodeId n = 0; n < cluster.node_count(); ++n) {
+    const auto stats = cluster.server(n).stats_snapshot();
+    outcome.hits += stats.cache_hits;
+    outcome.misses += stats.cache_misses;
+    outcome.local_served += cluster.transport().stats(n).local_served;
+  }
+  return outcome;
+}
+
+TEST(WriteBehind, LocalMissFillLandsBeforeARemoteReread) {
+  // The owner's node-local miss hands its fill to the front of the owner's
+  // endpoint queue, ahead of the remote re-read that follows: the re-read
+  // hits, and each file costs one PFS read.
+  const RereadOutcome outcome = reread_each_file_from_both_sides(true);
+  EXPECT_EQ(outcome.pfs_reads, 200u);
+  EXPECT_EQ(outcome.misses, 200u);
+  EXPECT_EQ(outcome.hits, 200u);
+  // Most first reads took the node-local path (one may queue while the
+  // owner's worker still finishes the previous file's re-read).
+  EXPECT_GT(outcome.local_served, 100u);
+}
+
+TEST(WriteBehind, RemoteMissFillLandsBeforeALocalReread) {
+  // The owner's worker keeps its slot until the remote miss's fill has
+  // run, so the owner's own node-local re-read cannot start before it.
+  const RereadOutcome outcome = reread_each_file_from_both_sides(false);
+  EXPECT_EQ(outcome.pfs_reads, 200u);
+  EXPECT_EQ(outcome.misses, 200u);
+  EXPECT_EQ(outcome.hits, 200u);
+}
+
 TEST(WriteBehind, DirectHandleMissIsCachedOnReturn) {
   // Off an endpoint worker there is no reply to wait for: the write-behind
   // runs inside handle(), so the entry exists when the call returns.

@@ -108,6 +108,40 @@ TEST(TracePropagation, ReadProducesLinkedSpanTree) {
                           }));
 }
 
+TEST(TracePropagation, NodeLocalReadsRecordServerSpans) {
+  // A read whose owner is the reader's own node runs the handler on the
+  // reader's thread, and still records the server's queue and handle spans
+  // under its attempt, as a read served by the owner's worker does.
+  Cluster cluster(traced_config());
+  const auto paths = cluster.stage_dataset(16, 64);
+  cluster.warm_caches(paths);
+  const std::uint64_t before = cluster.transport().stats(0).local_served;
+  for (const auto& path : paths) {
+    ASSERT_TRUE(cluster.client(0).read_file(path).is_ok());
+  }
+  EXPECT_GT(cluster.transport().stats(0).local_served, before);
+
+  const std::vector<obs::Record> records = cluster.dump_traces();
+  const auto queues = of_kind(records, obs::RecordKind::kServerQueue);
+  const auto handles = of_kind(records, obs::RecordKind::kServerHandle);
+  const auto under = [](const std::vector<obs::Record>& spans,
+                        const obs::Record& attempt) {
+    return std::any_of(spans.begin(), spans.end(), [&](const obs::Record& s) {
+      return s.trace_id == attempt.trace_id &&
+             s.parent_span_id == attempt.span_id && s.node == attempt.node;
+    });
+  };
+  std::size_t local_attempts = 0;
+  for (const obs::Record& attempt :
+       of_kind(records, obs::RecordKind::kClientAttempt)) {
+    if (attempt.node != 0) continue;
+    ++local_attempts;
+    EXPECT_TRUE(under(queues, attempt)) << "attempt " << attempt.span_id;
+    EXPECT_TRUE(under(handles, attempt)) << "attempt " << attempt.span_id;
+  }
+  EXPECT_GT(local_attempts, 0u);
+}
+
 TEST(TracePropagation, SampleEveryZeroAttachesButRecordsNoReads) {
   auto config = traced_config();
   config.obs.sample_every = 0;  // recorders wired, nothing sampled

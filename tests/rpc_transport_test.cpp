@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -22,6 +23,14 @@ RpcResponse echo_handler(const RpcRequest& request) {
   response.code = StatusCode::kOk;
   response.payload = "echo:" + request.path;
   return response;
+}
+
+/// A request from a node other than `target`: it always takes the queued
+/// path, never the node-local shortcut.
+RpcRequest remote_request(NodeId target) {
+  RpcRequest request;
+  request.client_node = target + 1;
+  return request;
 }
 
 /// Polls `done` every millisecond for up to two seconds.
@@ -59,7 +68,7 @@ ShutdownOutcome shutdown_with_queued_calls(Transport& transport,
   for (std::size_t i = 0; i < 4; ++i) {
     callers.emplace_back([&transport, &outcome, i] {
       const auto start = Clock::now();
-      const auto result = transport.call(0, RpcRequest{}, 2000ms);
+      const auto result = transport.call(0, remote_request(0), 2000ms);
       outcome.took[i] = Clock::now() - start;
       outcome.codes[i] = result.status().code();
     });
@@ -245,7 +254,7 @@ TEST(Transport, LateReplyAfterTimeoutIsNotSeenByTheNextCall) {
     return echo_handler(request);
   });
   transport.register_endpoint(1, echo_handler);
-  RpcRequest late;
+  RpcRequest late = remote_request(0);
   late.path = "/late";
   EXPECT_EQ(transport.call(0, late, 5ms).status().code(),
             StatusCode::kTimeout);
@@ -304,7 +313,7 @@ TEST(Transport, ParkedWorkersNeverMissAWakeup) {
       for (int k = 0; k < kCallsPerCaller; ++k) {
         const auto target = static_cast<NodeId>(
             c < static_cast<int>(kPrivate) ? c : kPrivate + k % 2);
-        RpcRequest request;
+        RpcRequest request = remote_request(target);
         request.path = std::to_string(k * 7 + c);
         if (!transport.call(target, request, 2000ms).is_ok()) ++failures[c];
       }
@@ -343,7 +352,7 @@ TEST(Transport, AfterReplyRunsAfterTheReplyBeforeTheNextRequest) {
   Transport transport;
   ASSERT_TRUE(transport.register_endpoint(0, handler).is_ok());
   for (const char* path : {"a", "b"}) {
-    RpcRequest request;
+    RpcRequest request = remote_request(0);
     request.path = path;
     ASSERT_TRUE(transport.call(0, request, 1000ms).is_ok());
   }
@@ -366,13 +375,383 @@ TEST(Transport, AfterReplyDoesNotDelayTheReply) {
     });
     return echo_handler(request);
   });
-  const bool replied = transport.call(0, RpcRequest{}, 1000ms).is_ok();
+  const bool replied = transport.call(0, remote_request(0), 1000ms).is_ok();
   const bool done_before_reply = task_done.load();
   caller_returned.store(true);  // before any assert: the task must finish
   ASSERT_TRUE(transport.unregister_endpoint(0).is_ok());
   EXPECT_TRUE(replied);
   EXPECT_FALSE(done_before_reply);
   EXPECT_TRUE(task_done.load());
+}
+
+// Node-local calls: a request whose client_node is the target runs on the
+// caller's thread when the endpoint could start it at once, fault-free.
+
+/// A request from `node` to its own endpoint.
+RpcRequest local_request(NodeId node, std::string path = "/f") {
+  RpcRequest request;
+  request.client_node = node;
+  request.path = std::move(path);
+  return request;
+}
+
+TEST(TransportLocal, SameNodeCallRunsOnTheCallersThread) {
+  std::thread::id ran_on;
+  Transport transport;
+  ASSERT_TRUE(transport
+                  .register_endpoint(2,
+                                     [&ran_on](const RpcRequest& request) {
+                                       ran_on = std::this_thread::get_id();
+                                       return echo_handler(request);
+                                     })
+                  .is_ok());
+  const auto result = transport.call(2, local_request(2), 1000ms);
+  ASSERT_TRUE(result.is_ok());
+  EXPECT_EQ(result.value().payload, "echo:/f");
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  auto stats = transport.stats(2);
+  EXPECT_EQ(stats.received, 1u);
+  EXPECT_EQ(stats.received_data, 1u);
+  EXPECT_EQ(stats.handled, 1u);
+  EXPECT_EQ(stats.local_served, 1u);
+  // A call from another node still crosses to the endpoint's worker.
+  ASSERT_TRUE(transport.call(2, remote_request(2), 1000ms).is_ok());
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+  stats = transport.stats(2);
+  EXPECT_EQ(stats.received, 2u);
+  EXPECT_EQ(stats.handled, 2u);
+  EXPECT_EQ(stats.local_served, 1u);
+}
+
+/// Node 0's one-worker echo endpoint, called only by node 0 itself.
+struct LocalEndpoint {
+  std::atomic<int> handled{0};  // declared first: outlives the workers
+  Transport transport;
+
+  LocalEndpoint() {
+    transport.register_endpoint(0, [this](const RpcRequest& request) {
+      handled.fetch_add(1);
+      return echo_handler(request);
+    });
+  }
+  StatusOr<RpcResponse> call(std::chrono::milliseconds timeout) {
+    return transport.call(0, local_request(0), timeout);
+  }
+  std::uint64_t local_served() const {
+    return transport.stats(0).local_served;
+  }
+};
+
+TEST(TransportLocal, KilledEndpointTakesTheQueuedPathAndTimesOut) {
+  LocalEndpoint ep;
+  ep.transport.kill(0);
+  EXPECT_EQ(ep.call(30ms).status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(ep.transport.stats(0).dropped, 1u);
+  EXPECT_EQ(ep.handled.load(), 0);
+  ep.transport.revive(0);
+  EXPECT_TRUE(ep.call(1000ms).is_ok());
+  EXPECT_EQ(ep.local_served(), 1u);  // once the fault is gone
+}
+
+TEST(TransportLocal, DroppedRequestsTakeTheQueuedPathAndTimeOut) {
+  LocalEndpoint ep;
+  ep.transport.drop_next(0, 1);
+  EXPECT_EQ(ep.call(30ms).status().code(), StatusCode::kTimeout);
+  ep.transport.set_drop_probability(0, 1.0, 7);
+  EXPECT_EQ(ep.call(30ms).status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(ep.transport.stats(0).dropped, 2u);
+  ep.transport.set_drop_probability(0, 0.0);
+  EXPECT_TRUE(ep.call(1000ms).is_ok());
+  EXPECT_EQ(ep.local_served(), 1u);
+}
+
+TEST(TransportLocal, CorruptionTakesTheQueuedPathAndFlipsAByte) {
+  LocalEndpoint ep;
+  ep.transport.corrupt_next(0, 1);
+  const auto corrupted = ep.call(1000ms);
+  ASSERT_TRUE(corrupted.is_ok());
+  EXPECT_EQ(corrupted.value().payload, "dcho:/f");  // 'e' ^ 0x01
+  EXPECT_EQ(ep.local_served(), 0u);
+  const auto clean = ep.call(1000ms);
+  ASSERT_TRUE(clean.is_ok());
+  EXPECT_EQ(clean.value().payload, "echo:/f");
+}
+
+TEST(TransportLocal, BlockedSenderTakesTheQueuedPathAndTimesOut) {
+  LocalEndpoint ep;
+  ep.transport.set_blocked_senders(0, {0});
+  EXPECT_EQ(ep.call(30ms).status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(ep.transport.stats(0).partition_dropped, 1u);
+  EXPECT_EQ(ep.handled.load(), 0);
+  ep.transport.set_blocked_senders(0, {});
+  EXPECT_TRUE(ep.call(1000ms).is_ok());
+  EXPECT_EQ(ep.local_served(), 1u);
+}
+
+TEST(TransportLocal, ExtraLatencyTakesTheQueuedPathAndTimesOut) {
+  LocalEndpoint ep;
+  ep.transport.set_extra_latency(0, 100ms);
+  EXPECT_EQ(ep.call(20ms).status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(ep.local_served(), 0u);
+  ep.transport.set_extra_latency(0, 0ms);
+  EXPECT_TRUE(ep.call(2000ms).is_ok());
+}
+
+TEST(TransportLocal, DuplicationTakesTheQueuedPathAndHandlesTwice) {
+  LocalEndpoint ep;
+  ep.transport.set_duplicate_probability(0, 1.0, 3);
+  EXPECT_TRUE(ep.call(1000ms).is_ok());
+  EXPECT_TRUE(eventually([&ep] { return ep.handled.load() == 2; }));
+  EXPECT_EQ(ep.transport.stats(0).duplicated, 1u);
+  EXPECT_EQ(ep.local_served(), 0u);
+}
+
+TEST(TransportLocal, ReorderingTakesTheQueuedPath) {
+  LocalEndpoint ep;
+  ep.transport.set_reorder(0, 1.0, 2, 5);
+  EXPECT_TRUE(ep.call(1000ms).is_ok());
+  EXPECT_EQ(ep.local_served(), 0u);
+}
+
+TEST(TransportLocal, OneWorkerRunsOneHandlerAtATime) {
+  // While the only worker serves a slow remote call, a node-local call
+  // queues behind it; while a node-local call holds the only slot, a
+  // remote call waits for it.  Either way one handler runs at a time.
+  std::atomic<int> running{0};
+  std::atomic<int> most{0};
+  Transport transport;
+  transport.register_endpoint(0, [&](const RpcRequest& request) {
+    const int now = running.fetch_add(1) + 1;
+    int seen = most.load();
+    while (now > seen && !most.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(request.path == "slow" ? 50ms : 1ms);
+    running.fetch_sub(1);
+    return echo_handler(request);
+  });
+  RpcRequest slow_remote = remote_request(0);
+  slow_remote.path = "slow";
+  std::thread remote([&] {
+    EXPECT_TRUE(transport.call(0, slow_remote, 2000ms).is_ok());
+  });
+  EXPECT_TRUE(eventually([&] { return running.load() == 1; }));
+  EXPECT_TRUE(transport.call(0, local_request(0), 2000ms).is_ok());
+  remote.join();
+  EXPECT_EQ(transport.stats(0).local_served, 0u);
+
+  std::this_thread::sleep_for(20ms);  // the worker gives its slot back
+  std::thread local([&] {
+    EXPECT_TRUE(transport.call(0, local_request(0, "slow"), 2000ms).is_ok());
+  });
+  EXPECT_TRUE(eventually([&] { return running.load() == 1; }));
+  EXPECT_TRUE(transport.call(0, remote_request(0), 2000ms).is_ok());
+  local.join();
+  EXPECT_EQ(transport.stats(0).local_served, 1u);
+  EXPECT_EQ(most.load(), 1);
+}
+
+TEST(TransportLocal, AfterReplyRunsAfterTheCallerReturnsBeforeTheNextRequest) {
+  // The task of a handler served on its caller's thread runs on a worker:
+  // after the caller holds its reply, and before the endpoint serves the
+  // next request, node-local or remote.
+  std::atomic<bool> caller_returned{false};
+  std::atomic<bool> task_done{false};
+  std::thread::id task_thread;
+  std::vector<bool> task_done_at_handle;
+  Transport transport;
+  transport.register_endpoint(0, [&](const RpcRequest& request) {
+    if (request.path == "a") {
+      Transport::after_reply([&] {
+        while (!caller_returned.load()) std::this_thread::yield();
+        std::this_thread::sleep_for(10ms);  // long enough to be overtaken
+        task_thread = std::this_thread::get_id();
+        task_done.store(true);
+      });
+    } else {
+      task_done_at_handle.push_back(task_done.load());
+    }
+    return echo_handler(request);
+  });
+  const bool replied = transport.call(0, local_request(0, "a"), 1000ms).is_ok();
+  const bool done_before_return = task_done.load();
+  caller_returned.store(true);  // before any assert: the task must finish
+  EXPECT_TRUE(transport.call(0, local_request(0, "b"), 1000ms).is_ok());
+  RpcRequest remote = remote_request(0);
+  remote.path = "c";
+  EXPECT_TRUE(transport.call(0, remote, 1000ms).is_ok());
+  ASSERT_TRUE(transport.unregister_endpoint(0).is_ok());
+  EXPECT_TRUE(replied);
+  EXPECT_FALSE(done_before_return);
+  EXPECT_NE(task_thread, std::this_thread::get_id());
+  EXPECT_EQ(task_done_at_handle, (std::vector<bool>{true, true}));
+}
+
+TEST(TransportLocal, WorkerAfterReplyRunsBeforeTheNextLocalCall) {
+  // A worker keeps its slot until its request's after_reply tasks have
+  // run, so on a one-worker endpoint a node-local call right after a
+  // remote one cannot start before them.
+  std::atomic<bool> caller_returned{false};
+  std::atomic<bool> task_done{false};
+  bool task_done_at_local = false;
+  Transport transport;
+  transport.register_endpoint(0, [&](const RpcRequest& request) {
+    if (request.path == "remote") {
+      Transport::after_reply([&] {
+        while (!caller_returned.load()) std::this_thread::yield();
+        std::this_thread::sleep_for(10ms);  // long enough to be overtaken
+        task_done.store(true);
+      });
+    } else {
+      task_done_at_local = task_done.load();
+    }
+    return echo_handler(request);
+  });
+  RpcRequest remote = remote_request(0);
+  remote.path = "remote";
+  const bool replied = transport.call(0, remote, 1000ms).is_ok();
+  caller_returned.store(true);  // before any assert: the task must finish
+  EXPECT_TRUE(transport.call(0, local_request(0), 1000ms).is_ok());
+  ASSERT_TRUE(transport.unregister_endpoint(0).is_ok());
+  EXPECT_TRUE(replied);
+  EXPECT_TRUE(task_done_at_local);
+}
+
+TEST(TransportLocal, AfterReplyRunsBeforeARequestQueuedDuringTheServe) {
+  // A remote request that arrives while a node-local handler holds the
+  // only slot queues; the handler's after_reply item goes to the front of
+  // the queue, so the worker runs the task before that request.
+  std::atomic<bool> local_started{false};
+  std::atomic<bool> task_done{false};
+  bool task_done_at_remote = false;
+  Transport transport;
+  transport.register_endpoint(0, [&](const RpcRequest& request) {
+    if (request.path == "local") {
+      local_started.store(true);
+      EXPECT_TRUE(eventually([&] { return transport.stats(0).received == 2; }));
+      Transport::after_reply([&] {
+        std::this_thread::sleep_for(10ms);  // long enough to be overtaken
+        task_done.store(true);
+      });
+    } else {
+      task_done_at_remote = task_done.load();
+    }
+    return echo_handler(request);
+  });
+  std::thread local([&] {
+    EXPECT_TRUE(transport.call(0, local_request(0, "local"), 2000ms).is_ok());
+  });
+  EXPECT_TRUE(eventually([&] { return local_started.load(); }));
+  RpcRequest remote = remote_request(0);
+  remote.path = "remote";
+  EXPECT_TRUE(transport.call(0, remote, 2000ms).is_ok());
+  local.join();
+  EXPECT_EQ(transport.stats(0).local_served, 1u);
+  EXPECT_TRUE(task_done_at_remote);
+}
+
+TEST(TransportLocal, UnregisterRunsQueuedTaskOnlyItems) {
+  // A node-local call hands its after_reply task to the endpoint as a
+  // queued item.  An unregister_endpoint right after the call returns
+  // often finds it still queued and runs it itself; either way the task
+  // has run when unregister returns, so a flush waiting on it cannot hang.
+  constexpr int kRounds = 50;
+  int ran = 0;
+  int by_unregister = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<int> tasks{0};
+    std::atomic<bool> on_caller{false};
+    const std::thread::id caller = std::this_thread::get_id();
+    Transport transport;
+    transport.register_endpoint(0, [&](const RpcRequest& request) {
+      Transport::after_reply([&] {
+        if (std::this_thread::get_id() == caller) on_caller.store(true);
+        tasks.fetch_add(1);
+      });
+      return echo_handler(request);
+    });
+    ASSERT_TRUE(transport.call(0, local_request(0), 1000ms).is_ok());
+    ASSERT_TRUE(transport.unregister_endpoint(0).is_ok());
+    ran += tasks.load();
+    if (on_caller.load()) ++by_unregister;
+  }
+  EXPECT_EQ(ran, kRounds);
+  RecordProperty("run_by_unregister", by_unregister);
+}
+
+TEST(TransportLocal, UnregisterWaitsForACallerThreadHandler) {
+  // unregister_endpoint returns only after a handler running on a
+  // node-local caller's thread has finished and its task has run.
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> handler_done{false};
+  std::atomic<bool> task_done{false};
+  Transport transport;
+  transport.register_endpoint(0, [&](const RpcRequest& request) {
+    started.store(true);
+    while (!release.load()) std::this_thread::yield();
+    Transport::after_reply([&] { task_done.store(true); });
+    handler_done.store(true);
+    return echo_handler(request);
+  });
+  std::thread local([&] {
+    EXPECT_TRUE(transport.call(0, local_request(0), 2000ms).is_ok());
+  });
+  EXPECT_TRUE(eventually([&] { return started.load(); }));
+  bool handler_done_at_return = false;
+  bool task_done_at_return = false;
+  std::thread stopper([&] {
+    EXPECT_TRUE(transport.unregister_endpoint(0).is_ok());
+    handler_done_at_return = handler_done.load();
+    task_done_at_return = task_done.load();
+  });
+  std::this_thread::sleep_for(20ms);  // let unregister reach its wait
+  release.store(true);
+  stopper.join();
+  local.join();
+  EXPECT_TRUE(handler_done_at_return);
+  EXPECT_TRUE(task_done_at_return);
+}
+
+TEST(TransportLocal, HandlerSlowerThanTheTimeoutTimesOut) {
+  Transport transport;
+  transport.register_endpoint(0, [](const RpcRequest& request) {
+    std::this_thread::sleep_for(30ms);
+    return echo_handler(request);
+  });
+  EXPECT_EQ(transport.call(0, local_request(0), 5ms).status().code(),
+            StatusCode::kTimeout);
+  const auto stats = transport.stats(0);
+  EXPECT_EQ(stats.local_served, 1u);
+  EXPECT_EQ(stats.handled, 1u);
+}
+
+TEST(TransportLocal, TracingAndLoadReportingKeepTheShortcut) {
+  // A traced node-local call records the same server-side queue span as a
+  // remote one, and load reporting stamps its reply.
+  obs::FlightRecorder recorder(64);
+  Transport transport;
+  transport.register_endpoint(0, echo_handler);
+  transport.set_flight_recorder(0, &recorder);
+  transport.set_load_reporting(0, {true, /*alpha=*/1.0});
+  for (const NodeId client : {NodeId{0}, NodeId{1}}) {
+    RpcRequest request;
+    request.client_node = client;
+    request.trace = obs::TraceContext::root();
+    const auto result = transport.call(0, request, 1000ms);
+    ASSERT_TRUE(result.is_ok());
+    // With alpha 1 the estimate is the last sample: this handler alone.
+    EXPECT_DOUBLE_EQ(decode_load_hint(result.value().load_hint), 1.0)
+        << "client " << client;
+    const auto records = recorder.dump();
+    EXPECT_TRUE(std::any_of(
+        records.begin(), records.end(), [&request](const obs::Record& r) {
+          return r.kind == obs::RecordKind::kServerQueue &&
+                 r.trace_id == request.trace.trace_id &&
+                 r.parent_span_id == request.trace.span_id && r.node == 0;
+        }))
+        << "client " << client;
+  }
+  EXPECT_EQ(transport.stats(0).local_served, 1u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "hash/crc32.hpp"
@@ -209,27 +210,58 @@ void BM_Crc32(benchmark::State& state, hash::detail::Kernel kernel,
                           state.range(0));
 }
 
-/// CRC-32 over bytes that are not in the core's cache: walks a 64 MiB
-/// buffer (train_failover's dataset size) in 1 MiB slices, the way a
-/// client verifies each freshly received 1 MiB payload.  BM_Crc32 above
-/// re-hashes one cache-resident buffer, so it shows the hot ceiling.
+/// A 64 MiB buffer (train_failover's dataset size) filled with a fixed
+/// pattern, walked in slices by the two benchmarks below.
+const std::string& cold_buffer() {
+  static const std::string buffer = [] {
+    std::string b(64 << 20, '\0');
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b[i] = static_cast<char>(i * 131 + 7);
+    }
+    return b;
+  }();
+  return buffer;
+}
+
+/// CRC-32 over a fresh slice each iteration: walks the 64 MiB buffer in
+/// 1 MiB slices, the way a client verifies each newly received 1 MiB
+/// payload.  On a box whose last-level cache holds 64 MiB (the 300 MiB
+/// L3 in DESIGN.md §6) the slices come from L3, not DRAM; either way they
+/// are not in the core's L1/L2.  BM_Crc32 above re-hashes one
+/// cache-resident buffer, so it shows the hot ceiling.
 void BM_Crc32Cold(benchmark::State& state, hash::detail::Kernel kernel,
                   KernelSupported supported) {
   if (!kernel_runs(state, supported)) return;
-  constexpr std::size_t kBuffer = 64 << 20;
   constexpr std::size_t kSlice = 1 << 20;
-  std::string buffer(kBuffer, '\0');
-  for (std::size_t i = 0; i < buffer.size(); ++i) {
-    buffer[i] = static_cast<char>(i * 131 + 7);
-  }
-  const std::string_view view(buffer);
+  const std::string_view view(cold_buffer());
   std::size_t offset = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(kernel(view.substr(offset, kSlice), 0));
-    offset = (offset + kSlice) % kBuffer;
+    offset = (offset + kSlice) % view.size();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kSlice));
+}
+
+/// BM_Crc32Cold with the thread asleep for ~200 us (timing paused) before
+/// each slice of range(0) bytes: the state a trainer's client is in when
+/// it verifies a payload right after waiting on its RPC.  A core that has
+/// just woken runs the fold well below its busy-loop speed (DESIGN.md §6).
+void BM_Crc32AfterIdle(benchmark::State& state, hash::detail::Kernel kernel,
+                       KernelSupported supported) {
+  if (!kernel_runs(state, supported)) return;
+  const auto slice = static_cast<std::size_t>(state.range(0));
+  const std::string_view view(cold_buffer());
+  std::size_t offset = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(kernel(view.substr(offset, slice), 0));
+    offset = (offset + slice) % view.size();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
 }
 
 // One run measures every folding kernel on the same box, so the wide
@@ -249,6 +281,18 @@ BENCHMARK_CAPTURE(BM_Crc32Cold, clmul, hash::detail::crc32_clmul,
                   hash::detail::clmul_supported);
 BENCHMARK_CAPTURE(BM_Crc32Cold, vpclmul, hash::detail::crc32_vpclmul,
                   hash::detail::vpclmul_supported);
+// A fixed count: the sleeps are not timed, so a time-based count would
+// sleep for many seconds per 64 KiB run.
+BENCHMARK_CAPTURE(BM_Crc32AfterIdle, clmul, hash::detail::crc32_clmul,
+                  hash::detail::clmul_supported)
+    ->Arg(64 << 10)
+    ->Arg(1 << 20)
+    ->Iterations(2000);
+BENCHMARK_CAPTURE(BM_Crc32AfterIdle, vpclmul, hash::detail::crc32_vpclmul,
+                  hash::detail::vpclmul_supported)
+    ->Arg(64 << 10)
+    ->Arg(1 << 20)
+    ->Iterations(2000);
 #else
 BENCHMARK_CAPTURE(BM_Crc32, portable, hash::detail::crc32_portable,
                   [] { return true; })

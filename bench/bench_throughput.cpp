@@ -25,10 +25,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "cluster/cluster.hpp"
 
@@ -62,12 +66,13 @@ struct BenchArgs {
   std::uint32_t miss_files = 64;
   std::uint32_t mixed_passes = 4;
   /// 1: run the observability-overhead check instead of the three phases —
-  /// hit-heavy ops/s with obs fully off vs recorders attached but no read
-  /// sampled (tracing=1, sample_every=0; the always-armed production
-  /// posture).  Exits non-zero if the attached run is more than
-  /// obs_tolerance_pct slower or if the exporter output is malformed.
+  /// hit-heavy CPU per read with obs fully off vs recorders attached but
+  /// no read sampled (tracing=1, sample_every=0; the always-armed
+  /// production posture).  Exits non-zero if the attached cluster spends
+  /// more than obs_tolerance_pct more CPU per read or if the exporter
+  /// output is malformed.
   std::uint32_t obs_check = 0;
-  std::uint32_t obs_reps = 3;  ///< best-of-N ops/s per mode (noise control)
+  std::uint32_t obs_reps = 3;  ///< best-of-N CPU/read per mode (noise control)
   /// The structural claim is <1% (the untraced path adds one branch per
   /// read); the CI gate is looser to absorb shared-box scheduler noise.
   std::uint32_t obs_tolerance_pct = 5;
@@ -251,18 +256,29 @@ ClusterConfig base_config(const BenchArgs& args) {
   return config;
 }
 
-/// obs_check mode: is the untraced hot path really free?  Runs the
-/// hit-heavy loop on two identical clusters — obs off vs recorders
-/// attached with sample_every=0 (armed, nothing sampled) — and compares
-/// best-of-N ops/s.  Also asserts the armed cluster recorded zero read
-/// spans and that its exporters emit the expected series.
+/// Process CPU seconds (user + system, every thread) so far.
+double process_cpu_s() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+/// obs_check mode: is the untraced hot path really free?  Builds two
+/// identical clusters — obs off, and recorders attached with
+/// sample_every=0 (armed, nothing sampled) — and runs the hit-heavy loop
+/// on them in turn, off/attached then attached/off, obs_reps times each.
+/// It compares the best process CPU per read of each mode: CPU, not wall
+/// time, so time the box steals from the run does not count, and the
+/// interleaving spreads drift over both modes.  Also asserts the armed
+/// cluster recorded zero read spans and that its exporters emit the
+/// expected series.
 int run_obs_check(const BenchArgs& args) {
   const std::uint32_t file_bytes = args.file_kb * 1024;
-
-  std::string export_json;
-  bool export_ok = false;
-  bool no_spans = false;
-  const auto best_hit_ops = [&](bool attached) -> double {
+  const auto make_cluster = [&](bool attached) {
     ClusterConfig config = base_config(args);
     // The gate prices the recorders against the bare hit path; a client
     // CRC pass per read would bury a few-microsecond recorder regression.
@@ -271,55 +287,64 @@ int run_obs_check(const BenchArgs& args) {
       config.obs.tracing = true;
       config.obs.sample_every = 0;
     }
-    Cluster cluster(config);
-    const auto paths = cluster.stage_dataset(args.files, file_bytes);
-    cluster.warm_caches(paths);
-    double best = 0.0;
-    const std::uint32_t reps = args.obs_reps > 0 ? args.obs_reps : 1;
-    for (std::uint32_t rep = 0; rep < reps; ++rep) {
-      std::vector<std::thread> workers;
-      workers.reserve(args.nodes);
-      const auto start = Clock::now();
-      for (std::uint32_t t = 0; t < args.nodes; ++t) {
-        workers.emplace_back([t, &cluster, &paths, passes = args.hit_passes] {
-          auto& client = cluster.client(t);
-          for (std::uint32_t pass = 0; pass < passes; ++pass) {
-            for (const auto& path : paths) (void)client.read_file(path);
-          }
-        });
-      }
-      for (auto& w : workers) w.join();
-      const double seconds =
-          std::chrono::duration<double>(Clock::now() - start).count();
-      const double ops = static_cast<double>(args.nodes) * args.hit_passes *
-                         static_cast<double>(paths.size());
-      if (seconds > 0.0) best = std::max(best, ops / seconds);
-    }
-    if (attached) {
-      no_spans = cluster.dump_traces().empty();
-      export_json = cluster.metrics_registry().export_json();
-      const std::string prom =
-          cluster.metrics_registry().export_prometheus_text();
-      export_ok = prom.find("# TYPE ftc_client_reads_total counter") !=
-                      std::string::npos &&
-                  prom.find("ftc_server_cache_hits_total") !=
-                      std::string::npos &&
-                  !export_json.empty();
-    }
-    return best;
+    return std::make_unique<Cluster>(config);
   };
+  const auto off = make_cluster(/*attached=*/false);
+  const auto attached = make_cluster(/*attached=*/true);
+  const auto paths = off->stage_dataset(args.files, file_bytes);
+  off->warm_caches(paths);
+  attached->warm_caches(attached->stage_dataset(args.files, file_bytes));
 
-  const double off_ops = best_hit_ops(/*attached=*/false);
-  const double attached_ops = best_hit_ops(/*attached=*/true);
+  const double reads = static_cast<double>(args.nodes) * args.hit_passes *
+                       static_cast<double>(paths.size());
+  // One hit-heavy pass; returns its process CPU microseconds per read.
+  const auto cpu_us_per_read = [&](Cluster& cluster) {
+    const double cpu_before = process_cpu_s();
+    std::vector<std::thread> workers;
+    workers.reserve(args.nodes);
+    for (std::uint32_t t = 0; t < args.nodes; ++t) {
+      workers.emplace_back([t, &cluster, &paths, passes = args.hit_passes] {
+        auto& client = cluster.client(t);
+        for (std::uint32_t pass = 0; pass < passes; ++pass) {
+          for (const auto& path : paths) (void)client.read_file(path);
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+    return (process_cpu_s() - cpu_before) * 1e6 / reads;
+  };
+  double off_us = std::numeric_limits<double>::infinity();
+  double attached_us = off_us;
+  const std::uint32_t reps = args.obs_reps > 0 ? args.obs_reps : 1;
+  for (std::uint32_t rep = 0; rep < reps; ++rep) {
+    if (rep % 2 == 0) {
+      off_us = std::min(off_us, cpu_us_per_read(*off));
+      attached_us = std::min(attached_us, cpu_us_per_read(*attached));
+    } else {
+      attached_us = std::min(attached_us, cpu_us_per_read(*attached));
+      off_us = std::min(off_us, cpu_us_per_read(*off));
+    }
+  }
+
+  const bool no_spans = attached->dump_traces().empty();
+  const std::string export_json = attached->metrics_registry().export_json();
+  const std::string prom =
+      attached->metrics_registry().export_prometheus_text();
+  const bool export_ok =
+      prom.find("# TYPE ftc_client_reads_total counter") !=
+          std::string::npos &&
+      prom.find("ftc_server_cache_hits_total") != std::string::npos &&
+      !export_json.empty();
+
   const double overhead_pct =
-      attached_ops > 0.0 ? (off_ops / attached_ops - 1.0) * 100.0 : 100.0;
+      off_us > 0.0 ? (attached_us / off_us - 1.0) * 100.0 : 100.0;
   const bool within =
       overhead_pct <= static_cast<double>(args.obs_tolerance_pct);
 
   std::printf(
-      "obs_check: hit-heavy %.0f ops/s (obs off) vs %.0f ops/s (attached, "
-      "unsampled) -> overhead %.2f%% (tolerance %u%%, %s)\n",
-      off_ops, attached_ops, overhead_pct, args.obs_tolerance_pct,
+      "obs_check: hit-heavy %.3f us CPU/read (obs off) vs %.3f us "
+      "(attached, unsampled) -> overhead %.2f%% (tolerance %u%%, %s)\n",
+      off_us, attached_us, overhead_pct, args.obs_tolerance_pct,
       within ? "ok" : "EXCEEDED");
   std::printf("obs_check: armed-but-unsampled recorded %s; exporter %s\n",
               no_spans ? "zero spans (ok)" : "SPANS (should be none)",
@@ -335,10 +360,11 @@ int run_obs_check(const BenchArgs& args) {
       << ", \"hit_passes\": " << args.hit_passes
       << ", \"obs_reps\": " << args.obs_reps
       << ", \"obs_tolerance_pct\": " << args.obs_tolerance_pct << "},\n";
-  out << "  \"off_ops_per_sec\": " << json_escape_free(off_ops) << ",\n";
-  out << "  \"attached_ops_per_sec\": " << json_escape_free(attached_ops)
-      << ",\n";
   char pct[64];
+  std::snprintf(pct, sizeof(pct), "%.3f", off_us);
+  out << "  \"off_cpu_us_per_read\": " << pct << ",\n";
+  std::snprintf(pct, sizeof(pct), "%.3f", attached_us);
+  out << "  \"attached_cpu_us_per_read\": " << pct << ",\n";
   std::snprintf(pct, sizeof(pct), "%.2f", overhead_pct);
   out << "  \"overhead_pct\": " << pct << ",\n";
   out << "  \"within_tolerance\": " << (within ? "true" : "false") << ",\n";

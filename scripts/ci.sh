@@ -75,11 +75,14 @@ echo "=== observability smoke (bench_throughput obs_check)"
 # Armed-but-unsampled recorders must not tax the hit-heavy hot path
 # (tolerance absorbs shared-box noise; the structural budget is <1%),
 # must record zero spans, and the exporters must emit the cross-layer
-# series.  The bench exits non-zero on any of the three.  Box-level
-# throughput wander can exceed the tolerance on a bad run even though
-# the structural overhead is ~0 (both modes measure the same binary),
-# so the smoke gets three attempts: a real regression fails all of
-# them, noise does not.
+# series.  The bench exits non-zero on any of the three.  It prices the
+# recorders in process CPU per read, with the off and attached passes
+# interleaved, so time stolen from the run does not count.  A pass is
+# still only ~6k reads, and its CPU per read varies by 10-20% from pass
+# to pass, so a single attempt fails now and then (5 of 40 on a 4-vCPU
+# VM; 5 of 20 with the older ops/s measure; ROADMAP item 5).
+# The smoke therefore keeps three attempts: a real regression fails all
+# of them, noise does not.
 obs_ok=0
 for attempt in 1 2 3; do
   if "${build_dir}/bench/bench_throughput" \

@@ -34,9 +34,11 @@ StatusOr<common::Buffer> PfsStore::read(const std::string& path) const {
     std::unique_lock lock(service_mutex_);
     if (service_slots_ > 0) {
       // Finite service bandwidth: wait for a slot, then pay one service
-      // time.  Concurrent excess demand queues here, which is exactly how
+      // time.  Concurrent excess demand waits here, which is exactly how
       // a failover storm's duplicate fetches turn into stretched latency
-      // on a real parallel filesystem.
+      // on a real parallel filesystem.  This is not a FIFO queue: the
+      // condition variable wakes waiters in no set order, and a reader
+      // arriving now can take a freed slot before a woken one.
       service_cv_.wait(lock, [this] {
         return service_slots_ == 0 || service_in_use_ < service_slots_;
       });

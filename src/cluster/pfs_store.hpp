@@ -52,9 +52,12 @@ class PfsStore {
   }
 
   /// Caps how many latency-modelled reads the PFS services at once
-  /// (a job's share of Lustre OSTs is finite; excess readers queue FIFO
-  /// and their effective latency stretches).  0 = unlimited, the legacy
-  /// behaviour — and the default, so existing callers are unaffected.
+  /// (a job's share of Lustre OSTs is finite; excess readers wait and
+  /// their effective latency stretches).  Waiters are not served in
+  /// arrival order: the condition variable wakes them in no set order,
+  /// and a newly arriving reader can take a freed slot before a woken
+  /// one.  0 = unlimited, the legacy behaviour — and the default, so
+  /// existing callers are unaffected.
   /// This is what makes duplicate failover-storm fetches *cost*
   /// something: N concurrent fetches through S slots take ~ceil(N/S)
   /// service times, not one.

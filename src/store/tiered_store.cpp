@@ -273,7 +273,7 @@ StatusOr<common::Buffer> TieredCacheStore::get(const std::string& path) {
                       : std::nullopt;
   if (!cold) {
     stats_.misses.fetch_add(1, std::memory_order_relaxed);
-    return Status::not_found("not cached: " + path);
+    return Status::not_found();  // callers test is_ok() only; no string
   }
   stats_.cold_hits.fetch_add(1, std::memory_order_relaxed);
   {

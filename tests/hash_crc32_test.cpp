@@ -7,7 +7,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <random>
 #include <string>
+#include <vector>
 
 namespace ftc::hash {
 namespace {
@@ -78,6 +80,54 @@ constexpr std::size_t kSweepLen = detail::kPrefetchDistance + 2 * 256 + 64;
 constexpr std::size_t kSweepLen = 4672;
 #endif
 
+#if defined(__x86_64__)
+constexpr std::size_t kTwoStreamMin = detail::kTwoStreamMin;
+#else
+constexpr std::size_t kTwoStreamMin = 32 * 1024;
+#endif
+
+// Input lengths that reach crc32_vpclmul's two-stream fold (a bulk of
+// kTwoStreamMin or more) or sit just under it, ascending: the threshold
+// -16 B, -1 B, exact, +1 B, +15 B, +16 B and +255 B; bulks that are not a
+// multiple of 512 B (so the second half is longer than the first and
+// folds its last bytes alone); 64 KiB, whose halves also run the far
+// prefetch; 1 MiB + 13 B; and ~3 MB.
+const std::vector<std::size_t>& two_stream_lengths() {
+  static const std::vector<std::size_t> lens = {
+      kTwoStreamMin - 16,  kTwoStreamMin - 1,      kTwoStreamMin,
+      kTwoStreamMin + 1,   kTwoStreamMin + 15,     kTwoStreamMin + 16,
+      kTwoStreamMin + 255, kTwoStreamMin + 272,    kTwoStreamMin + 496 + 9,
+      64 * 1024,           3 * kTwoStreamMin + 400, (1U << 20) + 13,
+      3'000'017};
+  return lens;
+}
+
+// Each two_stream_lengths() input at start offsets 0..15, with zero and
+// non-zero `initial`.  Expected values come from the table kernel, which
+// the byte sweep checks against the reference, advanced over the bytes
+// between consecutive lengths.
+void expect_long_inputs_match(Kernel kernel) {
+  constexpr std::size_t kMaxOffset = 15;
+  const auto& lens = two_stream_lengths();
+  const std::string buf = random_bytes(lens.back() + kMaxOffset, 19);
+  for (const std::uint32_t initial : {0U, 0x12345678U}) {
+    for (std::size_t offset = 0; offset <= kMaxOffset; ++offset) {
+      std::uint32_t expected = initial;
+      std::size_t done = 0;
+      for (const std::size_t len : lens) {
+        expected = detail::crc32_portable(
+            std::string_view(buf.data() + offset + done, len - done),
+            expected);
+        done = len;
+        const std::string_view view(buf.data() + offset, len);
+        ASSERT_EQ(kernel(view, initial), expected)
+            << "len=" << len << " offset=" << offset
+            << " initial=" << initial;
+      }
+    }
+  }
+}
+
 // Every length 0..kSweepLen (the 256-byte and 64-byte rounds with and
 // without prefetches, the 64-byte and 16-byte single folds and every
 // 0-15-byte tail) at start offsets 0..15, with zero and non-zero
@@ -104,6 +154,7 @@ void expect_matches_reference(Kernel kernel) {
   const std::string big = random_bytes((1U << 20) + 13, 11);
   EXPECT_EQ(kernel(big, 0), reference_crc32(big, 0));
   EXPECT_EQ(kernel(big, 0xDEADBEEFU), reference_crc32(big, 0xDEADBEEFU));
+  expect_long_inputs_match(kernel);
 }
 
 TEST(Crc32, PortableKernelMatchesReference) {
@@ -221,7 +272,8 @@ constexpr std::size_t kGuardSweepLen = 4160;
 // lengths start at all 16 alignments.
 void expect_no_overread(Kernel kernel) {
   constexpr std::size_t kBig = (1U << 20) + 13;
-  GuardedRegion region(kBig);
+  const std::size_t longest = two_stream_lengths().back() + 16;
+  GuardedRegion region(longest);
   ASSERT_TRUE(region.ok()) << "mmap/mprotect failed";
   const std::string src = random_bytes(kGuardSweepLen, 13);
   const std::string_view source(src);
@@ -235,6 +287,20 @@ void expect_no_overread(Kernel kernel) {
   }
   const std::string big = random_bytes(kBig, 17);
   EXPECT_EQ(kernel(region.place_at_end(big), 0), reference_crc32(big, 0));
+
+  // The two-stream lengths, each with the fifteen lengths after it, so
+  // every one ends flush at the guard from all 16 start alignments.
+  const std::string long_src = random_bytes(longest, 23);
+  const std::string_view long_source(long_src);
+  for (const std::size_t first : two_stream_lengths()) {
+    std::uint32_t expected =
+        detail::crc32_portable(long_source.substr(0, first), 0);
+    for (std::size_t len = first; len < first + 16; ++len) {
+      const auto view = region.place_at_end(long_source.substr(0, len));
+      ASSERT_EQ(kernel(view, 0), expected) << "len=" << len;
+      expected = reference_crc32(long_source.substr(len, 1), expected);
+    }
+  }
 }
 
 TEST(Crc32, DispatchNeverReadsPastTheEnd) {
@@ -256,6 +322,38 @@ TEST(Crc32, WideKernelNeverReadsPastTheEnd) {
   expect_no_overread(detail::crc32_vpclmul);
 }
 #endif
+
+TEST(Crc32, CombineMatchesWhole) {
+  EXPECT_EQ(crc32_combine(crc32("12345"), crc32("6789"), 4), 0xCBF43926U);
+
+  const std::string buf = random_bytes(70'000, 29);
+  const std::string_view view(buf);
+  const std::uint32_t whole = crc32(view);
+  std::mt19937_64 rng(31);
+  std::vector<std::size_t> splits = {0, 1, 15, 16, view.size() - 1,
+                                     view.size()};  // view.size(): len_b = 0
+  for (int i = 0; i < 40; ++i) splits.push_back(rng() % (view.size() + 1));
+  for (const std::size_t split : splits) {
+    const std::string_view a = view.substr(0, split);
+    const std::string_view b = view.substr(split);
+    EXPECT_EQ(crc32_combine(crc32(a), crc32(b), b.size()), whole)
+        << "split=" << split;
+    // An `initial` on the first part carries through, as with chaining.
+    EXPECT_EQ(crc32_combine(crc32(a, 0xDEADBEEFU), crc32(b), b.size()),
+              crc32(b, crc32(a, 0xDEADBEEFU)))
+        << "split=" << split;
+  }
+
+  // crc32_combine(c, 0, n) runs c over n zero bytes (c * x^(8n) mod P);
+  // n1 bytes then n2 bytes must equal n1 + n2 bytes.  These lengths need
+  // x^(2^k) for k >= 32, which the table serves through x^(2^32) = x.
+  const std::uint32_t c = crc32(view);
+  const std::size_t n1 = (std::size_t{1} << 33) + 5;
+  const std::size_t n2 = (std::size_t{1} << 40) + 12345;
+  EXPECT_EQ(crc32_combine(crc32_combine(c, 0, n1), 0, n2),
+            crc32_combine(c, 0, n1 + n2));
+  EXPECT_NE(crc32_combine(c, 0, n1), c);
+}
 
 TEST(Crc32, ChainingMatchesWholeAtEverySplit) {
   const std::string buf = random_bytes(300, 3);

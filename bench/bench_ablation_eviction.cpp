@@ -14,9 +14,10 @@
 
 int main(int argc, char** argv) {
   using namespace ftc;
-  const Config args = bench::parse_args(argc, argv);
+  const bench::Args args(argc, argv);
   const auto files = static_cast<std::uint32_t>(args.get_int("files", 4096));
   const auto epochs = static_cast<std::uint32_t>(args.get_int("epochs", 5));
+  args.finish();
   const std::uint64_t file_bytes = 1024;
 
   TextTable table({"Capacity/dataset", "Policy", "Hit rate %", "Evictions",

@@ -18,10 +18,11 @@
 int main(int argc, char** argv) {
   using namespace ftc;
   using namespace ftc::ring;
-  const Config args = bench::parse_args(argc, argv);
+  const bench::Args args(argc, argv);
   const auto nodes = static_cast<std::uint32_t>(args.get_int("nodes", 256));
   const auto vnodes = static_cast<std::uint32_t>(args.get_int("vnodes", 100));
   const auto keys_n = static_cast<std::size_t>(args.get_int("keys", 100000));
+  args.finish();
 
   const auto keys = make_key_population(keys_n);
   const NodeId victim = nodes / 3;

@@ -11,8 +11,10 @@
 int main(int argc, char** argv) {
   using namespace ftc;
   using cluster::FtMode;
-  const Config args = bench::parse_args(argc, argv);
+  const bench::Args args(argc, argv);
   const auto scales = bench::scales_from(args);
+  const bench::PaperConfig paper_config(args);
+  args.finish();
 
   TextTable table({"Nodes", "No prefetch (min)", "Prefetch (min)",
                    "Speedup %", "No prefetch +fail", "Prefetch +fail",
@@ -21,8 +23,7 @@ int main(int argc, char** argv) {
     double minutes[2][2];  // [prefetch][failure]
     for (int pf = 0; pf < 2; ++pf) {
       for (int fail = 0; fail < 2; ++fail) {
-        auto config = bench::paper_config(nodes, FtMode::kHashRingRecache);
-        bench::apply_overrides(config, args);
+        auto config = paper_config(nodes, FtMode::kHashRingRecache);
         config.prefetch.enabled = (pf == 1);
         if (fail == 1) {
           cluster::PlannedFailure failure;

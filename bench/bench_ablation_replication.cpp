@@ -12,7 +12,7 @@
 int main(int argc, char** argv) {
   using namespace ftc;
   using cluster::FtMode;
-  const Config args = bench::parse_args(argc, argv);
+  const bench::Args args(argc, argv);
   const auto nodes = static_cast<std::uint32_t>(args.get_int("nodes", 256));
   const auto failure_count =
       static_cast<std::uint32_t>(args.get_int("failures", 5));
@@ -23,6 +23,8 @@ int main(int argc, char** argv) {
   plan.first_eligible_epoch = 1;
   plan.total_epochs = 5;
   plan.seed = static_cast<std::uint64_t>(args.get_int("fail_seed", 42));
+  const bench::PaperConfig paper_config(args);
+  args.finish();
   auto failures = cluster::plan_failures(plan);
   for (auto& failure : failures) failure.epoch_fraction *= 0.3;
 
@@ -43,8 +45,7 @@ int main(int argc, char** argv) {
   TextTable table({"System", "Total (min)", "Post-warmup PFS reads",
                    "Timeouts", "Peak NVMe/node"});
   for (const Variant& variant : variants) {
-    auto config = bench::paper_config(nodes, variant.mode);
-    bench::apply_overrides(config, args);
+    auto config = paper_config(nodes, variant.mode);
     config.replication_factor = variant.replication;
     config.checkpoint_restart = variant.checkpoint_restart;
     config.failures = failures;

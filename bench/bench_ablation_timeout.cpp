@@ -11,7 +11,7 @@
 int main(int argc, char** argv) {
   using namespace ftc;
   using cluster::FtMode;
-  const Config args = bench::parse_args(argc, argv);
+  const bench::Args args(argc, argv);
   const auto nodes = static_cast<std::uint32_t>(args.get_int("nodes", 128));
 
   std::vector<double> timeouts_ms;
@@ -36,10 +36,11 @@ int main(int argc, char** argv) {
   blip.duration = simtime::from_ms(args.get_double("blip_ms", 400.0));
   blip.extra_latency =
       simtime::from_ms(args.get_double("blip_extra_ms", 60.0));
+  const bench::PaperConfig paper_config(args);
+  args.finish();
 
   // Baseline without failure for overhead normalization.
-  auto base_config = bench::paper_config(nodes, FtMode::kHashRingRecache);
-  bench::apply_overrides(base_config, args);
+  const auto base_config = paper_config(nodes, FtMode::kHashRingRecache);
   const auto baseline = destim::run_experiment(base_config);
 
   TextTable table({"Timeout (ms)", "Limit", "Total (min)",
@@ -47,8 +48,7 @@ int main(int argc, char** argv) {
                    "Falsely flagged"});
   for (const double timeout_ms : timeouts_ms) {
     for (const std::uint32_t limit : limits) {
-      auto config = bench::paper_config(nodes, FtMode::kHashRingRecache);
-      bench::apply_overrides(config, args);
+      auto config = paper_config(nodes, FtMode::kHashRingRecache);
       config.rpc_timeout = simtime::from_ms(timeout_ms);
       config.timeout_limit = limit;
       config.failures = {failure};

@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace ftc;
-  const Config args = bench::parse_args(argc, argv);
+  const bench::Args args(argc, argv);
   const auto nodes = static_cast<std::uint32_t>(args.get_int("nodes", 1024));
   const auto lookups = static_cast<std::uint32_t>(
       args.get_int("lookups", 200000));
@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
        args.get_int_list("vnodes", {10, 50, 100, 200, 500, 1000})) {
     vnode_counts.push_back(static_cast<std::uint32_t>(v));
   }
+  args.finish();
 
   TextTable table({"Vnodes/node", "Ring entries", "Build (ms)",
                    "Lookup (ns/op)", "Node removal (us)",

@@ -5,7 +5,6 @@
 // the FT w/ NVMe advantage narrows.  Quantifies how much of the paper's
 // win is workload-dependent.
 #include <cstdio>
-#include <sstream>
 #include <unordered_set>
 
 #include "bench_common.hpp"
@@ -14,13 +13,16 @@
 int main(int argc, char** argv) {
   using namespace ftc;
   using cluster::FtMode;
-  const Config args = bench::parse_args(argc, argv);
+  const bench::Args args(argc, argv);
   const auto nodes = static_cast<std::uint32_t>(args.get_int("nodes", 128));
 
   cluster::FailurePlanParams plan;
   plan.node_count = nodes;
   plan.failure_count = static_cast<std::uint32_t>(
       args.get_int("failures", 3));
+  const auto alphas = args.get_double_list("alphas", {0.8, 1.1, 1.4});
+  const bench::PaperConfig paper_config(args);
+  args.finish();
   plan.first_eligible_epoch = 1;
   plan.total_epochs = 5;
   plan.seed = 42;
@@ -36,8 +38,7 @@ int main(int argc, char** argv) {
     const FtMode modes[2] = {FtMode::kPfsRedirect,
                              FtMode::kHashRingRecache};
     for (int m = 0; m < 2; ++m) {
-      auto config = bench::paper_config(nodes, modes[m]);
-      bench::apply_overrides(config, args);
+      auto config = paper_config(nodes, modes[m]);
       config.epoch_subset_fraction = fraction;
       config.failures = failures;
       const auto result = destim::run_experiment(config);
@@ -67,21 +68,12 @@ int main(int argc, char** argv) {
   // only part of the namespace; the unique-file coverage of a sampled
   // stream (shared ScrambledZipf generator, so bench_skew's alpha axis
   // means the same thing here) becomes the effective subset fraction.
-  std::vector<double> alphas;
-  {
-    std::stringstream ss(args.get_string("alphas", "0.8,1.1,1.4"));
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      if (!item.empty()) alphas.push_back(std::stod(item));
-    }
-  }
   TextTable zipf_table({"Zipf alpha", "Coverage", "FT w/ PFS (min)",
                         "FT w/ NVMe (min)", "NVMe gain %"});
   for (const double alpha : alphas) {
     // Measure coverage on a representative config (coverage depends only
     // on file_count and alpha, not on the FT mode).
-    auto probe = bench::paper_config(nodes, FtMode::kPfsRedirect);
-    bench::apply_overrides(probe, args);
+    const auto probe = paper_config(nodes, FtMode::kPfsRedirect);
     bench::ScrambledZipfGenerator gen(probe.file_count, alpha,
                                       probe.shuffle_seed ^ 0xA1FAULL);
     std::unordered_set<std::uint64_t> touched;
@@ -94,8 +86,7 @@ int main(int argc, char** argv) {
     double minutes[2];
     const FtMode modes[2] = {FtMode::kPfsRedirect, FtMode::kHashRingRecache};
     for (int m = 0; m < 2; ++m) {
-      auto config = bench::paper_config(nodes, modes[m]);
-      bench::apply_overrides(config, args);
+      auto config = paper_config(nodes, modes[m]);
       config.epoch_subset_fraction = coverage;
       config.failures = failures;
       const auto result = destim::run_experiment(config);

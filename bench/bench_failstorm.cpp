@@ -39,12 +39,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cluster/cluster.hpp"
 #include "obs/flight_recorder.hpp"
 
@@ -58,75 +58,34 @@ using ftc::cluster::NodeId;
 using ftc::obs::Record;
 using ftc::obs::RecordKind;
 
-struct BenchArgs {
-  std::uint32_t nodes = 10;
-  std::uint32_t files = 240;
-  std::uint32_t file_kb = 64;
-  std::uint32_t pfs_us = 12000;   ///< simulated PFS read latency
-  std::uint32_t pfs_slots = 1;    ///< concurrent PFS reads at full speed
+/// The bench's options; `cli` is read only while the members initialise.
+struct Options {
+  explicit Options(const ftc::bench::Args& cli) : cli(cli) {}
+  const ftc::bench::Args& cli;
+  std::uint32_t nodes = cli.get_u32("nodes", 10);
+  std::uint32_t files = cli.get_u32("files", 240);
+  std::uint32_t file_kb = cli.get_u32("file_kb", 64);
+  /// Simulated PFS read latency.
+  std::uint32_t pfs_us = cli.get_u32("pfs_us", 12000);
+  /// Concurrent PFS reads at full speed.
+  std::uint32_t pfs_slots = cli.get_u32("pfs_slots", 1);
   // Long enough that the healthy p99 is a stable estimate (the warm
   // phase's 1.2x criterion compares against it) and that the warm phase's
   // first-placement pushes finish inside the healthy window.
-  std::uint32_t pre_ms = 800;     ///< healthy run-up before the kill
-  std::uint32_t storm_ms = 1500;  ///< measurement window after the kill
-  std::uint32_t think_ms = 1;     ///< per-read think time (GPU step)
-  std::uint32_t require_p99 = 1;  ///< 0: skip the p99 criterion (CI smoke)
-  std::uint32_t trace = 1;        ///< 0: untraced legacy run
-  std::uint32_t trace_capacity = 1u << 14;  ///< per-node recorder slots
-  std::uint32_t warm = 1;  ///< 0: skip the warm-failover phase
-  std::string out = "BENCH_failstorm.json";
+  std::uint32_t pre_ms = cli.get_u32("pre_ms", 800);  ///< run-up to kill
+  /// Measurement window after the kill.
+  std::uint32_t storm_ms = cli.get_u32("storm_ms", 1500);
+  std::uint32_t think_ms = cli.get_u32("think_ms", 1);  ///< per read
+  /// false: skip the p99 criterion (CI smoke).
+  bool require_p99 = cli.get_bool("require_p99", true);
+  bool trace = cli.get_bool("trace", true);  ///< false: untraced run
+  /// Per-node recorder slots.
+  std::uint32_t trace_capacity = cli.get_u32("trace_capacity", 1u << 14);
+  bool warm = cli.get_bool("warm", true);  ///< false: no warm phase
+  std::string out = cli.get_string("out", "BENCH_failstorm.json");
 };
 
-BenchArgs parse_args(int argc, char** argv) {
-  BenchArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr,
-                   "usage: %s [nodes=N] [files=N] [file_kb=N] [pfs_us=N] "
-                   "[pfs_slots=N] [pre_ms=N] [storm_ms=N] [think_ms=N] [require_p99=0|1] "
-                   "[trace=0|1] [trace_capacity=N] [warm=0|1] [out=PATH]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-    const std::string key = arg.substr(0, eq);
-    const std::string value = arg.substr(eq + 1);
-    const auto numeric = [&key, &value]() -> std::uint32_t {
-      try {
-        std::size_t used = 0;
-        const unsigned long parsed = std::stoul(value, &used);
-        if (used == value.size()) {
-          return static_cast<std::uint32_t>(parsed);
-        }
-      } catch (const std::exception&) {
-      }
-      std::fprintf(stderr, "%s wants a number, got '%s'\n", key.c_str(),
-                   value.c_str());
-      std::exit(2);
-    };
-    if (key == "nodes") args.nodes = numeric();
-    else if (key == "files") args.files = numeric();
-    else if (key == "file_kb") args.file_kb = numeric();
-    else if (key == "pfs_us") args.pfs_us = numeric();
-    else if (key == "pfs_slots") args.pfs_slots = numeric();
-    else if (key == "pre_ms") args.pre_ms = numeric();
-    else if (key == "storm_ms") args.storm_ms = numeric();
-    else if (key == "think_ms") args.think_ms = numeric();
-    else if (key == "require_p99") args.require_p99 = numeric();
-    else if (key == "trace") args.trace = numeric();
-    else if (key == "trace_capacity") args.trace_capacity = numeric();
-    else if (key == "warm") args.warm = numeric();
-    else if (key == "out") args.out = value;
-    else {
-      std::fprintf(stderr, "unknown key: %s\n", key.c_str());
-      std::exit(2);
-    }
-  }
-  return args;
-}
-
-ClusterConfig make_config(const BenchArgs& args, bool hardened, bool warm) {
+ClusterConfig make_config(const Options& args, bool hardened, bool warm) {
   ClusterConfig config;
   config.node_count = args.nodes;
   config.pfs_read_latency = std::chrono::microseconds(args.pfs_us);
@@ -178,7 +137,7 @@ ClusterConfig make_config(const BenchArgs& args, bool hardened, bool warm) {
     config.client.retry_budget_ratio = 0.25;
     config.client.retry_budget_cap = 16.0;
   }
-  if (args.trace != 0) {
+  if (args.trace) {
     // Trace every read: the storm window is short and the recorders are
     // per-node, so full sampling fits the ring without wraparound and the
     // timeline below never misses the first suspicion/coalesce.
@@ -194,13 +153,6 @@ struct ReadSample {
   double latency_us = 0.0;
   bool ok = false;
 };
-
-double percentile(std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(
-      p / 100.0 * static_cast<double>(sorted.size() - 1));
-  return sorted[rank];
-}
 
 struct PhaseResult {
   std::string name;
@@ -276,7 +228,7 @@ double p99_recovery_after_kill_ms(
     }
     if (lat.size() < 5) continue;
     std::sort(lat.begin(), lat.end());
-    if (percentile(lat, 99.0) <= 3.0 * pre_p99_us) {
+    if (ftc::bench::percentile(lat, 99.0) <= 3.0 * pre_p99_us) {
       return bin - kill_offset_ms;
     }
   }
@@ -373,7 +325,7 @@ void print_span_tree(const SpanTreeProof& proof, std::int64_t origin_ns) {
   }
 }
 
-PhaseResult run_phase(const std::string& name, const BenchArgs& args,
+PhaseResult run_phase(const std::string& name, const Options& args,
                       bool hardened, bool warm = false) {
   Cluster cluster(make_config(args, hardened, warm));
   const auto paths = cluster.stage_dataset(args.files, args.file_kb * 1024);
@@ -482,10 +434,10 @@ PhaseResult run_phase(const std::string& name, const BenchArgs& args,
   }
   std::sort(pre_lat.begin(), pre_lat.end());
   std::sort(storm_lat.begin(), storm_lat.end());
-  result.pre_p50_us = percentile(pre_lat, 50.0);
-  result.pre_p99_us = percentile(pre_lat, 99.0);
-  result.storm_p50_us = percentile(storm_lat, 50.0);
-  result.storm_p99_us = percentile(storm_lat, 99.0);
+  result.pre_p50_us = ftc::bench::percentile(pre_lat, 50.0);
+  result.pre_p99_us = ftc::bench::percentile(pre_lat, 99.0);
+  result.storm_p50_us = ftc::bench::percentile(storm_lat, 50.0);
+  result.storm_p99_us = ftc::bench::percentile(storm_lat, 99.0);
   result.storm_goodput_rps = static_cast<double>(storm_lat.size()) /
                              (static_cast<double>(args.storm_ms) / 1000.0);
 
@@ -508,7 +460,7 @@ PhaseResult run_phase(const std::string& name, const BenchArgs& args,
   result.storm_pfs_reads = result.pfs_reads_total - pfs_reads_at_kill;
 
   // Storm timeline + span-tree proof, straight from the flight recorders.
-  if (args.trace != 0) {
+  if (args.trace) {
     result.trace_enabled = true;
     const std::vector<Record> records = cluster.dump_traces();
     result.trace_records = records.size();
@@ -541,6 +493,13 @@ PhaseResult run_phase(const std::string& name, const BenchArgs& args,
   return result;
 }
 
+/// Storm-window PFS reads per lost file (0 when nothing was lost).
+double storm_pfs_per_lost(const PhaseResult& p) {
+  return p.victim_files == 0 ? 0.0
+                             : static_cast<double>(p.storm_pfs_reads) /
+                                   static_cast<double>(p.victim_files);
+}
+
 void print_phase(const PhaseResult& p) {
   std::printf(
       "%-12s %7llu ops  pre p99 %8.0f us | storm p50 %8.0f us p99 %8.0f us "
@@ -561,11 +520,6 @@ void print_phase(const PhaseResult& p) {
       static_cast<unsigned long long>(p.hedges_launched),
       static_cast<unsigned long long>(p.pfs_reads_total));
   if (p.warm_enabled) {
-    const double per_lost =
-        p.victim_files == 0
-            ? 0.0
-            : static_cast<double>(p.storm_pfs_reads) /
-                  static_cast<double>(p.victim_files);
     std::printf(
         "             warm pushes %llu restores %llu stored %llu stale %llu | "
         "storm pfs reads %llu (%.3f per lost file)\n",
@@ -573,7 +527,8 @@ void print_phase(const PhaseResult& p) {
         static_cast<unsigned long long>(p.warm_restores),
         static_cast<unsigned long long>(p.warm_replicas_stored),
         static_cast<unsigned long long>(p.stale_replica_puts),
-        static_cast<unsigned long long>(p.storm_pfs_reads), per_lost);
+        static_cast<unsigned long long>(p.storm_pfs_reads),
+        storm_pfs_per_lost(p));
   }
   if (p.trace_enabled) {
     std::printf(
@@ -588,91 +543,71 @@ void print_phase(const PhaseResult& p) {
   }
 }
 
-void emit_phase_json(std::ofstream& out, const PhaseResult& p, bool last) {
-  char line[768];
-  std::snprintf(
-      line, sizeof(line),
-      "    \"%s\": {\"ops\": %llu, \"pre_p50_us\": %.1f, "
-      "\"pre_p99_us\": %.1f, \"storm_p50_us\": %.1f, \"storm_p99_us\": %.1f, "
-      "\"storm_goodput_rps\": %.1f, \"storm_failures\": %llu, "
-      "\"dup_fetch_max\": %.0f, \"dup_fetch_avg\": %.2f, "
-      "\"victim_files\": %llu, \"requests_shed\": %llu, "
-      "\"expired_on_arrival\": %llu, \"pfs_coalesced\": %llu, "
-      "\"busy_rejections\": %llu, \"retries_denied_by_budget\": %llu, "
-      "\"deadline_give_ups\": %llu, \"hedges_launched\": %llu, "
-      "\"pfs_reads_total\": %llu, \"storm_pfs_reads\": %llu",
-      p.name.c_str(), static_cast<unsigned long long>(p.ops), p.pre_p50_us,
-      p.pre_p99_us, p.storm_p50_us, p.storm_p99_us, p.storm_goodput_rps,
-      static_cast<unsigned long long>(p.storm_failures), p.dup_fetch_max,
-      p.dup_fetch_avg, static_cast<unsigned long long>(p.victim_files),
-      static_cast<unsigned long long>(p.requests_shed),
-      static_cast<unsigned long long>(p.expired_on_arrival),
-      static_cast<unsigned long long>(p.pfs_coalesced),
-      static_cast<unsigned long long>(p.busy_rejections),
-      static_cast<unsigned long long>(p.retries_denied_by_budget),
-      static_cast<unsigned long long>(p.deadline_give_ups),
-      static_cast<unsigned long long>(p.hedges_launched),
-      static_cast<unsigned long long>(p.pfs_reads_total),
-      static_cast<unsigned long long>(p.storm_pfs_reads));
-  out << line;
+ftc::bench::Json phase_json(const PhaseResult& p) {
+  ftc::bench::Json json{
+      {"ops", p.ops},
+      {"pre_p50_us", p.pre_p50_us},
+      {"pre_p99_us", p.pre_p99_us},
+      {"storm_p50_us", p.storm_p50_us},
+      {"storm_p99_us", p.storm_p99_us},
+      {"storm_goodput_rps", p.storm_goodput_rps},
+      {"storm_failures", p.storm_failures},
+      {"dup_fetch_max", p.dup_fetch_max},
+      {"dup_fetch_avg", p.dup_fetch_avg},
+      {"victim_files", p.victim_files},
+      {"requests_shed", p.requests_shed},
+      {"expired_on_arrival", p.expired_on_arrival},
+      {"pfs_coalesced", p.pfs_coalesced},
+      {"busy_rejections", p.busy_rejections},
+      {"retries_denied_by_budget", p.retries_denied_by_budget},
+      {"deadline_give_ups", p.deadline_give_ups},
+      {"hedges_launched", p.hedges_launched},
+      {"pfs_reads_total", p.pfs_reads_total},
+      {"storm_pfs_reads", p.storm_pfs_reads}};
   if (p.warm_enabled) {
-    const double per_lost =
-        p.victim_files == 0
-            ? 0.0
-            : static_cast<double>(p.storm_pfs_reads) /
-                  static_cast<double>(p.victim_files);
-    char warm_json[256];
-    std::snprintf(
-        warm_json, sizeof(warm_json),
-        ", \"warm\": {\"pushes\": %llu, \"restores\": %llu, "
-        "\"replicas_stored\": %llu, \"stale_puts\": %llu, "
-        "\"storm_pfs_per_lost_file\": %.3f}",
-        static_cast<unsigned long long>(p.warm_pushes),
-        static_cast<unsigned long long>(p.warm_restores),
-        static_cast<unsigned long long>(p.warm_replicas_stored),
-        static_cast<unsigned long long>(p.stale_replica_puts), per_lost);
-    out << warm_json;
+    json.set("warm", {{"pushes", p.warm_pushes},
+                      {"restores", p.warm_restores},
+                      {"replicas_stored", p.warm_replicas_stored},
+                      {"stale_puts", p.stale_replica_puts},
+                      {"storm_pfs_per_lost_file", storm_pfs_per_lost(p)}});
   }
   if (p.trace_enabled) {
-    char trace_json[512];
-    std::snprintf(
-        trace_json, sizeof(trace_json),
-        ", \"trace\": {\"records\": %llu, \"first_suspicion_ms\": %.1f, "
-        "\"first_ring_update_ms\": %.1f, \"first_coalesced_ms\": %.1f, "
-        "\"first_leader_ms\": %.1f, \"p99_recovery_ms\": %.1f, "
-        "\"span_tree_ok\": %s, \"proof_trace_id\": \"%016llx\", "
-        "\"export_has_core\": %s, \"export_has_guard\": %s}",
-        static_cast<unsigned long long>(p.trace_records),
-        p.first_suspicion_ms, p.first_ring_update_ms, p.first_coalesced_ms,
-        p.first_leader_ms, p.p99_recovery_ms,
-        p.span_tree_ok ? "true" : "false",
-        static_cast<unsigned long long>(p.proof_trace_id),
-        p.export_has_core ? "true" : "false",
-        p.export_has_guard ? "true" : "false");
-    out << trace_json;
+    char trace_id[32];
+    std::snprintf(trace_id, sizeof(trace_id), "%016llx",
+                  static_cast<unsigned long long>(p.proof_trace_id));
+    json.set("trace", {{"records", p.trace_records},
+                       {"first_suspicion_ms", p.first_suspicion_ms},
+                       {"first_ring_update_ms", p.first_ring_update_ms},
+                       {"first_coalesced_ms", p.first_coalesced_ms},
+                       {"first_leader_ms", p.first_leader_ms},
+                       {"p99_recovery_ms", p.p99_recovery_ms},
+                       {"span_tree_ok", p.span_tree_ok},
+                       {"proof_trace_id", trace_id},
+                       {"export_has_core", p.export_has_core},
+                       {"export_has_guard", p.export_has_guard}});
   }
-  out << "}" << (last ? "" : ",") << "\n";
+  return json;
 }
-
-const char* json_bool(bool b) { return b ? "true" : "false"; }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
+  const ftc::bench::Args cli(argc, argv);
+  const Options args(cli);
+  cli.finish();
 
   const PhaseResult unprotected =
       run_phase("unprotected", args, /*hardened=*/false);
   const PhaseResult protected_run =
       run_phase("protected", args, /*hardened=*/true);
   PhaseResult warm_run;
-  if (args.warm != 0) {
+  if (args.warm) {
     warm_run = run_phase("warm", args, /*hardened=*/true, /*warm=*/true);
   }
 
   print_phase(unprotected);
   print_phase(protected_run);
-  if (args.warm != 0) print_phase(warm_run);
+  if (args.warm) print_phase(warm_run);
 
   const bool dup_ok = protected_run.dup_fetch_max <= 1.0;
   const bool p99_ok =
@@ -681,7 +616,7 @@ int main(int argc, char** argv) {
   // (client attempt -> server admission -> singleflight leader) plus the
   // cross-layer exporter series — the observability acceptance criteria.
   const bool trace_ok =
-      args.trace == 0 ||
+      !args.trace ||
       (protected_run.span_tree_ok && protected_run.export_has_core &&
        protected_run.export_has_guard);
   // Warm-failover criteria: the standbys must make the storm essentially
@@ -689,84 +624,57 @@ int main(int argc, char** argv) {
   // within 1.2x of the SAME phase's healthy p99 — a dead node should cost
   // one redirect, not a latency regime change.
   const double warm_pfs_per_lost =
-      (args.warm == 0 || warm_run.victim_files == 0)
-          ? 0.0
-          : static_cast<double>(warm_run.storm_pfs_reads) /
-                static_cast<double>(warm_run.victim_files);
-  const bool warm_pfs_ok = args.warm == 0 || warm_pfs_per_lost <= 0.05;
+      args.warm ? storm_pfs_per_lost(warm_run) : 0.0;
+  const bool warm_pfs_ok = !args.warm || warm_pfs_per_lost <= 0.05;
   // The 1 ms absolute floor keeps the relative criterion meaningful when
   // both quantiles sit at millisecond scale: on a shared box the healthy
   // p99 estimate itself wobbles by ~0.5 ms run to run, while an actual
   // storm is a 10x regime change that clears any floor.
+  const double warm_p99_bound =
+      std::max(1.2 * warm_run.pre_p99_us, warm_run.pre_p99_us + 1000.0);
   const bool warm_p99_ok =
-      args.warm == 0 ||
-      warm_run.storm_p99_us <=
-          std::max(1.2 * warm_run.pre_p99_us, warm_run.pre_p99_us + 1000.0);
-  std::printf("protected dup max %.0f (%s); storm p99 %0.f vs %0.f us (%s)\n",
-              protected_run.dup_fetch_max,
-              dup_ok ? "<= 1, singleflight holds" : "EXCEEDS 1",
-              protected_run.storm_p99_us, unprotected.storm_p99_us,
-              p99_ok ? "improved" : "NOT improved");
-  if (args.trace != 0) {
-    std::printf("trace proof: span_tree %s, exporter series %s\n",
-                protected_run.span_tree_ok ? "found" : "MISSING",
-                protected_run.export_has_core && protected_run.export_has_guard
-                    ? "complete"
-                    : "INCOMPLETE");
-  }
-  if (args.warm != 0) {
-    std::printf(
-        "warm storm pfs %.3f per lost file (%s); storm p99 %.0f vs healthy "
-        "%.0f us (%s 1.2x)\n",
-        warm_pfs_per_lost, warm_pfs_ok ? "<= 0.05, standbys hold" : "EXCEEDS 0.05",
-        warm_run.storm_p99_us, warm_run.pre_p99_us,
-        warm_p99_ok ? "within" : "EXCEEDS");
-  }
+      !args.warm || warm_run.storm_p99_us <= warm_p99_bound;
 
-  std::ofstream out(args.out);
-  out << "{\n  \"bench\": \"bench_failstorm\",\n";
-  out << "  \"config\": {\"nodes\": " << args.nodes
-      << ", \"files\": " << args.files << ", \"file_kb\": " << args.file_kb
-      << ", \"pfs_us\": " << args.pfs_us
-      << ", \"pfs_slots\": " << args.pfs_slots << ", \"pre_ms\": " << args.pre_ms
-      << ", \"storm_ms\": " << args.storm_ms
-      << ", \"think_ms\": " << args.think_ms
-      << ", \"require_p99\": " << args.require_p99
-      << ", \"trace\": " << args.trace
-      << ", \"trace_capacity\": " << args.trace_capacity
-      << ", \"warm\": " << args.warm << "},\n";
-  out << "  \"phases\": {\n";
-  emit_phase_json(out, unprotected, /*last=*/false);
-  emit_phase_json(out, protected_run, /*last=*/args.warm == 0);
-  if (args.warm != 0) emit_phase_json(out, warm_run, /*last=*/true);
-  out << "  },\n";
-  out << "  \"protected_dup_max_le_1\": " << json_bool(dup_ok) << ",\n";
-  out << "  \"storm_p99_improved\": " << json_bool(p99_ok) << ",\n";
-  out << "  \"p99_criterion_enforced\": " << json_bool(args.require_p99 != 0)
-      << ",\n";
-  out << "  \"trace_criterion_enforced\": " << json_bool(args.trace != 0)
-      << ",\n";
-  out << "  \"trace_span_tree_and_export_ok\": " << json_bool(trace_ok)
-      << ",\n";
-  out << "  \"warm_criterion_enforced\": " << json_bool(args.warm != 0)
-      << ",\n";
-  char warm_summary[160];
-  std::snprintf(warm_summary, sizeof(warm_summary),
-                "  \"warm_storm_pfs_per_lost_file\": %.3f,\n",
-                warm_pfs_per_lost);
-  out << warm_summary;
-  out << "  \"warm_storm_pfs_ok\": " << json_bool(warm_pfs_ok) << ",\n";
-  out << "  \"warm_storm_p99_within_1_2x_healthy\": " << json_bool(warm_p99_ok)
-      << "\n}\n";
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: could not write %s\n", args.out.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", args.out.c_str());
+  ftc::bench::Json doc = ftc::bench::artifact("bench_failstorm", cli);
+  ftc::bench::Json phases{{unprotected.name, phase_json(unprotected)},
+                          {protected_run.name, phase_json(protected_run)}};
+  if (args.warm) phases.set(warm_run.name, phase_json(warm_run));
+  doc.set("phases", phases);
+  doc.set("protected_dup_max_le_1", dup_ok);
+  doc.set("storm_p99_improved", p99_ok);
+  doc.set("p99_criterion_enforced", args.require_p99);
+  doc.set("trace_criterion_enforced", args.trace);
+  doc.set("trace_span_tree_and_export_ok", trace_ok);
+  doc.set("warm_criterion_enforced", args.warm);
+  doc.set("warm_storm_pfs_per_lost_file", warm_pfs_per_lost);
+  doc.set("warm_storm_pfs_ok", warm_pfs_ok);
+  doc.set("warm_storm_p99_within_1_2x_healthy", warm_p99_ok);
+  ftc::bench::write_json(args.out, doc);
 
-  return (dup_ok && trace_ok && warm_pfs_ok &&
-          (args.require_p99 == 0 || (p99_ok && warm_p99_ok)))
-             ? 0
-             : 1;
+  ftc::bench::Gate gate;
+  gate.check(dup_ok, "protected duplicate PFS fetches max %.0f, bound 1",
+             protected_run.dup_fetch_max);
+  if (args.require_p99) {
+    gate.check(p99_ok, "protected storm p99 %.0f us below unprotected %.0f us",
+               protected_run.storm_p99_us, unprotected.storm_p99_us);
+  }
+  if (args.trace) {
+    gate.check(trace_ok, "trace proof: span tree %s, exporter series %s",
+               protected_run.span_tree_ok ? "found" : "MISSING",
+               protected_run.export_has_core && protected_run.export_has_guard
+                   ? "complete"
+                   : "INCOMPLETE");
+  }
+  if (args.warm) {
+    gate.check(warm_pfs_ok,
+               "warm storm %.3f PFS reads per lost file, bound 0.05",
+               warm_pfs_per_lost);
+    if (args.require_p99) {
+      gate.check(warm_p99_ok,
+                 "warm storm p99 %.0f us, bound %.0f us (max of 1.2x and "
+                 "+1 ms over healthy %.0f us)",
+                 warm_run.storm_p99_us, warm_p99_bound, warm_run.pre_p99_us);
+    }
+  }
+  return gate.exit_code();
 }

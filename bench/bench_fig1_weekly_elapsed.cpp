@@ -12,12 +12,13 @@
 
 int main(int argc, char** argv) {
   using namespace ftc;
-  const Config args = bench::parse_args(argc, argv);
+  const bench::Args args(argc, argv);
 
   trace::LogGeneratorParams params;
   params.total_jobs = static_cast<std::uint32_t>(
       args.get_int("jobs", params.total_jobs));
   params.seed = static_cast<std::uint64_t>(args.get_int("seed", 20240101));
+  args.finish();
 
   const trace::FailureAnalyzer analyzer(trace::generate_log(params));
   const auto rows = analyzer.weekly_elapsed(params.weeks);

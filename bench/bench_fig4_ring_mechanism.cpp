@@ -11,11 +11,12 @@
 
 int main(int argc, char** argv) {
   using namespace ftc;
-  const Config args = bench::parse_args(argc, argv);
+  const bench::Args args(argc, argv);
   const auto nodes = static_cast<std::uint32_t>(args.get_int("nodes", 4));
   const auto vnodes = static_cast<std::uint32_t>(args.get_int("vnodes", 3));
   const auto victim =
       static_cast<ring::NodeId>(args.get_int("victim", 1));
+  args.finish();
 
   ring::RingConfig ring_config;
   ring_config.vnodes_per_node = vnodes;

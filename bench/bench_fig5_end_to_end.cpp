@@ -20,7 +20,6 @@
 // out= (default BENCH_prefetch.json) for the checked-in baseline.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 
 #include "bench_common.hpp"
 #include "cluster/cluster.hpp"
@@ -47,30 +46,42 @@ struct PrefetchRun {
 
 enum class Scenario { kCold, kPrefetch, kKill };
 
-PrefetchRun run_prefetch_scenario(Scenario scenario, const ftc::Config& args) {
+/// The threaded prefetch phase's options; `cli` is read only while the
+/// members initialise (and names the options in the artifact).
+struct PrefetchOptions {
+  explicit PrefetchOptions(const ftc::bench::Args& cli) : cli(cli) {}
+  const ftc::bench::Args& cli;
+  std::uint32_t nodes = cli.get_u32("pf_nodes", 8);
+  std::uint32_t files = cli.get_u32("pf_files", 256);
+  std::uint32_t file_kb = cli.get_u32("pf_file_kb", 64);
+  std::uint32_t lat_ms = cli.get_u32("pf_lat_ms", 1);  ///< per endpoint
+  std::uint32_t epochs = cli.get_u32("pf_epochs", 3);
+  std::uint32_t rpc_timeout_ms = cli.get_u32("pf_rpc_timeout_ms", 25);
+  std::uint32_t workers = cli.get_u32("pf_workers", 4);
+  std::uint32_t pfs_us = cli.get_u32("pf_pfs_us", 500);
+  std::uint32_t depth = cli.get_u32("pf_depth", 8);
+  std::uint32_t kill_after = cli.get_u32("pf_kill_after", files / 6);
+  std::string out = cli.get_string("out", "BENCH_prefetch.json");
+};
+
+PrefetchRun run_prefetch_scenario(Scenario scenario,
+                                  const PrefetchOptions& opt) {
   using namespace ftc;
-  const auto nodes = static_cast<std::uint32_t>(args.get_int("pf_nodes", 8));
-  const auto files = static_cast<std::uint32_t>(args.get_int("pf_files", 256));
-  const auto file_bytes =
-      static_cast<std::uint32_t>(args.get_int("pf_file_kb", 64)) * 1024u;
-  const auto lat_ms = args.get_int("pf_lat_ms", 1);
-  const auto epochs = static_cast<std::uint32_t>(args.get_int("pf_epochs", 3));
+  const std::uint32_t nodes = opt.nodes;
+  const std::uint32_t files = opt.files;
+  const std::uint32_t file_bytes = opt.file_kb * 1024u;
 
   cluster::ClusterConfig config;
   config.node_count = nodes;
   config.client.mode = cluster::FtMode::kHashRingRecache;
-  config.client.rpc_timeout =
-      std::chrono::milliseconds(args.get_int("pf_rpc_timeout_ms", 25));
+  config.client.rpc_timeout = std::chrono::milliseconds(opt.rpc_timeout_ms);
   // Multiple endpoint workers let concurrent prefetch pulls overlap their
   // injected latency — the whole point of the pipeline.
-  config.server.endpoint_workers =
-      static_cast<std::size_t>(args.get_int("pf_workers", 4));
-  config.pfs_read_latency =
-      std::chrono::microseconds(args.get_int("pf_pfs_us", 500));
+  config.server.endpoint_workers = opt.workers;
+  config.pfs_read_latency = std::chrono::microseconds(opt.pfs_us);
   if (scenario != Scenario::kCold) {
     config.client.prefetch.enabled = true;
-    config.client.prefetch.depth =
-        static_cast<std::uint32_t>(args.get_int("pf_depth", 8));
+    config.client.prefetch.depth = opt.depth;
   }
   if (scenario == Scenario::kKill) {
     config.client.prefetch.p2p = true;
@@ -79,18 +90,18 @@ PrefetchRun run_prefetch_scenario(Scenario scenario, const ftc::Config& args) {
   }
   cluster::Cluster cluster(config);
   for (std::uint32_t n = 0; n < nodes; ++n) {
-    cluster.transport().set_extra_latency(n, std::chrono::milliseconds(lat_ms));
+    cluster.transport().set_extra_latency(
+        n, std::chrono::milliseconds(opt.lat_ms));
   }
   const auto paths = cluster.stage_dataset(files, file_bytes);
 
   dl::ThreadedTrainingConfig train;
-  train.epochs = epochs;
+  train.epochs = opt.epochs;
   train.prefetch = (scenario != Scenario::kCold);
   if (scenario == Scenario::kKill) {
     dl::ThreadedTrainingConfig::Injection kill;
     kill.epoch = 1;
-    kill.after_files =
-        static_cast<std::uint32_t>(args.get_int("pf_kill_after", files / 6));
+    kill.after_files = opt.kill_after;
     kill.victim = nodes - 1;
     train.injections = {kill};
   }
@@ -126,44 +137,14 @@ PrefetchRun run_prefetch_scenario(Scenario scenario, const ftc::Config& args) {
   return run;
 }
 
-void emit_prefetch_json(const std::string& path,
-                        const std::vector<PrefetchRun>& runs, bool pass) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "[fig5] cannot write %s\n", path.c_str());
-    return;
-  }
-  out << "{\n  \"bench\": \"fig5_prefetch\",\n  \"pass\": "
-      << (pass ? "true" : "false") << ",\n  \"scenarios\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const auto& run = runs[i];
-    out << "    {\"name\": \"" << run.name << "\", \"completed\": "
-        << (run.completed ? "true" : "false")
-        << ", \"restarts\": " << run.restarts
-        << ", \"epochs_per_hour\": " << ftc::format_double(run.epochs_per_hour, 2)
-        << ", \"total_pfs_reads\": " << run.total_pfs_reads
-        << ", \"pfs_reads_per_epoch\": [";
-    for (std::size_t e = 0; e < run.pfs_per_epoch.size(); ++e) {
-      out << (e ? ", " : "") << run.pfs_per_epoch[e];
-    }
-    out << "], \"prefetch_pulls\": " << run.prefetch_pulls
-        << ", \"staged_hits\": " << run.prefetch_local_hits
-        << ", \"p2p_rescues\": " << run.p2p_rescues
-        << ", \"server_peer_gets\": " << run.peer_gets
-        << ", \"integrity_failures\": " << run.integrity_failures << "}"
-        << (i + 1 < runs.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
-
-int run_prefetch_phase(const ftc::Config& args) {
+int run_prefetch_phase(const PrefetchOptions& opt) {
   using namespace ftc;
   std::fprintf(stderr, "[fig5] threaded prefetch phase: cold...\n");
-  const auto cold = run_prefetch_scenario(Scenario::kCold, args);
+  const auto cold = run_prefetch_scenario(Scenario::kCold, opt);
   std::fprintf(stderr, "[fig5] threaded prefetch phase: prefetched...\n");
-  const auto warm = run_prefetch_scenario(Scenario::kPrefetch, args);
+  const auto warm = run_prefetch_scenario(Scenario::kPrefetch, opt);
   std::fprintf(stderr, "[fig5] threaded prefetch phase: prefetched+kill...\n");
-  const auto kill = run_prefetch_scenario(Scenario::kKill, args);
+  const auto kill = run_prefetch_scenario(Scenario::kKill, opt);
   const std::vector<PrefetchRun> runs = {cold, warm, kill};
 
   TextTable table({"Scenario", "Epochs/h (steady)", "PFS reads", "Pulls",
@@ -179,43 +160,60 @@ int run_prefetch_phase(const ftc::Config& args) {
   }
   bench::print_table(
       "Threaded epoch-ahead prefetch: epochs/hour at " +
-          std::to_string(args.get_int("pf_nodes", 8)) +
-          " nodes (injected " + std::to_string(args.get_int("pf_lat_ms", 1)) +
-          "ms/endpoint latency)",
+          std::to_string(opt.nodes) + " nodes (injected " +
+          std::to_string(opt.lat_ms) + "ms/endpoint latency)",
       table);
 
-  int failures = 0;
-  const auto gate = [&failures](bool ok, const std::string& what) {
-    std::printf("gate: %-58s %s\n", what.c_str(), ok ? "PASS" : "FAIL");
-    if (!ok) ++failures;
-  };
-  const auto files =
-      static_cast<std::uint64_t>(args.get_int("pf_files", 256));
-  gate(cold.completed && warm.completed && kill.completed,
-       "all three scenarios completed");
-  gate(warm.epochs_per_hour >= 1.2 * cold.epochs_per_hour,
-       "prefetched epochs/hour >= 1.2x cold");
+  bench::Gate gate;
+  gate.check(cold.completed && warm.completed && kill.completed,
+             "all three scenarios completed");
+  gate.check(warm.epochs_per_hour >= 1.2 * cold.epochs_per_hour,
+             "prefetched epochs/hour %.0f vs 1.2x cold %.0f",
+             warm.epochs_per_hour, 1.2 * cold.epochs_per_hour);
   bool steady_zero = warm.pfs_per_epoch.size() >= 2;
   for (std::size_t e = 1; e < warm.pfs_per_epoch.size(); ++e) {
     steady_zero = steady_zero && warm.pfs_per_epoch[e] == 0;
   }
-  gate(steady_zero, "prefetched steady-state epoch PFS reads == 0");
-  gate(kill.restarts >= 1, "mid-epoch kill triggered an elastic restart");
-  gate(kill.total_pfs_reads == files,
-       "kill recovered with zero PFS reads beyond warm-up");
-  gate(kill.peer_gets > 0, "kPeerGet exercised (prefetch pulls / p2p)");
-  gate(cold.integrity_failures + warm.integrity_failures +
-               kill.integrity_failures ==
-           0,
-       "zero integrity failures");
+  gate.check(steady_zero, "prefetched steady-state epoch PFS reads == 0");
+  gate.check(kill.restarts >= 1,
+             "mid-epoch kill triggered an elastic restart");
+  gate.check(kill.total_pfs_reads == opt.files,
+             "kill recovered with zero PFS reads beyond warm-up (%llu reads "
+             "for %u files)",
+             static_cast<unsigned long long>(kill.total_pfs_reads),
+             opt.files);
+  gate.check(kill.peer_gets > 0, "kPeerGet exercised (prefetch pulls / p2p)");
+  gate.check(cold.integrity_failures + warm.integrity_failures +
+                     kill.integrity_failures ==
+                 0,
+             "zero integrity failures");
 
-  emit_prefetch_json(args.get_string("out", "BENCH_prefetch.json"), runs,
-                     failures == 0);
+  std::vector<bench::Json> scenarios;
+  for (const auto& run : runs) {
+    std::vector<bench::Json> pfs_per_epoch(run.pfs_per_epoch.begin(),
+                                           run.pfs_per_epoch.end());
+    scenarios.push_back(
+        {{"name", run.name},
+         {"completed", run.completed},
+         {"restarts", run.restarts},
+         {"epochs_per_hour", run.epochs_per_hour},
+         {"total_pfs_reads", run.total_pfs_reads},
+         {"pfs_reads_per_epoch", bench::Json::array(pfs_per_epoch)},
+         {"prefetch_pulls", run.prefetch_pulls},
+         {"staged_hits", run.prefetch_local_hits},
+         {"p2p_rescues", run.p2p_rescues},
+         {"server_peer_gets", run.peer_gets},
+         {"integrity_failures", run.integrity_failures}});
+  }
+  bench::Json doc = bench::artifact("fig5_prefetch", opt.cli);
+  doc.set("pass", gate.passed());
+  doc.set("scenarios", bench::Json::array(scenarios));
+  bench::write_json(opt.out, doc);
   std::printf(
       "expected: epoch-ahead kPeerGet pulls overlap the injected latency "
       "that cold demand reads pay serially; the kill epoch recovers from "
       "warm standbys over kPeerGet, never the PFS\n");
-  return failures == 0 ? 0 : 1;
+  return gate.exit_code();
 }
 
 }  // namespace
@@ -223,16 +221,23 @@ int run_prefetch_phase(const ftc::Config& args) {
 int main(int argc, char** argv) {
   using namespace ftc;
   using cluster::FtMode;
-  const Config args = bench::parse_args(argc, argv);
-  if (args.get_bool("prefetch_only", false)) {
-    return run_prefetch_phase(args);
-  }
+  const bench::Args args(argc, argv);
+  const bool prefetch_only = args.get_bool("prefetch_only", false);
   const auto scales = bench::scales_from(args);
   const auto failure_count = static_cast<std::uint32_t>(
       args.get_int("failures", 5));
   const auto seed = static_cast<std::uint64_t>(args.get_int("fail_seed", 42));
   // The paper repeats each experiment three times.
   const auto trials = static_cast<std::uint32_t>(args.get_int("trials", 3));
+  // The paper's drains land shortly after epoch boundaries (cache fully
+  // populated, little compute in flight); compress the in-epoch position
+  // accordingly.  fail_fraction_scale=1 restores uniform.
+  const double fraction_scale = args.get_double("fail_fraction_scale", 0.3);
+  const bool verbose = args.get_bool("verbose", false);
+  const bench::PaperConfig paper_config(args);
+  const PrefetchOptions prefetch(args);
+  args.finish();
+  if (prefetch_only) return run_prefetch_phase(prefetch);
 
   struct Row {
     std::uint32_t nodes;
@@ -250,8 +255,7 @@ int main(int argc, char** argv) {
     Row row{};
     row.nodes = nodes;
     for (int m = 0; m < 3; ++m) {
-      auto config = bench::paper_config(nodes, kModes[m]);
-      bench::apply_overrides(config, args);
+      const auto config = paper_config(nodes, kModes[m]);
       const auto clean = destim::run_experiment_trials(config, trials);
       row.no_fail[m] =
           clean.completed > 0 ? clean.total_minutes.mean() : -1.0;
@@ -265,11 +269,6 @@ int main(int argc, char** argv) {
       plan.total_epochs = config.epochs;
       plan.seed = seed;
       failure_config.failures = cluster::plan_failures(plan);
-      // The paper's drains land shortly after epoch boundaries (cache
-      // fully populated, little compute in flight); compress the in-epoch
-      // position accordingly.  fail_fraction_scale=1 restores uniform.
-      const double fraction_scale =
-          args.get_double("fail_fraction_scale", 0.3);
       for (auto& failure : failure_config.failures) {
         failure.epoch_fraction *= fraction_scale;
       }
@@ -279,7 +278,7 @@ int main(int argc, char** argv) {
           faulty.completed > 0 ? faulty.total_minutes.mean() : -1.0;
       row.with_fail_sd[m] = faulty.total_minutes.stddev();
       const auto& failed_run = faulty.results.front();
-      if (args.get_bool("verbose", false) && failed_run.completed) {
+      if (verbose && failed_run.completed) {
         for (const auto& epoch : failed_run.epochs) {
           std::fprintf(stderr,
                        "[fig5] n=%u mode=%d epoch=%u dur=%.2fs attempts=%u "
@@ -344,5 +343,5 @@ int main(int argc, char** argv) {
       "paper reference (b): FT w/ PFS +32.2%% @64 -> +68.7%% @1024 vs "
       "no-failure; FT w/ NVMe +12.5%% -> +26.7%%; NVMe beats PFS by 14.8%% "
       "@64 and 24.9%% @1024; NoFT aborts on failure (dashed line)\n");
-  return run_prefetch_phase(args);
+  return run_prefetch_phase(prefetch);
 }

@@ -28,11 +28,13 @@ double epoch_minutes(const ftc::destim::ExperimentResult& result,
 int main(int argc, char** argv) {
   using namespace ftc;
   using cluster::FtMode;
-  const Config args = bench::parse_args(argc, argv);
+  const bench::Args args(argc, argv);
   const auto scales = bench::scales_from(args);
   const std::uint32_t victim_epoch = static_cast<std::uint32_t>(
       args.get_int("victim_epoch", 2));
   const double fraction = args.get_double("fraction", 0.4);
+  const bench::PaperConfig paper_config(args);
+  args.finish();
 
   TextTable table({"Nodes", "No-failure epoch (min)",
                    "FT w/ PFS victim epoch (min)",
@@ -40,8 +42,7 @@ int main(int argc, char** argv) {
                    "NVMe/no-fail x"});
 
   for (const std::uint32_t nodes : scales) {
-    auto base_config = bench::paper_config(nodes, FtMode::kHashRingRecache);
-    bench::apply_overrides(base_config, args);
+    const auto base_config = paper_config(nodes, FtMode::kHashRingRecache);
     const auto baseline = destim::run_experiment(base_config);
     const double base_epoch = epoch_minutes(baseline, victim_epoch);
 
@@ -50,14 +51,12 @@ int main(int argc, char** argv) {
     failure.epoch = victim_epoch;
     failure.epoch_fraction = fraction;
 
-    auto pfs_config = bench::paper_config(nodes, FtMode::kPfsRedirect);
-    bench::apply_overrides(pfs_config, args);
+    auto pfs_config = paper_config(nodes, FtMode::kPfsRedirect);
     pfs_config.failures = {failure};
     const auto pfs_run = destim::run_experiment(pfs_config);
     const double pfs_epoch = epoch_minutes(pfs_run, victim_epoch);
 
-    auto nvme_config = bench::paper_config(nodes, FtMode::kHashRingRecache);
-    bench::apply_overrides(nvme_config, args);
+    auto nvme_config = paper_config(nodes, FtMode::kHashRingRecache);
     nvme_config.failures = {failure};
     const auto nvme_run = destim::run_experiment(nvme_config);
     const double nvme_epoch = epoch_minutes(nvme_run, victim_epoch);

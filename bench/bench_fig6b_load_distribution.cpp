@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace ftc;
-  const Config args = bench::parse_args(argc, argv);
+  const bench::Args args(argc, argv);
 
   ring::LoadDistributionParams base;
   base.physical_nodes = static_cast<std::uint32_t>(
@@ -29,6 +29,14 @@ int main(int argc, char** argv) {
        args.get_int_list("vnodes", {10, 50, 100, 200, 500, 1000})) {
     if (v > 0) vnode_counts.push_back(static_cast<std::uint32_t>(v));
   }
+  // The bounded-load extension below: load factor c (<= 1 skips it).
+  ring::LoadDistributionParams bounded = base;
+  bounded.bounded_load_c = args.get_double("c", 1.25);
+  bounded.bounded_load_max_spill = static_cast<std::uint32_t>(
+      args.get_int("max_spill", bounded.bounded_load_max_spill));
+  bounded.trials = static_cast<std::uint32_t>(
+      args.get_int("bounded_trials", std::max(1, int(base.trials) / 25)));
+  args.finish();
 
   TextTable table({"Vnodes/node", "Receiver nodes (mean)", "+- sd",
                    "Files/receiver (mean)", "+- sd", "Lost files (mean)",
@@ -61,14 +69,7 @@ int main(int argc, char** argv) {
   // clockwise assignment vs bounded-load spill (CH-BL) at factor c.  The
   // full-arc walk is ~physical_nodes x the per-trial cost of the failure
   // study above, so it runs fewer trials.
-  const double c = args.get_double("c", 1.25);
-  if (c > 1.0) {
-    ring::LoadDistributionParams bounded = base;
-    bounded.bounded_load_c = c;
-    bounded.bounded_load_max_spill = static_cast<std::uint32_t>(
-        args.get_int("max_spill", bounded.bounded_load_max_spill));
-    bounded.trials = static_cast<std::uint32_t>(
-        args.get_int("bounded_trials", std::max(1, int(base.trials) / 25)));
+  if (bounded.bounded_load_c > 1.0) {
     TextTable blb({"Vnodes/node", "Peak/mean plain", "+- sd",
                    "Peak/mean CH-BL", "+- sd", "Spilled fraction"});
     for (const auto& result :
@@ -82,8 +83,8 @@ int main(int argc, char** argv) {
     }
     bench::print_table(
         "Extension: post-failure peak/mean, plain vs bounded-load (c=" +
-            format_double(c, 2) + ", " + std::to_string(bounded.trials) +
-            " trials)",
+            format_double(bounded.bounded_load_c, 2) + ", " +
+            std::to_string(bounded.trials) + " trials)",
         blb);
     std::printf(
         "expected: CH-BL caps the peak near c while moving only a few "

@@ -25,12 +25,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/failure_injector.hpp"
 #include "membership/event.hpp"
@@ -49,66 +49,26 @@ using ftc::membership::RingEventType;
 using ftc::obs::Record;
 using ftc::obs::RecordKind;
 
-struct BenchArgs {
-  std::uint32_t nodes = 4;
-  std::uint32_t files = 48;
-  std::uint32_t file_kb = 256;
-  std::uint32_t passes = 6;
-  std::uint32_t slow_ms = 10;
+/// The bench's options; `cli` is read only while the members initialise.
+struct Options {
+  explicit Options(const ftc::bench::Args& cli) : cli(cli) {}
+  const ftc::bench::Args& cli;
+  std::uint32_t nodes = cli.get_u32("nodes", 4);
+  std::uint32_t files = cli.get_u32("files", 48);
+  std::uint32_t file_kb = cli.get_u32("file_kb", 256);
+  std::uint32_t passes = cli.get_u32("passes", 6);
+  std::uint32_t slow_ms = cli.get_u32("slow_ms", 10);
   // Per-read think time, modelling the compute step between batch loads.
   // Keeps the offered load on the slow node below its degraded service
   // rate: without pacing, hedged clients stop blocking on the slow node
   // and its queue grows without bound — an artifact of the closed-loop
   // harness, not of hedging (real ingest is throttled by the GPU).
-  std::uint32_t think_ms = 15;
-  std::uint32_t trace = 1;  ///< 0: untraced legacy run
-  std::string out = "BENCH_grayfail.json";
+  std::uint32_t think_ms = cli.get_u32("think_ms", 15);
+  bool trace = cli.get_bool("trace", true);  ///< false: untraced run
+  std::string out = cli.get_string("out", "BENCH_grayfail.json");
 };
 
-BenchArgs parse_args(int argc, char** argv) {
-  BenchArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr,
-                   "usage: %s [nodes=N] [files=N] [file_kb=N] [passes=N] "
-                   "[slow_ms=N] [think_ms=N] [trace=0|1] [out=PATH]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-    const std::string key = arg.substr(0, eq);
-    const std::string value = arg.substr(eq + 1);
-    const auto numeric = [&key, &value]() -> std::uint32_t {
-      try {
-        std::size_t used = 0;
-        const unsigned long parsed = std::stoul(value, &used);
-        if (used == value.size()) {
-          return static_cast<std::uint32_t>(parsed);
-        }
-      } catch (const std::exception&) {
-      }
-      std::fprintf(stderr, "%s wants a number, got '%s'\n", key.c_str(),
-                   value.c_str());
-      std::exit(2);
-    };
-    if (key == "nodes") args.nodes = numeric();
-    else if (key == "files") args.files = numeric();
-    else if (key == "file_kb") args.file_kb = numeric();
-    else if (key == "passes") args.passes = numeric();
-    else if (key == "slow_ms") args.slow_ms = numeric();
-    else if (key == "think_ms") args.think_ms = numeric();
-    else if (key == "trace") args.trace = numeric();
-    else if (key == "out") args.out = value;
-    else {
-      std::fprintf(stderr, "unknown key: %s\n", key.c_str());
-      std::exit(2);
-    }
-  }
-  return args;
-}
-
-ClusterConfig make_cluster_config(const BenchArgs& args, bool hedging) {
+ClusterConfig make_cluster_config(const Options& args, bool hedging) {
   ClusterConfig config;
   config.node_count = args.nodes;
   config.client.mode = FtMode::kHashRingRecache;
@@ -127,7 +87,7 @@ ClusterConfig make_cluster_config(const BenchArgs& args, bool hedging) {
   config.client.hedge_min_samples = 16;
   config.server.async_data_mover = true;
   config.server.cache_capacity_bytes = 1ULL << 32;
-  if (args.trace != 0) {
+  if (args.trace) {
     config.obs.tracing = true;
     config.obs.sample_every = 1;
     config.obs.recorder_capacity = 1u << 14;
@@ -145,13 +105,6 @@ struct PhaseResult {
   std::uint64_t hedges_launched = 0;
   std::uint64_t hedge_wins = 0;
 };
-
-double percentile(std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(
-      p / 100.0 * static_cast<double>(sorted.size() - 1));
-  return sorted[rank];
-}
 
 /// One pass-loop of warm reads per node (each client driven by its own
 /// thread, as in a co-located training job).
@@ -200,8 +153,8 @@ PhaseResult run_read_phase(const std::string& name, Cluster& cluster,
   for (std::uint64_t f : failures) result.failures += f;
   result.ops = merged.size();
   std::sort(merged.begin(), merged.end());
-  result.p50_us = percentile(merged, 50.0);
-  result.p99_us = percentile(merged, 99.0);
+  result.p50_us = ftc::bench::percentile(merged, 50.0);
+  result.p99_us = ftc::bench::percentile(merged, 99.0);
   result.max_us = merged.empty() ? 0.0 : merged.back();
   for (NodeId n = 0; n < cluster.node_count(); ++n) {
     const auto s = cluster.client(n).stats_snapshot();
@@ -326,73 +279,30 @@ ReinstatementResult run_reinstatement(Cluster& cluster,
   return result;
 }
 
-const char* json_bool(bool b) { return b ? "true" : "false"; }
+ftc::bench::Json phase_json(const PhaseResult& p) {
+  return {{"ops", p.ops},
+          {"failures", p.failures},
+          {"p50_us", p.p50_us},
+          {"p99_us", p.p99_us},
+          {"max_us", p.max_us},
+          {"hedges_launched", p.hedges_launched},
+          {"hedge_wins", p.hedge_wins}};
+}
 
-void emit_json(const BenchArgs& args, const PhaseResult& healthy,
-               const PhaseResult& slow_unhedged,
-               const PhaseResult& slow_hedged,
-               const ReinstatementResult& reinstatement, double ratio,
-               bool bound_ok) {
-  std::ofstream out(args.out);
-  out << "{\n  \"bench\": \"bench_grayfail\",\n";
-  out << "  \"config\": {\"nodes\": " << args.nodes
-      << ", \"files\": " << args.files << ", \"file_kb\": " << args.file_kb
-      << ", \"passes\": " << args.passes
-      << ", \"slow_ms\": " << args.slow_ms
-      << ", \"think_ms\": " << args.think_ms
-      << ", \"trace\": " << args.trace << "},\n";
-  out << "  \"phases\": {\n";
-  const PhaseResult* phases[] = {&healthy, &slow_unhedged, &slow_hedged};
-  for (std::size_t i = 0; i < 3; ++i) {
-    const PhaseResult& p = *phases[i];
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "    \"%s\": {\"ops\": %llu, \"failures\": %llu, "
-                  "\"p50_us\": %.1f, \"p99_us\": %.1f, \"max_us\": %.1f, "
-                  "\"hedges_launched\": %llu, \"hedge_wins\": %llu}%s\n",
-                  p.name.c_str(), static_cast<unsigned long long>(p.ops),
-                  static_cast<unsigned long long>(p.failures), p.p50_us,
-                  p.p99_us, p.max_us,
-                  static_cast<unsigned long long>(p.hedges_launched),
-                  static_cast<unsigned long long>(p.hedge_wins),
-                  i + 1 < 3 ? "," : "");
-    out << line;
+ftc::bench::Json reinstatement_json(const ReinstatementResult& r) {
+  ftc::bench::Json json{{"flagged", r.flagged},
+                        {"reinstated", r.reinstated},
+                        {"ownership_regained", r.ownership_regained},
+                        {"recached_on_first_touch", r.recached_on_first_touch},
+                        {"probes_sent", r.probes_sent},
+                        {"time_to_reinstate_ms", r.time_to_reinstate_ms}};
+  if (r.trace_enabled) {
+    json.set("trace", {{"records", r.trace_records},
+                       {"suspicion_ms", r.suspicion_ms},
+                       {"probation_ms", r.probation_ms},
+                       {"reinstate_ms", r.reinstate_ms}});
   }
-  out << "  },\n";
-  char summary[256];
-  std::snprintf(summary, sizeof(summary),
-                "  \"hedged_p99_over_healthy_p99\": %.2f,\n"
-                "  \"hedged_p99_within_3x_healthy\": %s,\n",
-                ratio, json_bool(bound_ok));
-  out << summary;
-  out << "  \"reinstatement\": {"
-      << "\"flagged\": " << json_bool(reinstatement.flagged)
-      << ", \"reinstated\": " << json_bool(reinstatement.reinstated)
-      << ", \"ownership_regained\": "
-      << json_bool(reinstatement.ownership_regained)
-      << ", \"recached_on_first_touch\": "
-      << json_bool(reinstatement.recached_on_first_touch)
-      << ", \"probes_sent\": " << reinstatement.probes_sent;
-  char ms[256];
-  std::snprintf(ms, sizeof(ms), ", \"time_to_reinstate_ms\": %.1f",
-                reinstatement.time_to_reinstate_ms);
-  out << ms;
-  if (reinstatement.trace_enabled) {
-    std::snprintf(ms, sizeof(ms),
-                  ", \"trace\": {\"records\": %llu, \"suspicion_ms\": %.1f, "
-                  "\"probation_ms\": %.1f, \"reinstate_ms\": %.1f}",
-                  static_cast<unsigned long long>(reinstatement.trace_records),
-                  reinstatement.suspicion_ms, reinstatement.probation_ms,
-                  reinstatement.reinstate_ms);
-    out << ms;
-  }
-  out << "}\n";
-  out << "}\n";
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: could not write %s\n", args.out.c_str());
-    std::exit(1);
-  }
+  return json;
 }
 
 void print_phase(const PhaseResult& p) {
@@ -407,7 +317,9 @@ void print_phase(const PhaseResult& p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
+  const ftc::bench::Args cli(argc, argv);
+  const Options args(cli);
+  cli.finish();
   const std::uint32_t file_bytes = args.file_kb * 1024;
   const NodeId slow_node = args.nodes - 1;
 
@@ -448,14 +360,11 @@ int main(int argc, char** argv) {
   print_phase(healthy);
   print_phase(slow_unhedged);
   print_phase(slow_hedged);
-  std::printf("hedged p99 / healthy p99 = %.2f (%s)\n", ratio,
-              bound_ok ? "within 3x bound" : "EXCEEDS 3x bound");
-  std::printf("reinstatement: flagged=%s reinstated=%s ring=%s "
-              "first_touch_recache=%s probes=%llu t=%.1f ms\n",
-              json_bool(reinstatement.flagged),
-              json_bool(reinstatement.reinstated),
-              json_bool(reinstatement.ownership_regained),
-              json_bool(reinstatement.recached_on_first_touch),
+  std::printf("reinstatement: flagged=%d reinstated=%d ring=%d "
+              "first_touch_recache=%d probes=%llu t=%.1f ms\n",
+              reinstatement.flagged, reinstatement.reinstated,
+              reinstatement.ownership_regained,
+              reinstatement.recached_on_first_touch,
               static_cast<unsigned long long>(reinstatement.probes_sent),
               reinstatement.time_to_reinstate_ms);
   if (reinstatement.trace_enabled) {
@@ -466,8 +375,19 @@ int main(int argc, char** argv) {
                 reinstatement.suspicion_ms, reinstatement.probation_ms,
                 reinstatement.reinstate_ms);
   }
-  emit_json(args, healthy, slow_unhedged, slow_hedged, reinstatement, ratio,
-            bound_ok);
-  std::printf("wrote %s\n", args.out.c_str());
-  return bound_ok && reinstatement.reinstated ? 0 : 1;
+
+  ftc::bench::Json doc = ftc::bench::artifact("bench_grayfail", cli);
+  doc.set("phases", {{healthy.name, phase_json(healthy)},
+                     {slow_unhedged.name, phase_json(slow_unhedged)},
+                     {slow_hedged.name, phase_json(slow_hedged)}});
+  doc.set("hedged_p99_over_healthy_p99", ratio);
+  doc.set("hedged_p99_within_3x_healthy", bound_ok);
+  doc.set("reinstatement", reinstatement_json(reinstatement));
+  ftc::bench::write_json(args.out, doc);
+
+  ftc::bench::Gate gate;
+  gate.check(bound_ok, "hedged p99 / healthy p99 = %.2f, bound 3x", ratio);
+  gate.check(reinstatement.reinstated,
+             "the revived node was reinstated by the backoff probe");
+  return gate.exit_code();
 }

@@ -38,11 +38,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/failure_injector.hpp"
 
@@ -56,61 +56,22 @@ using ftc::cluster::FtMode;
 using ftc::cluster::GrayFailureInjector;
 using ftc::cluster::NodeHealth;
 
-struct BenchArgs {
-  std::uint32_t nodes = 8;
-  std::uint32_t files = 64;
-  std::uint32_t file_kb = 64;
-  std::uint32_t think_ms = 5;
-  std::uint32_t probe_period_ms = 10;
+/// The bench's options; `cli` is read only while the members initialise.
+struct Options {
+  explicit Options(const ftc::bench::Args& cli) : cli(cli) {}
+  const ftc::bench::Args& cli;
+  std::uint32_t nodes = cli.get_u32("nodes", 8);
+  std::uint32_t files = cli.get_u32("files", 64);
+  std::uint32_t file_kb = cli.get_u32("file_kb", 64);
+  std::uint32_t think_ms = cli.get_u32("think_ms", 5);
+  std::uint32_t probe_period_ms = cli.get_u32("probe_period_ms", 10);
   // Probe periods membership may take from kill to full convergence.
-  double period_bound = 40.0;
-  std::uint32_t timeout_s = 10;
-  std::string out = "BENCH_membership.json";
+  double period_bound = cli.get_double("period_bound", 40.0);
+  std::uint32_t timeout_s = cli.get_u32("timeout_s", 10);
+  std::string out = cli.get_string("out", "BENCH_membership.json");
 };
 
-BenchArgs parse_args(int argc, char** argv) {
-  BenchArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr,
-                   "usage: %s [nodes=N] [files=N] [file_kb=N] [think_ms=N] "
-                   "[probe_period_ms=N] [period_bound=N] [timeout_s=N] "
-                   "[out=PATH]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-    const std::string key = arg.substr(0, eq);
-    const std::string value = arg.substr(eq + 1);
-    const auto numeric = [&key, &value]() -> std::uint32_t {
-      try {
-        std::size_t used = 0;
-        const unsigned long parsed = std::stoul(value, &used);
-        if (used == value.size()) return static_cast<std::uint32_t>(parsed);
-      } catch (const std::exception&) {
-      }
-      std::fprintf(stderr, "%s wants a number, got '%s'\n", key.c_str(),
-                   value.c_str());
-      std::exit(2);
-    };
-    if (key == "nodes") args.nodes = numeric();
-    else if (key == "files") args.files = numeric();
-    else if (key == "file_kb") args.file_kb = numeric();
-    else if (key == "think_ms") args.think_ms = numeric();
-    else if (key == "probe_period_ms") args.probe_period_ms = numeric();
-    else if (key == "period_bound") args.period_bound = numeric();
-    else if (key == "timeout_s") args.timeout_s = numeric();
-    else if (key == "out") args.out = value;
-    else {
-      std::fprintf(stderr, "unknown key: %s\n", key.c_str());
-      std::exit(2);
-    }
-  }
-  return args;
-}
-
-ClusterConfig make_config(const BenchArgs& args, bool membership) {
+ClusterConfig make_config(const Options& args, bool membership) {
   ClusterConfig config;
   config.node_count = args.nodes;
   config.client.mode = FtMode::kHashRingRecache;
@@ -180,7 +141,7 @@ bool membership_converged(Cluster& cluster, NodeId victim) {
 /// Kill `victim`, drive paced reads from every surviving client until the
 /// cluster has converged on the failure, then one more full pass to expose
 /// any post-convergence leakage toward the dead node.
-PhaseResult run_phase(const BenchArgs& args, bool membership) {
+PhaseResult run_phase(const Options& args, bool membership) {
   PhaseResult result;
   result.name = membership ? "membership" : "client_local";
 
@@ -265,55 +226,16 @@ PhaseResult run_phase(const BenchArgs& args, bool membership) {
   return result;
 }
 
-const char* json_bool(bool b) { return b ? "true" : "false"; }
-
-void emit_json(const BenchArgs& args, const PhaseResult& baseline,
-               const PhaseResult& membership, bool periods_ok,
-               bool convergence_ok, bool duplicates_ok) {
-  std::ofstream out(args.out);
-  out << "{\n  \"bench\": \"bench_membership\",\n";
-  out << "  \"config\": {\"nodes\": " << args.nodes
-      << ", \"files\": " << args.files << ", \"file_kb\": " << args.file_kb
-      << ", \"think_ms\": " << args.think_ms
-      << ", \"probe_period_ms\": " << args.probe_period_ms
-      << ", \"period_bound\": " << args.period_bound << "},\n";
-  out << "  \"phases\": {\n";
-  const PhaseResult* phases[] = {&baseline, &membership};
-  for (std::size_t i = 0; i < 2; ++i) {
-    const PhaseResult& p = *phases[i];
-    char line[384];
-    std::snprintf(
-        line, sizeof(line),
-        "    \"%s\": {\"converged\": %s, \"convergence_ms\": %.1f, "
-        "\"probe_periods\": %.1f, \"duplicate_recaches\": %llu, "
-        "\"protocol_requests\": %llu, "
-        "\"recache_pfs_fetches\": %llu, \"expected_recaches\": %llu, "
-        "\"reads_ok\": %llu, \"reads_failed\": %llu}%s\n",
-        p.name.c_str(), json_bool(p.converged), p.convergence_ms,
-        p.probe_periods,
-        static_cast<unsigned long long>(p.duplicate_recaches),
-        static_cast<unsigned long long>(p.protocol_requests),
-        static_cast<unsigned long long>(p.recache_pfs_fetches),
-        static_cast<unsigned long long>(p.expected_recaches),
-        static_cast<unsigned long long>(p.reads_ok),
-        static_cast<unsigned long long>(p.reads_failed),
-        i + 1 < 2 ? "," : "");
-    out << line;
-  }
-  out << "  },\n";
-  char summary[256];
-  std::snprintf(summary, sizeof(summary),
-                "  \"membership_within_period_bound\": %s,\n"
-                "  \"convergence_below_baseline\": %s,\n"
-                "  \"duplicates_below_baseline\": %s\n}\n",
-                json_bool(periods_ok), json_bool(convergence_ok),
-                json_bool(duplicates_ok));
-  out << summary;
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: could not write %s\n", args.out.c_str());
-    std::exit(1);
-  }
+ftc::bench::Json phase_json(const PhaseResult& p) {
+  return {{"converged", p.converged},
+          {"convergence_ms", p.convergence_ms},
+          {"probe_periods", p.probe_periods},
+          {"duplicate_recaches", p.duplicate_recaches},
+          {"protocol_requests", p.protocol_requests},
+          {"recache_pfs_fetches", p.recache_pfs_fetches},
+          {"expected_recaches", p.expected_recaches},
+          {"reads_ok", p.reads_ok},
+          {"reads_failed", p.reads_failed}};
 }
 
 void print_phase(const PhaseResult& p) {
@@ -333,7 +255,9 @@ void print_phase(const PhaseResult& p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
+  const ftc::bench::Args cli(argc, argv);
+  const Options args(cli);
+  cli.finish();
 
   const PhaseResult baseline = run_phase(args, /*membership=*/false);
   const PhaseResult membership = run_phase(args, /*membership=*/true);
@@ -348,14 +272,24 @@ int main(int argc, char** argv) {
 
   print_phase(baseline);
   print_phase(membership);
-  std::printf("membership within %.0f probe periods: %s\n", args.period_bound,
-              periods_ok ? "yes" : "NO");
-  std::printf("convergence strictly below baseline: %s\n",
-              convergence_ok ? "yes" : "NO");
-  std::printf("duplicate recaches strictly below baseline: %s\n",
-              duplicates_ok ? "yes" : "NO");
-  emit_json(args, baseline, membership, periods_ok, convergence_ok,
-            duplicates_ok);
-  std::printf("wrote %s\n", args.out.c_str());
-  return periods_ok && convergence_ok && duplicates_ok ? 0 : 1;
+  ftc::bench::Json doc = ftc::bench::artifact("bench_membership", cli);
+  doc.set("phases", {{baseline.name, phase_json(baseline)},
+                     {membership.name, phase_json(membership)}});
+  doc.set("membership_within_period_bound", periods_ok);
+  doc.set("convergence_below_baseline", convergence_ok);
+  doc.set("duplicates_below_baseline", duplicates_ok);
+  ftc::bench::write_json(args.out, doc);
+
+  ftc::bench::Gate gate;
+  gate.check(periods_ok,
+             "membership converged in %.1f probe periods, bound %.0f",
+             membership.probe_periods, args.period_bound);
+  gate.check(convergence_ok,
+             "convergence %.1f ms, strictly below baseline %.1f ms",
+             membership.convergence_ms, baseline.convergence_ms);
+  gate.check(duplicates_ok,
+             "duplicate recaches %llu, strictly below baseline %llu",
+             static_cast<unsigned long long>(membership.duplicate_recaches),
+             static_cast<unsigned long long>(baseline.duplicate_recaches));
+  return gate.exit_code();
 }

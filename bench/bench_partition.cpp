@@ -48,11 +48,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/failure_injector.hpp"
 #include "membership/member_table.hpp"
@@ -67,68 +67,26 @@ using ftc::cluster::FtMode;
 using ftc::cluster::GrayFailureInjector;
 using ftc::membership::MemberState;
 
-struct BenchArgs {
-  std::uint32_t nodes = 8;
-  std::uint32_t files = 48;
-  std::uint32_t fresh_files = 16;  ///< staged but unwarmed; read post-heal
-  std::uint32_t file_kb = 32;
-  std::uint32_t passes = 300;  ///< goodput-window iterations (per client)
-  double slo_ms = 5.0;  ///< a read slower than this is availability lost
-  std::uint32_t probe_period_ms = 10;
-  std::uint32_t quorum = 4;
-  std::uint32_t timeout_s = 20;
-  std::string out = "BENCH_partition.json";
+/// The bench's options; `cli` is read only while the members initialise.
+struct Options {
+  explicit Options(const ftc::bench::Args& cli) : cli(cli) {}
+  const ftc::bench::Args& cli;
+  std::uint32_t nodes = cli.get_u32("nodes", 8);
+  std::uint32_t files = cli.get_u32("files", 48);
+  /// Staged but unwarmed; read post-heal.
+  std::uint32_t fresh_files = cli.get_u32("fresh_files", 16);
+  std::uint32_t file_kb = cli.get_u32("file_kb", 32);
+  /// Goodput-window iterations (per client).
+  std::uint32_t passes = cli.get_u32("passes", 300);
+  /// A read slower than this is availability lost.
+  double slo_ms = cli.get_double("slo_ms", 5.0);
+  std::uint32_t probe_period_ms = cli.get_u32("probe_period_ms", 10);
+  std::uint32_t quorum = cli.get_u32("quorum", 4);
+  std::uint32_t timeout_s = cli.get_u32("timeout_s", 20);
+  std::string out = cli.get_string("out", "BENCH_partition.json");
 };
 
-BenchArgs parse_args(int argc, char** argv) {
-  BenchArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr,
-                   "usage: %s [nodes=N] [files=N] [fresh_files=N] "
-                   "[file_kb=N] [passes=N] [slo_ms=N] [probe_period_ms=N] "
-                   "[quorum=N] [timeout_s=N] [out=PATH]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-    const std::string key = arg.substr(0, eq);
-    const std::string value = arg.substr(eq + 1);
-    const auto numeric = [&key, &value]() -> std::uint32_t {
-      try {
-        std::size_t used = 0;
-        const unsigned long parsed = std::stoul(value, &used);
-        if (used == value.size()) return static_cast<std::uint32_t>(parsed);
-      } catch (const std::exception&) {
-      }
-      std::fprintf(stderr, "%s wants a number, got '%s'\n", key.c_str(),
-                   value.c_str());
-      std::exit(2);
-    };
-    if (key == "nodes") args.nodes = numeric();
-    else if (key == "files") args.files = numeric();
-    else if (key == "fresh_files") args.fresh_files = numeric();
-    else if (key == "file_kb") args.file_kb = numeric();
-    else if (key == "passes") args.passes = numeric();
-    else if (key == "slo_ms") args.slo_ms = numeric();
-    else if (key == "probe_period_ms") args.probe_period_ms = numeric();
-    else if (key == "quorum") args.quorum = numeric();
-    else if (key == "timeout_s") args.timeout_s = numeric();
-    else if (key == "out") args.out = value;
-    else {
-      std::fprintf(stderr, "unknown key: %s\n", key.c_str());
-      std::exit(2);
-    }
-  }
-  if (args.nodes < 4) {
-    std::fprintf(stderr, "nodes must be >= 4 for an asymmetric split\n");
-    std::exit(2);
-  }
-  return args;
-}
-
-ClusterConfig make_config(const BenchArgs& args) {
+ClusterConfig make_config(const Options& args) {
   ClusterConfig config;
   config.node_count = args.nodes;
   config.client.mode = FtMode::kHashRingRecache;
@@ -224,7 +182,7 @@ struct KillResult {
   double convergence_ms = 0.0;
 };
 
-KillResult run_single_kill(const BenchArgs& args) {
+KillResult run_single_kill(const Options& args) {
   KillResult result;
   Cluster cluster(make_config(args));
   const auto paths = cluster.stage_dataset(args.files, args.file_kb * 1024);
@@ -350,7 +308,7 @@ GoodputWindow goodput_window(Cluster& cluster,
   return window;
 }
 
-PartitionResult run_partition(const BenchArgs& args) {
+PartitionResult run_partition(const Options& args) {
   PartitionResult result;
   Cluster cluster(make_config(args));
   const auto all_paths = cluster.stage_dataset(
@@ -538,77 +496,35 @@ PartitionResult run_partition(const BenchArgs& args) {
   return result;
 }
 
-const char* json_bool(bool b) { return b ? "true" : "false"; }
+ftc::bench::Json partition_json(const PartitionResult& p) {
+  return {{"healthy_good_fraction", p.healthy_good_fraction},
+          {"partition_good_fraction", p.partition_good_fraction},
+          {"availability_ratio", p.availability_ratio},
+          {"healthy_goodput_rps", p.healthy_goodput_rps},
+          {"partition_goodput_rps", p.partition_goodput_rps},
+          {"majority_detected", p.majority_detected},
+          {"majority_detect_ms", p.majority_detect_ms},
+          {"false_confirms", p.false_confirms},
+          {"confirms_deferred", p.confirms_deferred},
+          {"healed", p.healed},
+          {"post_heal_ms", p.post_heal_ms}};
+}
 
-void emit_json(const BenchArgs& args, const KillResult& kill,
-               const PartitionResult& p, bool availability_ok,
-               bool zero_stale_ok, bool false_confirm_ok, bool heal_ok) {
-  std::ofstream out(args.out);
-  out << "{\n  \"bench\": \"bench_partition\",\n";
-  out << "  \"config\": {\"nodes\": " << args.nodes
-      << ", \"files\": " << args.files
-      << ", \"fresh_files\": " << args.fresh_files
-      << ", \"file_kb\": " << args.file_kb << ", \"passes\": " << args.passes
-      << ", \"probe_period_ms\": " << args.probe_period_ms
-      << ", \"suspicion_quorum\": " << args.quorum << "},\n";
-  char line[512];
-  std::snprintf(line, sizeof(line),
-                "  \"single_kill\": {\"converged\": %s, "
-                "\"convergence_ms\": %.1f},\n",
-                json_bool(kill.converged), kill.convergence_ms);
-  out << line;
-  std::snprintf(
-      line, sizeof(line),
-      "  \"partition\": {\"healthy_good_fraction\": %.4f, "
-      "\"partition_good_fraction\": %.4f, \"availability_ratio\": %.4f, "
-      "\"healthy_goodput_rps\": %.0f, \"partition_goodput_rps\": %.0f, "
-      "\"majority_detected\": %s, \"majority_detect_ms\": %.1f, "
-      "\"false_confirms\": %llu, \"confirms_deferred\": %llu, "
-      "\"healed\": %s, \"post_heal_ms\": %.1f},\n",
-      p.healthy_good_fraction, p.partition_good_fraction,
-      p.availability_ratio, p.healthy_goodput_rps, p.partition_goodput_rps,
-      json_bool(p.majority_detected), p.majority_detect_ms,
-      static_cast<unsigned long long>(p.false_confirms),
-      static_cast<unsigned long long>(p.confirms_deferred),
-      json_bool(p.healed), p.post_heal_ms);
-  out << line;
-  std::snprintf(
-      line, sizeof(line),
-      "  \"fencing\": {\"fenced_writes\": %llu, \"fenced_puts\": %llu, "
-      "\"stale_epoch_puts_accepted\": %llu, \"reconcile_repushes\": %llu, "
-      "\"false_suspicions\": %llu},\n",
-      static_cast<unsigned long long>(p.fenced_writes),
-      static_cast<unsigned long long>(p.fenced_puts),
-      static_cast<unsigned long long>(p.stale_epoch_puts_accepted),
-      static_cast<unsigned long long>(p.reconcile_repushes),
-      static_cast<unsigned long long>(p.false_suspicions));
-  out << line;
-  std::snprintf(
-      line, sizeof(line),
-      "  \"reads\": {\"majority_ok\": %llu, \"majority_failed\": %llu, "
-      "\"minority_ok\": %llu, \"minority_failed\": %llu},\n",
-      static_cast<unsigned long long>(p.majority_reads_ok),
-      static_cast<unsigned long long>(p.majority_reads_failed),
-      static_cast<unsigned long long>(p.minority_reads_ok),
-      static_cast<unsigned long long>(p.minority_reads_failed));
-  out << line;
-  std::snprintf(line, sizeof(line),
-                "  \"availability_ok\": %s,\n  \"zero_stale_ok\": %s,\n"
-                "  \"false_confirm_ok\": %s,\n  \"heal_ok\": %s\n}\n",
-                json_bool(availability_ok), json_bool(zero_stale_ok),
-                json_bool(false_confirm_ok), json_bool(heal_ok));
-  out << line;
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: could not write %s\n", args.out.c_str());
-    std::exit(1);
-  }
+ftc::bench::Json fencing_json(const PartitionResult& p) {
+  return {{"fenced_writes", p.fenced_writes},
+          {"fenced_puts", p.fenced_puts},
+          {"stale_epoch_puts_accepted", p.stale_epoch_puts_accepted},
+          {"reconcile_repushes", p.reconcile_repushes},
+          {"false_suspicions", p.false_suspicions}};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
+  const ftc::bench::Args cli(argc, argv);
+  const Options args(cli);
+  cli.finish();
+  if (args.nodes < 4) cli.fail("nodes must be >= 4 for an asymmetric split");
 
   std::printf("phase A: single-kill convergence baseline...\n");
   const KillResult kill = run_single_kill(args);
@@ -640,15 +556,32 @@ int main(int argc, char** argv) {
   const bool false_confirm_ok = p.false_confirms <= 1;
   const bool heal_ok = kill.converged && p.healed &&
                        p.post_heal_ms <= 2.0 * kill.convergence_ms;
-  emit_json(args, kill, p, availability_ok, zero_stale_ok, false_confirm_ok,
-            heal_ok);
+  ftc::bench::Json doc = ftc::bench::artifact("bench_partition", cli);
+  doc.set("single_kill", {{"converged", kill.converged},
+                          {"convergence_ms", kill.convergence_ms}});
+  doc.set("partition", partition_json(p));
+  doc.set("fencing", fencing_json(p));
+  doc.set("reads", {{"majority_ok", p.majority_reads_ok},
+                    {"majority_failed", p.majority_reads_failed},
+                    {"minority_ok", p.minority_reads_ok},
+                    {"minority_failed", p.minority_reads_failed}});
+  doc.set("availability_ok", availability_ok);
+  doc.set("zero_stale_ok", zero_stale_ok);
+  doc.set("false_confirm_ok", false_confirm_ok);
+  doc.set("heal_ok", heal_ok);
+  ftc::bench::write_json(args.out, doc);
 
-  const bool pass =
-      availability_ok && zero_stale_ok && false_confirm_ok && heal_ok;
-  std::printf("gates: availability=%s zero_stale=%s false_confirm=%s "
-              "heal=%s -> %s\n",
-              availability_ok ? "ok" : "FAIL", zero_stale_ok ? "ok" : "FAIL",
-              false_confirm_ok ? "ok" : "FAIL", heal_ok ? "ok" : "FAIL",
-              pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  ftc::bench::Gate gate;
+  gate.check(availability_ok,
+             "availability: majority detected=%d, SLO-good ratio %.4f, "
+             "bound 0.99",
+             p.majority_detected, p.availability_ratio);
+  gate.check(zero_stale_ok, "zero_stale: %llu stale-epoch writes accepted",
+             static_cast<unsigned long long>(p.stale_epoch_puts_accepted));
+  gate.check(false_confirm_ok,
+             "false_confirm: %llu healthy nodes confirmed dead, bound 1",
+             static_cast<unsigned long long>(p.false_confirms));
+  gate.check(heal_ok, "heal: healed=%d in %.1f ms, bound 2 x %.1f ms",
+             p.healed, p.post_heal_ms, kill.convergence_ms);
+  return gate.exit_code();
 }

@@ -32,12 +32,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "cluster/cluster.hpp"
+#include "common/string_util.hpp"
 #include "store/tiered_store.hpp"
 
 namespace {
@@ -47,110 +47,38 @@ using ftc::store::PolicyKind;
 using ftc::store::StoreConfig;
 using ftc::store::TieredCacheStore;
 
-struct BenchArgs {
+/// The bench's options; `cli` is read only while the members initialise.
+struct Options {
+  explicit Options(const ftc::bench::Args& cli) : cli(cli) {}
+  const ftc::bench::Args& cli;
   /// RAM-tier budget; the dataset is dataset_x times this, the NVMe tier
   /// nvme_x times (nvme_x < dataset_x keeps the cold tier churning).
-  std::uint32_t ram_kb = 2048;
-  std::uint32_t file_kb = 4;
-  std::uint32_t dataset_x = 4;
-  std::uint32_t nvme_x = 2;
-  std::uint32_t epochs = 4;
+  std::uint32_t ram_kb = cli.get_u32("ram_kb", 2048);
+  std::uint32_t file_kb = cli.get_u32("file_kb", 4);
+  std::uint32_t dataset_x = cli.get_u32("dataset_x", 4);
+  std::uint32_t nvme_x = cli.get_u32("nvme_x", 2);
+  std::uint32_t epochs = cli.get_u32("epochs", 4);
   /// Hot set: `hot_files` ids warmed with `warm_draws_x` x hot_files
   /// Zipf(zipf_alpha) draws before the scans.
-  std::uint32_t hot_files = 64;
-  std::uint32_t warm_draws_x = 8;
-  double zipf_alpha = 0.8;
+  std::uint32_t hot_files = cli.get_u32("hot_files", 64);
+  std::uint32_t warm_draws_x = cli.get_u32("warm_draws_x", 8);
+  double zipf_alpha = cli.get_double("zipf_alpha", 0.8);
   /// Timed puts per write-latency run.
-  std::uint32_t writes = 4000;
+  std::uint32_t writes = cli.get_u32("writes", 4000);
   /// Warm-restart phase cluster shape.
-  std::uint32_t nodes = 4;
-  std::uint32_t wr_files = 64;
-  std::uint32_t wr_file_kb = 16;
-  std::uint32_t require_hit = 1;
-  std::uint32_t require_p99 = 1;
-  std::uint32_t require_warm = 1;
-  double hit_factor = 1.3;
-  double p99_factor = 1.2;
-  double p99_slack_us = 200.0;
-  double warm_fraction = 0.95;
-  std::uint64_t seed = 42;
-  std::string out = "BENCH_pressure.json";
+  std::uint32_t nodes = cli.get_u32("nodes", 4);
+  std::uint32_t wr_files = cli.get_u32("wr_files", 64);
+  std::uint32_t wr_file_kb = cli.get_u32("wr_file_kb", 16);
+  bool require_hit = cli.get_bool("require_hit", true);
+  bool require_p99 = cli.get_bool("require_p99", true);
+  bool require_warm = cli.get_bool("require_warm", true);
+  double hit_factor = cli.get_double("hit_factor", 1.3);
+  double p99_factor = cli.get_double("p99_factor", 1.2);
+  double p99_slack_us = cli.get_double("p99_slack_us", 200.0);
+  double warm_fraction = cli.get_double("warm_fraction", 0.95);
+  std::uint64_t seed = cli.get_u32("seed", 42);
+  std::string out = cli.get_string("out", "BENCH_pressure.json");
 };
-
-BenchArgs parse_args(int argc, char** argv) {
-  BenchArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr,
-                   "usage: %s [ram_kb=N] [file_kb=N] [dataset_x=N] [nvme_x=N] "
-                   "[epochs=N] [hot_files=N] [warm_draws_x=N] [zipf_alpha=F] "
-                   "[writes=N] [nodes=N] [wr_files=N] "
-                   "[wr_file_kb=N] [require_hit=0|1] [require_p99=0|1] "
-                   "[require_warm=0|1] [hit_factor=F] [p99_factor=F] "
-                   "[p99_slack_us=F] [warm_fraction=F] [seed=N] [out=PATH]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-    const std::string key = arg.substr(0, eq);
-    const std::string value = arg.substr(eq + 1);
-    const auto numeric = [&key, &value]() -> std::uint32_t {
-      try {
-        std::size_t used = 0;
-        const unsigned long parsed = std::stoul(value, &used);
-        if (used == value.size()) return static_cast<std::uint32_t>(parsed);
-      } catch (const std::exception&) {
-      }
-      std::fprintf(stderr, "%s wants a number, got '%s'\n", key.c_str(),
-                   value.c_str());
-      std::exit(2);
-    };
-    const auto fractional = [&key, &value]() -> double {
-      try {
-        std::size_t used = 0;
-        const double parsed = std::stod(value, &used);
-        if (used == value.size()) return parsed;
-      } catch (const std::exception&) {
-      }
-      std::fprintf(stderr, "%s wants a number, got '%s'\n", key.c_str(),
-                   value.c_str());
-      std::exit(2);
-    };
-    if (key == "ram_kb") args.ram_kb = numeric();
-    else if (key == "file_kb") args.file_kb = numeric();
-    else if (key == "dataset_x") args.dataset_x = numeric();
-    else if (key == "nvme_x") args.nvme_x = numeric();
-    else if (key == "epochs") args.epochs = numeric();
-    else if (key == "hot_files") args.hot_files = numeric();
-    else if (key == "warm_draws_x") args.warm_draws_x = numeric();
-    else if (key == "zipf_alpha") args.zipf_alpha = fractional();
-    else if (key == "writes") args.writes = numeric();
-    else if (key == "nodes") args.nodes = numeric();
-    else if (key == "wr_files") args.wr_files = numeric();
-    else if (key == "wr_file_kb") args.wr_file_kb = numeric();
-    else if (key == "require_hit") args.require_hit = numeric();
-    else if (key == "require_p99") args.require_p99 = numeric();
-    else if (key == "require_warm") args.require_warm = numeric();
-    else if (key == "hit_factor") args.hit_factor = fractional();
-    else if (key == "p99_factor") args.p99_factor = fractional();
-    else if (key == "p99_slack_us") args.p99_slack_us = fractional();
-    else if (key == "warm_fraction") args.warm_fraction = fractional();
-    else if (key == "seed") args.seed = numeric();
-    else if (key == "out") args.out = value;
-    else {
-      std::fprintf(stderr, "unknown key: %s\n", key.c_str());
-      std::exit(2);
-    }
-  }
-  return args;
-}
-
-std::string fmt(double v, int digits = 3) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
-  return buf;
-}
 
 // --- scan phase --------------------------------------------------------
 
@@ -162,7 +90,7 @@ struct ScanResult {
   std::uint64_t evictions = 0;
 };
 
-ScanResult run_scan(const BenchArgs& args, PolicyKind policy) {
+ScanResult run_scan(const Options& args, PolicyKind policy) {
   const std::uint64_t ram_bytes = std::uint64_t{args.ram_kb} << 10;
   StoreConfig config;
   config.nvme_bytes = ram_bytes * args.nvme_x;
@@ -237,14 +165,7 @@ struct WriteResult {
   std::uint64_t demotions = 0;
 };
 
-double percentile(std::vector<double>& sorted_us, double q) {
-  if (sorted_us.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(
-      q * static_cast<double>(sorted_us.size() - 1));
-  return sorted_us[rank];
-}
-
-WriteResult run_writes(const BenchArgs& args, bool pressured) {
+WriteResult run_writes(const Options& args, bool pressured) {
   const std::uint64_t file_bytes = std::uint64_t{args.file_kb} << 10;
   // Unpressured: RAM swallows every write without ever crossing the high
   // watermark.  Pressured: RAM holds ~64 files, so the reclaim thread
@@ -272,8 +193,8 @@ WriteResult run_writes(const BenchArgs& args, bool pressured) {
 
   std::sort(latencies_us.begin(), latencies_us.end());
   WriteResult result;
-  result.p50_us = percentile(latencies_us, 0.50);
-  result.p99_us = percentile(latencies_us, 0.99);
+  result.p50_us = ftc::bench::percentile(latencies_us, 50.0);
+  result.p99_us = ftc::bench::percentile(latencies_us, 99.0);
   const auto stats = store.stats_snapshot();
   result.reclaim_runs = stats.reclaim_runs;
   result.demotions = stats.demotions;
@@ -290,7 +211,7 @@ struct WarmResult {
   double restored_fraction = 0.0;
 };
 
-WarmResult run_warm_restart(const BenchArgs& args) {
+WarmResult run_warm_restart(const Options& args) {
   using ftc::cluster::Cluster;
   using ftc::cluster::ClusterConfig;
   using ftc::cluster::NodeId;
@@ -346,32 +267,44 @@ WarmResult run_warm_restart(const BenchArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
+  using ftc::format_double;
+  const ftc::bench::Args cli(argc, argv);
+  const Options args(cli);
+  cli.finish();
 
   std::printf("%-8s %12s %12s %12s %12s\n", "policy", "hot-set hit",
               "still in RAM", "demotions", "evictions");
   const ScanResult lru = run_scan(args, PolicyKind::kLru);
   const ScanResult s3 = run_scan(args, PolicyKind::kS3Fifo);
   const ScanResult gdsf = run_scan(args, PolicyKind::kGdsf);
+  // LRU's loop pathology can drive its ratio to exactly 0; floor it so
+  // the gate ratio stays finite.
+  const double lru_floor = std::max(lru.hit_ratio, 0.02);
+  const double scan_ratio = s3.hit_ratio / lru_floor;
+  ftc::bench::Json scan;
   for (const auto& [name, r] :
        {std::pair<const char*, const ScanResult&>{"lru", lru},
         {"s3fifo", s3},
         {"gdsf", gdsf}}) {
     std::printf("%-8s %12s %12s %12llu %12llu\n", name,
-                fmt(r.hit_ratio, 4).c_str(), fmt(r.ram_ratio, 4).c_str(),
+                format_double(r.hit_ratio, 4).c_str(),
+                format_double(r.ram_ratio, 4).c_str(),
                 static_cast<unsigned long long>(r.demotions),
                 static_cast<unsigned long long>(r.evictions));
+    scan.set(name, {{"hot_set_hit_ratio", r.hit_ratio},
+                    {"ram_ratio", r.ram_ratio},
+                    {"warmed", r.warmed},
+                    {"demotions", r.demotions},
+                    {"evictions", r.evictions}});
   }
-  // LRU's loop pathology can drive its ratio to exactly 0; floor it so
-  // the gate ratio stays finite.
-  const double lru_floor = std::max(lru.hit_ratio, 0.02);
-  const double scan_ratio = s3.hit_ratio / lru_floor;
+  scan.set("s3fifo_vs_lru", scan_ratio);
 
   const WriteResult base = run_writes(args, /*pressured=*/false);
   const WriteResult pressured = run_writes(args, /*pressured=*/true);
   std::printf("writes: base p99 %sus, pressured p99 %sus (%llu reclaim "
               "runs, %llu demotions underneath)\n",
-              fmt(base.p99_us, 1).c_str(), fmt(pressured.p99_us, 1).c_str(),
+              format_double(base.p99_us, 1).c_str(),
+              format_double(pressured.p99_us, 1).c_str(),
               static_cast<unsigned long long>(pressured.reclaim_runs),
               static_cast<unsigned long long>(pressured.demotions));
   const double p99_budget =
@@ -381,95 +314,48 @@ int main(int argc, char** argv) {
   std::printf("warm restart: %zu/%zu restored (%s), %llu stale rejected, "
               "%llu PFS reads on re-serve\n",
               warm.restored, warm.held,
-              fmt(warm.restored_fraction, 3).c_str(),
+              format_double(warm.restored_fraction, 3).c_str(),
               static_cast<unsigned long long>(warm.rejected_stale),
               static_cast<unsigned long long>(warm.pfs_reads_reserve));
 
-  std::ofstream out(args.out);
-  out << "{\n  \"bench\": \"bench_pressure\",\n";
-  out << "  \"config\": {\"ram_kb\": " << args.ram_kb
-      << ", \"file_kb\": " << args.file_kb
-      << ", \"dataset_x\": " << args.dataset_x
-      << ", \"nvme_x\": " << args.nvme_x << ", \"epochs\": " << args.epochs
-      << ", \"hot_files\": " << args.hot_files
-      << ", \"warm_draws_x\": " << args.warm_draws_x
-      << ", \"zipf_alpha\": " << fmt(args.zipf_alpha, 2)
-      << ", \"writes\": " << args.writes << ", \"nodes\": " << args.nodes
-      << ", \"wr_files\": " << args.wr_files << ", \"seed\": " << args.seed
-      << "},\n";
-  out << "  \"scan\": {\n";
-  for (const auto& [name, r] :
-       {std::pair<const char*, const ScanResult&>{"lru", lru},
-        {"s3fifo", s3},
-        {"gdsf", gdsf}}) {
-    out << "    \"" << name
-        << "\": {\"hot_set_hit_ratio\": " << fmt(r.hit_ratio, 4)
-        << ", \"ram_ratio\": " << fmt(r.ram_ratio, 4)
-        << ", \"warmed\": " << r.warmed
-        << ", \"demotions\": " << r.demotions
-        << ", \"evictions\": " << r.evictions << "},\n";
-  }
-  out << "    \"s3fifo_vs_lru\": " << fmt(scan_ratio, 2) << "\n  },\n";
-  out << "  \"writes\": {\n"
-      << "    \"base\": {\"p50_us\": " << fmt(base.p50_us, 1)
-      << ", \"p99_us\": " << fmt(base.p99_us, 1)
-      << ", \"reclaim_runs\": " << base.reclaim_runs << "},\n"
-      << "    \"pressured\": {\"p50_us\": " << fmt(pressured.p50_us, 1)
-      << ", \"p99_us\": " << fmt(pressured.p99_us, 1)
-      << ", \"reclaim_runs\": " << pressured.reclaim_runs
-      << ", \"demotions\": " << pressured.demotions << "},\n"
-      << "    \"p99_budget_us\": " << fmt(p99_budget, 1) << "\n  },\n";
-  out << "  \"warm\": {\"held\": " << warm.held
-      << ", \"restored\": " << warm.restored
-      << ", \"restored_fraction\": " << fmt(warm.restored_fraction, 3)
-      << ", \"rejected_stale\": " << warm.rejected_stale
-      << ", \"pfs_reads_on_reserve\": " << warm.pfs_reads_reserve << "}\n";
-  out << "}\n";
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: could not write %s\n", args.out.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", args.out.c_str());
+  ftc::bench::Json doc = ftc::bench::artifact("bench_pressure", cli);
+  doc.set("scan", scan);
+  doc.set("writes", {{"base",
+                      {{"p50_us", base.p50_us},
+                       {"p99_us", base.p99_us},
+                       {"reclaim_runs", base.reclaim_runs}}},
+                     {"pressured",
+                      {{"p50_us", pressured.p50_us},
+                       {"p99_us", pressured.p99_us},
+                       {"reclaim_runs", pressured.reclaim_runs},
+                       {"demotions", pressured.demotions}}},
+                     {"p99_budget_us", p99_budget}});
+  doc.set("warm", {{"held", warm.held},
+                   {"restored", warm.restored},
+                   {"restored_fraction", warm.restored_fraction},
+                   {"rejected_stale", warm.rejected_stale},
+                   {"pfs_reads_on_reserve", warm.pfs_reads_reserve}});
+  ftc::bench::write_json(args.out, doc);
 
-  int rc = 0;
-  if (args.require_hit != 0) {
-    if (scan_ratio < args.hit_factor) {
-      std::fprintf(stderr,
-                   "FAIL: s3fifo scan hit ratio %.4f < %.2f x lru (%.4f)\n",
-                   s3.hit_ratio, args.hit_factor, lru_floor);
-      rc = 1;
-    } else {
-      std::printf("scan ok: s3fifo %.4f >= %.2f x lru %.4f\n", s3.hit_ratio,
-                  args.hit_factor, lru_floor);
-    }
+  ftc::bench::Gate gate;
+  if (args.require_hit) {
+    gate.check(scan_ratio >= args.hit_factor,
+               "scan: s3fifo hot-set hit ratio %.4f vs %.2f x lru %.4f",
+               s3.hit_ratio, args.hit_factor, lru_floor);
   }
-  if (args.require_p99 != 0) {
-    if (pressured.p99_us > p99_budget) {
-      std::fprintf(stderr,
-                   "FAIL: pressured write p99 %.1fus exceeds budget %.1fus "
-                   "(base %.1fus)\n",
-                   pressured.p99_us, p99_budget, base.p99_us);
-      rc = 1;
-    } else {
-      std::printf("write p99 ok: %.1fus <= %.1fus budget\n", pressured.p99_us,
-                  p99_budget);
-    }
+  if (args.require_p99) {
+    gate.check(pressured.p99_us <= p99_budget,
+               "pressured write p99 %.1fus, budget %.1fus (base %.1fus)",
+               pressured.p99_us, p99_budget, base.p99_us);
   }
-  if (args.require_warm != 0) {
-    if (warm.restored_fraction < args.warm_fraction ||
-        warm.pfs_reads_reserve != 0 || warm.rejected_stale != 1) {
-      std::fprintf(stderr,
-                   "FAIL: warm restart restored %.3f (need >= %.2f), "
-                   "%llu PFS reads (need 0), %llu stale rejected (need 1)\n",
-                   warm.restored_fraction, args.warm_fraction,
-                   static_cast<unsigned long long>(warm.pfs_reads_reserve),
-                   static_cast<unsigned long long>(warm.rejected_stale));
-      rc = 1;
-    } else {
-      std::printf("warm ok: %.3f restored, 0 PFS reads, stale rejected\n",
-                  warm.restored_fraction);
-    }
+  if (args.require_warm) {
+    gate.check(warm.restored_fraction >= args.warm_fraction &&
+                   warm.pfs_reads_reserve == 0 && warm.rejected_stale == 1,
+               "warm restart restored %.3f (need >= %.2f), %llu PFS reads "
+               "(need 0), %llu stale rejected (need 1)",
+               warm.restored_fraction, args.warm_fraction,
+               static_cast<unsigned long long>(warm.pfs_reads_reserve),
+               static_cast<unsigned long long>(warm.rejected_stale));
   }
-  return rc;
+  return gate.exit_code();
 }

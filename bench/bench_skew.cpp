@@ -26,14 +26,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "cluster/cluster.hpp"
+#include "common/string_util.hpp"
 
 namespace {
 
@@ -42,119 +41,46 @@ using ftc::cluster::Cluster;
 using ftc::cluster::ClusterConfig;
 using ftc::cluster::NodeId;
 
-struct BenchArgs {
-  std::uint32_t nodes = 8;
-  std::uint32_t files = 4;
-  std::uint32_t file_kb = 64;
+/// The bench's options; `cli` is read only while the members initialise.
+struct Options {
+  explicit Options(const ftc::bench::Args& cli) : cli(cli) {}
+  const ftc::bench::Args& cli;
+  std::uint32_t nodes = cli.get_u32("nodes", 8);
+  std::uint32_t files = cli.get_u32("files", 4);
+  std::uint32_t file_kb = cli.get_u32("file_kb", 64);
   /// Closed-loop client threads per node.  The first per node drives the
   /// cluster's co-located client; extras get standalone HvacClients on
   /// the same transport (each single-threaded, as the client requires).
   /// More threads deepen the hot node's queue, which is the effect under
   /// test — one closed-loop source per node barely queues.
-  std::uint32_t threads_per_node = 2;
+  std::uint32_t threads_per_node = cli.get_u32("threads_per_node", 2);
   /// Measured reads per client thread.
-  std::uint32_t reads = 400;
+  std::uint32_t reads = cli.get_u32("reads", 400);
   /// Unmeasured priming reads per client: builds heat, triggers
   /// promotion, and lets the kPut fanout land before the clock starts.
-  std::uint32_t prime = 200;
+  std::uint32_t prime = cli.get_u32("prime", 200);
   /// Serial per-request service time at every endpoint (the queueing
   /// substrate that turns skew into a measurable bottleneck).
-  std::uint32_t service_ms = 5;
-  std::uint32_t fanout = 4;
-  double c = 1.25;
+  std::uint32_t service_ms = cli.get_u32("service_ms", 5);
+  std::uint32_t fanout = cli.get_u32("fanout", 4);
+  double c = cli.get_double("c", 1.25);
   /// Promote/demote heat thresholds for the skew-tolerant runs (lower
   /// than the production defaults so priming passes promote quickly).
-  double promote = 32.0;
-  double demote = 8.0;
-  std::vector<double> alphas = {0.0, 0.8, 1.1, 1.4};
-  /// 1: exit non-zero when the alpha=1.1 skew-tolerant peak share
-  /// exceeds bound_slack x c x mean (the CI smoke gate).
-  std::uint32_t check_bound = 0;
-  double bound_slack = 1.10;
-  /// 1: additionally exit non-zero when the alpha=1.1 goodput ratio
-  /// (skew_tolerant / single_owner) is below goodput_factor.
-  std::uint32_t require_goodput = 0;
-  double goodput_factor = 2.5;
-  std::uint64_t seed = 42;
-  std::string out = "BENCH_skew.json";
+  double promote = cli.get_double("promote", 32.0);
+  double demote = cli.get_double("demote", 8.0);
+  std::vector<double> alphas =
+      cli.get_double_list("alphas", {0.0, 0.8, 1.1, 1.4});
+  /// Exit non-zero when the alpha=1.1 skew-tolerant peak share exceeds
+  /// bound_slack x c x mean (the CI smoke gate).
+  bool check_bound = cli.get_bool("check_bound", false);
+  double bound_slack = cli.get_double("bound_slack", 1.10);
+  /// Also exit non-zero when the alpha=1.1 goodput ratio (skew_tolerant
+  /// / single_owner) is below goodput_factor.
+  bool require_goodput = cli.get_bool("require_goodput", false);
+  double goodput_factor = cli.get_double("goodput_factor", 2.5);
+  std::uint64_t seed = cli.get_u32("seed", 42);
+  std::string out = cli.get_string("out", "BENCH_skew.json");
 };
-
-BenchArgs parse_args(int argc, char** argv) {
-  BenchArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr,
-                   "usage: %s [nodes=N] [files=N] [file_kb=N] "
-                   "[threads_per_node=N] [reads=N] "
-                   "[prime=N] [service_ms=N] [fanout=N] [c=F] [promote=F] "
-                   "[demote=F] [alphas=A,B,...] [check_bound=0|1] "
-                   "[bound_slack=F] [require_goodput=0|1] "
-                   "[goodput_factor=F] [seed=N] [out=PATH]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-    const std::string key = arg.substr(0, eq);
-    const std::string value = arg.substr(eq + 1);
-    const auto numeric = [&key, &value]() -> std::uint32_t {
-      try {
-        std::size_t used = 0;
-        const unsigned long parsed = std::stoul(value, &used);
-        if (used == value.size()) return static_cast<std::uint32_t>(parsed);
-      } catch (const std::exception&) {
-      }
-      std::fprintf(stderr, "%s wants a number, got '%s'\n", key.c_str(),
-                   value.c_str());
-      std::exit(2);
-    };
-    const auto fractional = [&key, &value]() -> double {
-      try {
-        std::size_t used = 0;
-        const double parsed = std::stod(value, &used);
-        if (used == value.size()) return parsed;
-      } catch (const std::exception&) {
-      }
-      std::fprintf(stderr, "%s wants a number, got '%s'\n", key.c_str(),
-                   value.c_str());
-      std::exit(2);
-    };
-    if (key == "nodes") args.nodes = numeric();
-    else if (key == "files") args.files = numeric();
-    else if (key == "file_kb") args.file_kb = numeric();
-    else if (key == "threads_per_node") args.threads_per_node = numeric();
-    else if (key == "reads") args.reads = numeric();
-    else if (key == "prime") args.prime = numeric();
-    else if (key == "service_ms") args.service_ms = numeric();
-    else if (key == "fanout") args.fanout = numeric();
-    else if (key == "c") args.c = fractional();
-    else if (key == "promote") args.promote = fractional();
-    else if (key == "demote") args.demote = fractional();
-    else if (key == "check_bound") args.check_bound = numeric();
-    else if (key == "bound_slack") args.bound_slack = fractional();
-    else if (key == "require_goodput") args.require_goodput = numeric();
-    else if (key == "goodput_factor") args.goodput_factor = fractional();
-    else if (key == "seed") args.seed = numeric();
-    else if (key == "out") args.out = value;
-    else if (key == "alphas") {
-      args.alphas.clear();
-      std::stringstream ss(value);
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        if (!item.empty()) args.alphas.push_back(std::stod(item));
-      }
-      if (args.alphas.empty()) {
-        std::fprintf(stderr, "alphas wants a comma list, got '%s'\n",
-                     value.c_str());
-        std::exit(2);
-      }
-    } else {
-      std::fprintf(stderr, "unknown key: %s\n", key.c_str());
-      std::exit(2);
-    }
-  }
-  return args;
-}
 
 struct RunResult {
   double goodput = 0.0;  ///< successful reads / s over the measured window
@@ -170,7 +96,7 @@ struct RunResult {
 };
 
 /// One cluster, one alpha, one routing mode, measured end to end.
-RunResult run_one(const BenchArgs& args, double alpha, bool skew_tolerant) {
+RunResult run_one(const Options& args, double alpha, bool skew_tolerant) {
   ClusterConfig config;
   config.node_count = args.nodes;
   config.client.mode = ftc::cluster::FtMode::kHashRingRecache;
@@ -292,36 +218,33 @@ RunResult run_one(const BenchArgs& args, double alpha, bool skew_tolerant) {
   return result;
 }
 
-std::string fmt(double v, int digits = 3) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
-  return buf;
-}
-
-void emit_run(std::ofstream& out, const char* name, const RunResult& r,
-              bool trailing_comma) {
-  out << "      \"" << name << "\": {"
-      << "\"goodput_ops_per_sec\": " << fmt(r.goodput, 1)
-      << ", \"ops\": " << r.ops << ", \"failures\": " << r.failures
-      << ", \"seconds\": " << fmt(r.seconds)
-      << ", \"peak_share\": " << fmt(r.peak_share, 4)
-      << ", \"peak_to_mean\": " << fmt(r.peak_to_mean, 3)
-      << ", \"spilled_reads\": " << r.spilled_reads
-      << ", \"load_spread_reads\": " << r.load_spread_reads
-      << ", \"hot_promotions\": " << r.hot_promotions
-      << ", \"load_hints\": " << r.load_hints << "}"
-      << (trailing_comma ? "," : "") << "\n";
+ftc::bench::Json run_json(const RunResult& r) {
+  return {{"goodput_ops_per_sec", r.goodput},
+          {"ops", r.ops},
+          {"failures", r.failures},
+          {"seconds", r.seconds},
+          {"peak_share", r.peak_share},
+          {"peak_to_mean", r.peak_to_mean},
+          {"spilled_reads", r.spilled_reads},
+          {"load_spread_reads", r.load_spread_reads},
+          {"hot_promotions", r.hot_promotions},
+          {"load_hints", r.load_hints}};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
+  const ftc::bench::Args cli(argc, argv);
+  const Options args(cli);
+  cli.finish();
 
   struct Row {
     double alpha;
     RunResult base;
     RunResult skew;
+    [[nodiscard]] double ratio() const {
+      return base.goodput > 0.0 ? skew.goodput / base.goodput : 0.0;
+    }
   };
   std::vector<Row> rows;
   rows.reserve(args.alphas.size());
@@ -334,94 +257,45 @@ int main(int argc, char** argv) {
     row.alpha = alpha;
     row.base = run_one(args, alpha, /*skew_tolerant=*/false);
     row.skew = run_one(args, alpha, /*skew_tolerant=*/true);
-    const double ratio =
-        row.base.goodput > 0.0 ? row.skew.goodput / row.base.goodput : 0.0;
     std::printf("%-7.2f %14.0f %14.0f %8.2f %11.2f %11.2f %8llu %8llu\n",
-                alpha, row.base.goodput, row.skew.goodput, ratio,
+                alpha, row.base.goodput, row.skew.goodput, row.ratio(),
                 row.base.peak_to_mean, row.skew.peak_to_mean,
                 static_cast<unsigned long long>(row.skew.spilled_reads),
                 static_cast<unsigned long long>(row.skew.load_spread_reads));
     rows.push_back(row);
   }
 
-  // Inline the recorded pre-change baseline when present.
-  std::string baseline = "null";
-  {
-    std::ifstream in("BENCH_skew.baseline.json");
-    if (in) {
-      std::stringstream ss;
-      ss << in.rdbuf();
-      if (!ss.str().empty()) baseline = ss.str();
-      while (!baseline.empty() &&
-             (baseline.back() == '\n' || baseline.back() == ' ')) {
-        baseline.pop_back();
-      }
-    }
+  ftc::bench::Json current;
+  for (const Row& row : rows) {
+    current.set("alpha_" + ftc::format_double(row.alpha, 2),
+                {{"single_owner", run_json(row.base)},
+                 {"skew_tolerant", run_json(row.skew)},
+                 {"goodput_ratio", row.ratio()}});
   }
-  std::ofstream out(args.out);
-  out << "{\n  \"bench\": \"bench_skew\",\n";
-  out << "  \"config\": {\"nodes\": " << args.nodes
-      << ", \"files\": " << args.files << ", \"file_kb\": " << args.file_kb
-      << ", \"threads_per_node\": " << args.threads_per_node
-      << ", \"reads\": " << args.reads << ", \"prime\": " << args.prime
-      << ", \"service_ms\": " << args.service_ms
-      << ", \"fanout\": " << args.fanout << ", \"c\": " << fmt(args.c, 2)
-      << ", \"promote\": " << fmt(args.promote, 1)
-      << ", \"demote\": " << fmt(args.demote, 1) << ", \"seed\": " << args.seed
-      << "},\n";
-  out << "  \"baseline\": " << baseline << ",\n";
-  out << "  \"current\": {\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    const double ratio =
-        row.base.goodput > 0.0 ? row.skew.goodput / row.base.goodput : 0.0;
-    out << "    \"alpha_" << fmt(row.alpha, 2) << "\": {\n";
-    emit_run(out, "single_owner", row.base, /*trailing_comma=*/true);
-    emit_run(out, "skew_tolerant", row.skew, /*trailing_comma=*/true);
-    out << "      \"goodput_ratio\": " << fmt(ratio, 2) << "\n    }"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  }\n}\n";
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: could not write %s\n", args.out.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", args.out.c_str());
+  ftc::bench::Json doc = ftc::bench::artifact("bench_skew", cli);
+  // The recorded pre-change baseline, when present.
+  doc.set("baseline", ftc::bench::inline_file("BENCH_skew.baseline.json"));
+  doc.set("current", current);
+  ftc::bench::write_json(args.out, doc);
 
   // CI gates, evaluated at the canonical skew point alpha=1.1.
-  int rc = 0;
+  ftc::bench::Gate gate;
   for (const Row& row : rows) {
     if (row.alpha < 1.05 || row.alpha > 1.15) continue;
-    if (args.check_bound != 0) {
+    if (args.check_bound) {
       // Mean per-node share is 1/nodes by construction; the gate is the
       // bounded-load contract: peak <= slack x c x mean.
       const double bound = args.bound_slack * args.c / args.nodes;
-      if (row.skew.peak_share > bound) {
-        std::fprintf(stderr,
-                     "FAIL: alpha=%.2f skew-tolerant peak share %.4f exceeds "
-                     "%.2f x c/N = %.4f\n",
-                     row.alpha, row.skew.peak_share, args.bound_slack, bound);
-        rc = 1;
-      } else {
-        std::printf("bound ok: alpha=%.2f peak share %.4f <= %.4f\n",
-                    row.alpha, row.skew.peak_share, bound);
-      }
+      gate.check(row.skew.peak_share <= bound,
+                 "alpha=%.2f skew-tolerant peak share %.4f, bound %.2f x "
+                 "c/N = %.4f",
+                 row.alpha, row.skew.peak_share, args.bound_slack, bound);
     }
-    if (args.require_goodput != 0) {
-      const double ratio =
-          row.base.goodput > 0.0 ? row.skew.goodput / row.base.goodput : 0.0;
-      if (ratio < args.goodput_factor) {
-        std::fprintf(stderr,
-                     "FAIL: alpha=%.2f goodput ratio %.2f below required "
-                     "%.2f\n",
-                     row.alpha, ratio, args.goodput_factor);
-        rc = 1;
-      } else {
-        std::printf("goodput ok: alpha=%.2f ratio %.2f >= %.2f\n", row.alpha,
-                    ratio, args.goodput_factor);
-      }
+    if (args.require_goodput) {
+      gate.check(row.ratio() >= args.goodput_factor,
+                 "alpha=%.2f goodput ratio %.2f, required %.2f", row.alpha,
+                 row.ratio(), args.goodput_factor);
     }
   }
-  return rc;
+  return gate.exit_code();
 }

@@ -1,39 +1,36 @@
-// bench_throughput.cpp - Multi-client saturation benchmark for the served
-// data path.
+// bench_throughput.cpp - Multi-client benchmark of the threaded cluster
+// under a crash, plus the observability-overhead gate.
 //
 // Unlike the figure benches (which reproduce paper plots on the DES
-// substrate), this one hammers the *threaded* cluster — real HvacServer,
-// real transport, real payload bytes — and reports what the data path
-// costs: ops/s, p50/p99 latency, and bytes of payload memcpy per read.
-// Three phases:
+// substrate), this one drives the *threaded* cluster — real HvacServer,
+// real transport, real payload bytes:
 //
-//   hit_heavy     every read is a node-local cache hit (the paper's
-//                 steady-state: after recaching, reads never leave NVMe);
-//   miss_heavy    every read misses and is fetched from the PFS then
-//                 recached write-behind by the serving endpoint worker
-//                 (epoch-1 / post-failure recache traffic);
-//   mixed_failure reads over a warm set while a node is crash-stopped
-//                 mid-phase (timeout detection + ring recache in-band).
+//   mixed_failure  one reader thread per node streams warm reads while
+//                  the last node is crash-stopped mid-phase (timeout
+//                  detection + ring recache in-band); reports ops/s and
+//                  p50/p99 latency.
+//   obs_check=1    instead prices armed-but-unsampled recorders in
+//                  process CPU per read (see run_obs_check).
+//
+// The steady-state hit and miss paths are measured by the repository
+// benchmark (perfbench's small_hit and epoch_overflow workloads), and the
+// zero-copy serve path is asserted by the tier-1 cluster tests.
 //
 // Writes machine-readable BENCH_throughput.json (override with out=...).
-// If BENCH_throughput.baseline.json exists in the working directory its
-// contents are embedded as the "baseline" section so before/after numbers
-// live in one artifact.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <sys/resource.h>
 
+#include "bench_common.hpp"
 #include "cluster/cluster.hpp"
 
 namespace {
@@ -43,209 +40,34 @@ using ftc::cluster::Cluster;
 using ftc::cluster::ClusterConfig;
 using ftc::cluster::NodeId;
 
-struct PhaseResult {
-  std::string name;
-  std::uint64_t ops = 0;
-  std::uint64_t failures = 0;
-  double seconds = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double bytes_copied_per_read = 0.0;
-  double mb_per_sec = 0.0;
-
-  [[nodiscard]] double ops_per_sec() const {
-    return seconds > 0.0 ? static_cast<double>(ops) / seconds : 0.0;
-  }
-};
-
-struct BenchArgs {
-  std::uint32_t nodes = 4;
-  std::uint32_t files = 48;
-  std::uint32_t file_kb = 1024;
-  std::uint32_t hit_passes = 6;
-  std::uint32_t miss_files = 64;
-  std::uint32_t mixed_passes = 4;
-  /// 1: run the observability-overhead check instead of the three phases —
+/// The bench's options; `cli` is read only while the members initialise.
+struct Options {
+  explicit Options(const ftc::bench::Args& cli) : cli(cli) {}
+  const ftc::bench::Args& cli;
+  std::uint32_t nodes = cli.get_u32("nodes", 4);
+  std::uint32_t files = cli.get_u32("files", 48);
+  std::uint32_t file_kb = cli.get_u32("file_kb", 1024);
+  /// Hit-heavy passes over the dataset per obs_check pass.
+  std::uint32_t hit_passes = cli.get_u32("hit_passes", 6);
+  std::uint32_t mixed_passes = cli.get_u32("mixed_passes", 4);
+  /// Run the observability-overhead check instead of mixed_failure —
   /// hit-heavy CPU per read with obs fully off vs recorders attached but
   /// no read sampled (tracing=1, sample_every=0; the always-armed
   /// production posture).  Exits non-zero if the attached cluster spends
   /// more than obs_tolerance_pct more CPU per read or if the exporter
   /// output is malformed.
-  std::uint32_t obs_check = 0;
-  std::uint32_t obs_reps = 3;  ///< best-of-N CPU/read per mode (noise control)
+  bool obs_check = cli.get_bool("obs_check", false);
+  /// Best-of-N CPU/read per mode (noise control).
+  std::uint32_t obs_reps = cli.get_u32("obs_reps", 3);
   /// The structural claim is <1% (the untraced path adds one branch per
   /// read); the CI gate is looser to absorb shared-box scheduler noise.
-  std::uint32_t obs_tolerance_pct = 5;
-  std::string out = "BENCH_throughput.json";
+  std::uint32_t obs_tolerance_pct = cli.get_u32("obs_tolerance_pct", 5);
+  std::string out = cli.get_string("out", "BENCH_throughput.json");
 };
-
-BenchArgs parse_args(int argc, char** argv) {
-  BenchArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr,
-                   "usage: %s [nodes=N] [files=N] [file_kb=N] [hit_passes=N] "
-                   "[miss_files=N] [mixed_passes=N] [obs_check=0|1] "
-                   "[obs_reps=N] [obs_tolerance_pct=N] [out=PATH]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-    const std::string key = arg.substr(0, eq);
-    const std::string value = arg.substr(eq + 1);
-    const auto numeric = [&key, &value]() -> std::uint32_t {
-      try {
-        std::size_t used = 0;
-        const unsigned long parsed = std::stoul(value, &used);
-        if (used == value.size()) {
-          return static_cast<std::uint32_t>(parsed);
-        }
-      } catch (const std::exception&) {
-      }
-      std::fprintf(stderr, "%s wants a number, got '%s'\n", key.c_str(),
-                   value.c_str());
-      std::exit(2);
-    };
-    if (key == "nodes") args.nodes = numeric();
-    else if (key == "files") args.files = numeric();
-    else if (key == "file_kb") args.file_kb = numeric();
-    else if (key == "hit_passes") args.hit_passes = numeric();
-    else if (key == "miss_files") args.miss_files = numeric();
-    else if (key == "mixed_passes") args.mixed_passes = numeric();
-    else if (key == "obs_check") args.obs_check = numeric();
-    else if (key == "obs_reps") args.obs_reps = numeric();
-    else if (key == "obs_tolerance_pct") args.obs_tolerance_pct = numeric();
-    else if (key == "out") args.out = value;
-    else {
-      std::fprintf(stderr, "unknown key: %s\n", key.c_str());
-      std::exit(2);
-    }
-  }
-  return args;
-}
-
-/// Payload-copy telemetry. The servers count every byte of payload they
-/// memcpy on the serve path; the delta across a phase divided by the op
-/// count is the headline bytes-copied-per-read metric.
-std::uint64_t total_payload_bytes_copied(Cluster& cluster) {
-  std::uint64_t total = 0;
-  for (NodeId n = 0; n < cluster.node_count(); ++n) {
-    total += cluster.server(n).stats_snapshot().payload_bytes_copied;
-  }
-  return total;
-}
-
-/// Runs `per_thread(thread_index, latencies_us)` on one thread per node and
-/// times the whole fan-out.
-template <typename Fn>
-PhaseResult run_phase(const std::string& name, Cluster& cluster,
-                      std::uint64_t expected_payload_bytes, Fn per_thread) {
-  PhaseResult result;
-  result.name = name;
-  const std::uint32_t threads = cluster.node_count();
-  std::vector<std::vector<double>> latencies(threads);
-  std::vector<std::uint64_t> failures(threads, 0);
-  const std::uint64_t copied_before = total_payload_bytes_copied(cluster);
-
-  const auto start = Clock::now();
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    workers.emplace_back([t, &latencies, &failures, &per_thread] {
-      per_thread(t, latencies[t], failures[t]);
-    });
-  }
-  for (auto& w : workers) w.join();
-  result.seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-
-  std::vector<double> merged;
-  for (auto& l : latencies) {
-    merged.insert(merged.end(), l.begin(), l.end());
-  }
-  for (std::uint64_t f : failures) result.failures += f;
-  result.ops = merged.size();
-  std::sort(merged.begin(), merged.end());
-  auto pct = [&merged](double p) {
-    if (merged.empty()) return 0.0;
-    const auto rank = static_cast<std::size_t>(
-        p / 100.0 * static_cast<double>(merged.size() - 1));
-    return merged[rank];
-  };
-  result.p50_us = pct(50.0);
-  result.p99_us = pct(99.0);
-  const std::uint64_t copied = total_payload_bytes_copied(cluster) -
-                               copied_before;
-  result.bytes_copied_per_read =
-      result.ops > 0 ? static_cast<double>(copied) /
-                           static_cast<double>(result.ops)
-                     : 0.0;
-  result.mb_per_sec =
-      result.seconds > 0.0
-          ? static_cast<double>(result.ops) *
-                static_cast<double>(expected_payload_bytes) /
-                (1024.0 * 1024.0) / result.seconds
-          : 0.0;
-  return result;
-}
-
-std::string json_escape_free(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.1f", v);
-  return buf;
-}
-
-void emit_json(const BenchArgs& args, const std::vector<PhaseResult>& phases,
-               const std::string& path) {
-  // Inline the recorded pre-change baseline when present so the artifact
-  // carries before/after in one file.
-  std::string baseline = "null";
-  {
-    std::ifstream in("BENCH_throughput.baseline.json");
-    if (in) {
-      std::stringstream ss;
-      ss << in.rdbuf();
-      if (!ss.str().empty()) baseline = ss.str();
-      while (!baseline.empty() &&
-             (baseline.back() == '\n' || baseline.back() == ' ')) {
-        baseline.pop_back();
-      }
-    }
-  }
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"bench_throughput\",\n";
-  out << "  \"config\": {\"nodes\": " << args.nodes
-      << ", \"files\": " << args.files << ", \"file_kb\": " << args.file_kb
-      << ", \"hit_passes\": " << args.hit_passes
-      << ", \"miss_files\": " << args.miss_files
-      << ", \"mixed_passes\": " << args.mixed_passes << "},\n";
-  out << "  \"baseline\": " << baseline << ",\n";
-  out << "  \"current\": {\n";
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    const PhaseResult& p = phases[i];
-    out << "    \"" << p.name << "\": {"
-        << "\"ops\": " << p.ops << ", \"failures\": " << p.failures
-        << ", \"seconds\": " << p.seconds
-        << ", \"ops_per_sec\": " << json_escape_free(p.ops_per_sec())
-        << ", \"p50_us\": " << json_escape_free(p.p50_us)
-        << ", \"p99_us\": " << json_escape_free(p.p99_us)
-        << ", \"bytes_copied_per_read\": "
-        << json_escape_free(p.bytes_copied_per_read)
-        << ", \"served_mb_per_sec\": " << json_escape_free(p.mb_per_sec)
-        << "}" << (i + 1 < phases.size() ? "," : "") << "\n";
-  }
-  out << "  }\n}\n";
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: could not write %s\n", path.c_str());
-    std::exit(1);
-  }
-}
 
 /// The shared cluster shape of both the saturation phases and the
 /// observability-overhead check.
-ClusterConfig base_config(const BenchArgs& args) {
+ClusterConfig base_config(const Options& args) {
   ClusterConfig config;
   config.node_count = args.nodes;
   config.client.mode = ftc::cluster::FtMode::kHashRingRecache;
@@ -276,7 +98,7 @@ double process_cpu_s() {
 /// interleaving spreads drift over both modes.  Also asserts the armed
 /// cluster recorded zero read spans and that its exporters emit the
 /// expected series.
-int run_obs_check(const BenchArgs& args) {
+int run_obs_check(const Options& args) {
   const std::uint32_t file_bytes = args.file_kb * 1024;
   const auto make_cluster = [&](bool attached) {
     ClusterConfig config = base_config(args);
@@ -341,154 +163,110 @@ int run_obs_check(const BenchArgs& args) {
   const bool within =
       overhead_pct <= static_cast<double>(args.obs_tolerance_pct);
 
-  std::printf(
-      "obs_check: hit-heavy %.3f us CPU/read (obs off) vs %.3f us "
-      "(attached, unsampled) -> overhead %.2f%% (tolerance %u%%, %s)\n",
-      off_us, attached_us, overhead_pct, args.obs_tolerance_pct,
-      within ? "ok" : "EXCEEDED");
-  std::printf("obs_check: armed-but-unsampled recorded %s; exporter %s\n",
-              no_spans ? "zero spans (ok)" : "SPANS (should be none)",
-              export_ok ? "ok" : "MISSING SERIES");
-
   const std::string out_path = args.out != "BENCH_throughput.json"
                                    ? args.out
-                                   : std::string("BENCH_throughput_obscheck.json");
-  std::ofstream out(out_path);
-  out << "{\n  \"bench\": \"bench_throughput_obs_check\",\n";
-  out << "  \"config\": {\"nodes\": " << args.nodes
-      << ", \"files\": " << args.files << ", \"file_kb\": " << args.file_kb
-      << ", \"hit_passes\": " << args.hit_passes
-      << ", \"obs_reps\": " << args.obs_reps
-      << ", \"obs_tolerance_pct\": " << args.obs_tolerance_pct << "},\n";
-  char pct[64];
-  std::snprintf(pct, sizeof(pct), "%.3f", off_us);
-  out << "  \"off_cpu_us_per_read\": " << pct << ",\n";
-  std::snprintf(pct, sizeof(pct), "%.3f", attached_us);
-  out << "  \"attached_cpu_us_per_read\": " << pct << ",\n";
-  std::snprintf(pct, sizeof(pct), "%.2f", overhead_pct);
-  out << "  \"overhead_pct\": " << pct << ",\n";
-  out << "  \"within_tolerance\": " << (within ? "true" : "false") << ",\n";
-  out << "  \"armed_recorded_no_spans\": " << (no_spans ? "true" : "false")
-      << ",\n";
-  out << "  \"prometheus_export_ok\": " << (export_ok ? "true" : "false")
-      << ",\n";
+                                   : "BENCH_throughput_obscheck.json";
+  ftc::bench::Json doc =
+      ftc::bench::artifact("bench_throughput_obs_check", args.cli);
+  doc.set("off_cpu_us_per_read", off_us);
+  doc.set("attached_cpu_us_per_read", attached_us);
+  doc.set("overhead_pct", overhead_pct);
+  doc.set("within_tolerance", within);
+  doc.set("armed_recorded_no_spans", no_spans);
+  doc.set("prometheus_export_ok", export_ok);
   // Embedding the exporter's raw JSON means any consumer that parses this
   // artifact has transitively validated the exporter's syntax.
-  out << "  \"export_sample\": " << export_json << "\n}\n";
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: could not write %s\n", out_path.c_str());
-    return 1;
+  doc.set("export_sample", ftc::bench::Json::raw(export_json));
+  ftc::bench::write_json(out_path, doc);
+
+  ftc::bench::Gate gate;
+  gate.check(within,
+             "hit-heavy %.3f us CPU/read (obs off) vs %.3f us (attached, "
+             "unsampled): overhead %.2f%%, tolerance %u%%",
+             off_us, attached_us, overhead_pct, args.obs_tolerance_pct);
+  gate.check(no_spans, "armed-but-unsampled recorders recorded no spans");
+  gate.check(export_ok, "exporters emit the client and server series");
+  return gate.exit_code();
+}
+
+/// mixed_failure: warm reads on every node while the last node dies
+/// mid-phase.
+ftc::bench::Json run_mixed_failure(const Options& args) {
+  Cluster cluster(base_config(args));
+  const std::uint32_t file_bytes = args.file_kb * 1024;
+  const auto paths = cluster.stage_dataset(args.files, file_bytes);
+  cluster.warm_caches(paths);
+
+  const std::uint32_t threads = cluster.node_count();
+  std::vector<std::vector<double>> latencies(threads);
+  std::vector<std::uint64_t> failures(threads, 0);
+  std::atomic<bool> killed{false};
+  const auto start = Clock::now();
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (std::uint32_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      auto& client = cluster.client(t);
+      for (std::uint32_t pass = 0; pass < args.mixed_passes; ++pass) {
+        // Half-way through the first pass of thread 0, crash-stop the
+        // last node: readers detect it by timeout and recache onto the
+        // survivors in-band.
+        for (std::size_t i = 0; i < paths.size(); ++i) {
+          if (t == 0 && pass == 0 && i == paths.size() / 2 &&
+              !killed.exchange(true)) {
+            cluster.fail_node(args.nodes - 1);
+          }
+          const auto op_start = Clock::now();
+          if (client.read_file(paths[i]).is_ok()) {
+            latencies[t].push_back(std::chrono::duration<double, std::micro>(
+                                       Clock::now() - op_start)
+                                       .count());
+          } else {
+            ++failures[t];
+          }
+        }
+      }
+    });
   }
-  std::printf("wrote %s\n", out_path.c_str());
-  return (within && no_spans && export_ok) ? 0 : 1;
+  for (auto& w : workers) w.join();
+  const double seconds =
+      std::chrono::duration<double>(Clock::now() - start).count();
+
+  std::vector<double> merged;
+  for (const auto& l : latencies) {
+    merged.insert(merged.end(), l.begin(), l.end());
+  }
+  std::sort(merged.begin(), merged.end());
+  std::uint64_t failed = 0;
+  for (const std::uint64_t f : failures) failed += f;
+  const double ops_per_sec =
+      seconds > 0.0 ? static_cast<double>(merged.size()) / seconds : 0.0;
+  const double p50_us = ftc::bench::percentile(merged, 50.0);
+  const double p99_us = ftc::bench::percentile(merged, 99.0);
+  std::printf("%-14s %10s %9s %10s %10s %12s\n", "phase", "ops", "fails",
+              "ops/s", "p50_us", "p99_us");
+  std::printf("%-14s %10zu %9llu %10.0f %10.1f %12.1f\n", "mixed_failure",
+              merged.size(), static_cast<unsigned long long>(failed),
+              ops_per_sec, p50_us, p99_us);
+  return {{"ops", merged.size()},
+          {"failures", failed},
+          {"seconds", seconds},
+          {"ops_per_sec", ops_per_sec},
+          {"p50_us", p50_us},
+          {"p99_us", p99_us},
+          {"served_mb_per_sec", ops_per_sec * args.file_kb / 1024.0}};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
-  if (args.obs_check != 0) return run_obs_check(args);
+  const ftc::bench::Args cli(argc, argv);
+  const Options args(cli);
+  cli.finish();
+  if (args.obs_check) return run_obs_check(args);
 
-  Cluster cluster(base_config(args));
-
-  const std::uint32_t file_bytes = args.file_kb * 1024;
-  const auto warm_paths = cluster.stage_dataset(args.files, file_bytes);
-  cluster.warm_caches(warm_paths);
-
-  std::vector<PhaseResult> phases;
-
-  // --- hit_heavy: every read is a warm cache hit ---
-  phases.push_back(run_phase(
-      "hit_heavy", cluster, file_bytes,
-      [&](std::uint32_t t, std::vector<double>& lat, std::uint64_t& fail) {
-        auto& client = cluster.client(t);
-        for (std::uint32_t pass = 0; pass < args.hit_passes; ++pass) {
-          for (const auto& path : warm_paths) {
-            const auto op_start = Clock::now();
-            auto r = client.read_file(path);
-            if (r.is_ok()) {
-              lat.push_back(std::chrono::duration<double, std::micro>(
-                                Clock::now() - op_start)
-                                .count());
-            } else {
-              ++fail;
-            }
-          }
-        }
-      }));
-
-  // --- miss_heavy: every read is a first touch (PFS fetch + recache) ---
-  {
-    const std::string prefix = "/lustre/orion/missset";
-    cluster.pfs().populate_synthetic(prefix, args.miss_files * args.nodes,
-                                     file_bytes);
-    phases.push_back(run_phase(
-        "miss_heavy", cluster, file_bytes,
-        [&](std::uint32_t t, std::vector<double>& lat, std::uint64_t& fail) {
-          auto& client = cluster.client(t);
-          char name[64];
-          for (std::uint32_t i = 0; i < args.miss_files; ++i) {
-            const std::uint32_t index = t * args.miss_files + i;
-            std::snprintf(name, sizeof(name), "/file_%07u.tfrecord", index);
-            const auto op_start = Clock::now();
-            auto r = client.read_file(prefix + name);
-            if (r.is_ok()) {
-              lat.push_back(std::chrono::duration<double, std::micro>(
-                                Clock::now() - op_start)
-                                .count());
-            } else {
-              ++fail;
-            }
-          }
-        }));
-    for (NodeId n = 0; n < cluster.node_count(); ++n) {
-      cluster.server(n).flush_data_mover();
-    }
-  }
-
-  // --- mixed_failure: warm reads while a node dies mid-phase ---
-  {
-    std::atomic<bool> killed{false};
-    std::atomic<std::uint32_t> done_threads{0};
-    phases.push_back(run_phase(
-        "mixed_failure", cluster, file_bytes,
-        [&](std::uint32_t t, std::vector<double>& lat, std::uint64_t& fail) {
-          auto& client = cluster.client(t);
-          for (std::uint32_t pass = 0; pass < args.mixed_passes; ++pass) {
-            // Half-way through the first pass of thread 0, crash-stop the
-            // last node: readers detect it by timeout and recache onto the
-            // survivors in-band.
-            for (std::size_t i = 0; i < warm_paths.size(); ++i) {
-              if (t == 0 && pass == 0 && i == warm_paths.size() / 2 &&
-                  !killed.exchange(true)) {
-                cluster.fail_node(args.nodes - 1);
-              }
-              const auto op_start = Clock::now();
-              auto r = client.read_file(warm_paths[i]);
-              if (r.is_ok()) {
-                lat.push_back(std::chrono::duration<double, std::micro>(
-                                  Clock::now() - op_start)
-                                  .count());
-              } else {
-                ++fail;
-              }
-            }
-          }
-          done_threads.fetch_add(1);
-        }));
-  }
-
-  std::printf("%-14s %10s %9s %10s %10s %12s %10s\n", "phase", "ops",
-              "fails", "ops/s", "p50_us", "p99_us", "copy_B/rd");
-  for (const PhaseResult& p : phases) {
-    std::printf("%-14s %10llu %9llu %10.0f %10.1f %12.1f %10.0f\n",
-                p.name.c_str(),
-                static_cast<unsigned long long>(p.ops),
-                static_cast<unsigned long long>(p.failures), p.ops_per_sec(),
-                p.p50_us, p.p99_us, p.bytes_copied_per_read);
-  }
-  emit_json(args, phases, args.out);
-  std::printf("wrote %s\n", args.out.c_str());
+  ftc::bench::Json doc = ftc::bench::artifact("bench_throughput", cli);
+  doc.set("current", {{"mixed_failure", run_mixed_failure(args)}});
+  ftc::bench::write_json(args.out, doc);
   return 0;
 }

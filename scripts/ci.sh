@@ -27,6 +27,25 @@ echo "=== repository benchmark self-test (perfbench/selftest.py)"
 # aborted training job) before a full benchmark run would notice.
 (cd "${source_dir}" && python3 perfbench/selftest.py)
 
+echo "=== bench argument rejection (every bench, misspelled key and bad number)"
+# Every bench binary parses its key=value options with the one strict
+# harness parser (bench/bench_common): a misspelled key or a value that is
+# not wholly a number must exit 2 with the usage line before any work
+# starts, never run with a silently ignored or half-read option.
+# bench_micro_hashring is exempt: its flags belong to google-benchmark.
+for bench in "${build_dir}"/bench/bench_*; do
+  [ "$(basename "${bench}")" = bench_micro_hashring ] && continue
+  for bad in "alpha=1.1" "files=12x"; do
+    rc=0
+    "${bench}" "${bad}" > /dev/null 2>&1 || rc=$?
+    if [ "${rc}" -ne 2 ]; then
+      echo "$(basename "${bench}") ${bad}: exit ${rc}, expected 2"
+      exit 1
+    fi
+  done
+done
+echo "every bench exits 2 on an unknown key and on files=12x"
+
 echo "=== failover-storm smoke (bench_failstorm, reduced load)"
 # Few-second smoke: exercises deadlines, admission, retry budgets, and
 # the PFS singleflight end-to-end and enforces the duplicate-fetch
@@ -209,6 +228,28 @@ assert warm["rejected_stale"] == 1, "stale-generation manifest row not rejected"
 print(f"pressure smoke: s3fifo keeps {scan['s3fifo']['hot_set_hit_ratio']:.2f} "
       f"of the hot set vs lru {scan['lru']['hot_set_hit_ratio']:.2f}; "
       f"warm restart {warm['restored']}/{warm['held']}, 0 PFS reads")
+EOF
+
+echo "=== artifact stamps (every threaded smoke artifact)"
+# Every artifact the shared harness writes names the commit (or "none"
+# outside a git checkout), the build type and the core count it ran on.
+python3 - "${build_dir}" <<'EOF'
+import json, os, sys
+names = ["BENCH_failstorm_smoke.json", "BENCH_failstorm_warm_smoke.json",
+         "BENCH_skew_smoke.json", "BENCH_throughput_obscheck.json",
+         "BENCH_prefetch_smoke.json", "BENCH_partition_smoke.json",
+         "BENCH_pressure_smoke.json"]
+for name in names:
+    with open(os.path.join(sys.argv[1], name)) as f:
+        doc = json.load(f)
+    for field in ("git_sha", "build_type", "nproc"):
+        assert field in doc, f"{name} carries no {field}"
+    assert doc["git_sha"], f"{name}: empty git_sha"
+    assert doc["build_type"], f"{name}: empty build_type"
+    assert isinstance(doc["nproc"], int) and doc["nproc"] >= 1, (
+        f"{name}: nproc {doc['nproc']!r}")
+print(f"{len(names)} artifacts stamped: git_sha {doc['git_sha']}, "
+      f"build_type {doc['build_type']}, nproc {doc['nproc']}")
 EOF
 
 echo "=== thread sanitizer"

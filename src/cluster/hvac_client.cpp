@@ -395,6 +395,7 @@ void HvacClient::ingest_membership(const rpc::RpcResponse& response) {
       // timeouts/flags this client accumulated against the node so it is
       // immediately routable again.
       detector_.reset_node(event.node);
+      distrust_warm_markings(event.node);
     }
     // Post-heal reconciliation scope: a stale-view fast-forward is how a
     // minority-side client learns the transitions it missed during a
@@ -414,6 +415,7 @@ NodeId HvacClient::current_owner(const std::string& path) const {
 void HvacClient::add_server(NodeId node) {
   placement_->add_node(node);
   if (membership_ != nullptr) membership_->join(node);
+  distrust_warm_markings(node);
   // Elastic scale-up shifts ~1/(N+1) of the keyspace, so replica sets
   // (hot fanouts and warm standbys alike) derived from the old ring are
   // stale.  Counting it as a ring update lets placement_generation()
@@ -1125,6 +1127,7 @@ void HvacClient::reinstate(NodeId node) {
   // The same elastic path a newly joined server takes (add_server): only
   // the node's old arc moves back, and each key recaches on first touch.
   placement_->add_node(node);
+  distrust_warm_markings(node);
   ++stats_.ring_updates;
   ++stats_.nodes_reinstated;
   if (recorder_ != nullptr) {
@@ -1136,6 +1139,15 @@ void HvacClient::reinstate(NodeId node) {
   FTC_LOG(kInfo, "hvac_client")
       << "client " << self_ << " reinstates node " << node
       << " after successful probe";
+}
+
+void HvacClient::distrust_warm_markings(NodeId node) {
+  for (auto& [path, marking] : warm_pushed_) {
+    if (std::find(marking.targets.begin(), marking.targets.end(), node) !=
+        marking.targets.end()) {
+      marking.targets.clear();
+    }
+  }
 }
 
 void HvacClient::prefetch_epoch(const std::vector<std::string>& upcoming) {

@@ -454,6 +454,12 @@ class HvacClient {
   void maybe_probe();
   /// Reinstates a probed-healthy node into the placement.
   void reinstate(NodeId node);
+  /// `node` is back in the ring holding whatever its cache holds now
+  /// (after a restart, nothing), so no warm marking that names it can be
+  /// trusted: clears those markings' targets.  The next read of each such
+  /// file then re-places its standbys as a repair (warm_restores, under
+  /// restore_concurrency) instead of adopting a set that looks unchanged.
+  void distrust_warm_markings(NodeId node);
   /// Hedged fast path for one attempt; returns nullopt when the caller
   /// should fall back to the ordinary retry loop for this attempt.
   /// `deadline` (kNoDeadline when total_deadline is off) is inherited by

@@ -178,6 +178,47 @@ TEST(WarmFailover, RejoinAfterReinstatementRetargetsStandbys) {
   }
 }
 
+TEST(WarmFailover, RejoinWithEmptyCacheRepairsStandbysOfFilesNotReadMeanwhile) {
+  Cluster cluster(warm_config());
+  const auto paths = cluster.stage_dataset(24, 64);
+  read_all_and_settle(cluster, 0, paths);
+
+  // Only half the files are read while the victim is down; the other
+  // half keep markings that name the victim as their standby.
+  const NodeId victim = 1;
+  cluster.fail_node(victim);
+  std::vector<std::string> read_half;
+  for (std::size_t i = 0; i < paths.size(); i += 2) {
+    read_half.push_back(paths[i]);
+  }
+  read_all_and_settle(cluster, 0, read_half);
+
+  // The victim returns with its cache wiped.  After reinstatement the
+  // ring looks as it did before the kill, so an unread file's recomputed
+  // standby set equals its old marking — but the standby's bytes are
+  // gone, and the marking must not be adopted as if they were there.
+  cluster.restore_node(victim, /*lose_cache=*/true);
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (cluster.client(0).stats_snapshot().nodes_reinstated == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    (void)cluster.client(0).read_file(paths[0]);
+    std::this_thread::sleep_for(2ms);
+  }
+  ASSERT_GE(cluster.client(0).stats_snapshot().nodes_reinstated, 1u);
+  const auto restores_before =
+      cluster.client(0).stats_snapshot().warm_restores;
+
+  for (int round = 0; round < 3; ++round) {
+    read_all_and_settle(cluster, 0, paths);
+  }
+  for (const auto& path : paths) {
+    EXPECT_GE(live_holders(cluster, path), 2u) << path;
+  }
+  // The re-placements were repairs of known files, not first placements.
+  EXPECT_GT(cluster.client(0).stats_snapshot().warm_restores,
+            restores_before);
+}
+
 TEST(WarmFailover, StaleGenerationPutIsRejectedByServer) {
   // Server-level freshness rule, exercised directly: a stamped put can
   // never roll a standby back to an older generation.

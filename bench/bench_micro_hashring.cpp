@@ -1,7 +1,9 @@
 // Google-benchmark microbenchmarks for the core data structures: ring
 // lookups/updates vs the baseline placements, and the raw hash functions.
 // These quantify the per-request costs behind Fig 5(a)'s FT overhead and
-// the vnode trade-off in Sec V-B2.
+// the vnode trade-off in Sec V-B2.  Every ring row runs twice: BM_Ring*
+// times the runtime ring (a sorted vector of virtual positions) and
+// BM_MapRing* the paper's std::map layout (MapHashRing, same placement).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,8 +19,9 @@
 #include "hash/fnv.hpp"
 #include "hash/murmur3.hpp"
 #include "hash/xxhash64.hpp"
+#include "membership/ring_view.hpp"
 #include "ring/consistent_hash_ring.hpp"
-#include "ring/flat_hash_ring.hpp"
+#include "ring/map_hash_ring.hpp"
 #include "ring/movement_analysis.hpp"
 #include "ring/placement.hpp"
 
@@ -31,12 +34,16 @@ const std::vector<std::string>& bench_keys() {
   return keys;
 }
 
-void BM_RingLookup(benchmark::State& state) {
-  const auto nodes = static_cast<std::uint32_t>(state.range(0));
-  const auto vnodes = static_cast<std::uint32_t>(state.range(1));
+ring::RingConfig config_with(std::int64_t vnodes) {
   ring::RingConfig config;
-  config.vnodes_per_node = vnodes;
-  const ring::ConsistentHashRing ring(nodes, config);
+  config.vnodes_per_node = static_cast<std::uint32_t>(vnodes);
+  return config;
+}
+
+template <class Ring>
+void BM_RingLookup(benchmark::State& state) {
+  const Ring ring(static_cast<std::uint32_t>(state.range(0)),
+                  config_with(state.range(1)));
   const auto& keys = bench_keys();
   std::size_t i = 0;
   for (auto _ : state) {
@@ -44,16 +51,21 @@ void BM_RingLookup(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RingLookup)
+BENCHMARK_TEMPLATE(BM_RingLookup, ring::ConsistentHashRing)
+    ->Name("BM_RingLookup")
+    ->Args({64, 100})
+    ->Args({1024, 100})
+    ->Args({1024, 1000});
+BENCHMARK_TEMPLATE(BM_RingLookup, ring::MapHashRing)
+    ->Name("BM_MapRingLookup")
     ->Args({64, 100})
     ->Args({1024, 100})
     ->Args({1024, 1000});
 
+template <class Ring>
 void BM_RingLookupPrehashed(benchmark::State& state) {
-  const auto nodes = static_cast<std::uint32_t>(state.range(0));
-  ring::RingConfig config;
-  config.vnodes_per_node = 100;
-  const ring::ConsistentHashRing ring(nodes, config);
+  const Ring ring(static_cast<std::uint32_t>(state.range(0)),
+                  config_with(100));
   std::uint64_t h = 0x1234;
   for (auto _ : state) {
     h = hash::fmix64(h);
@@ -61,39 +73,14 @@ void BM_RingLookupPrehashed(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RingLookupPrehashed)->Arg(64)->Arg(1024);
-
-// Sorted-vector ring vs the paper's std::map ring: same asymptotics, very
-// different constants (contiguous binary search vs pointer chasing).
-void BM_FlatRingLookupPrehashed(benchmark::State& state) {
-  ring::RingConfig config;
-  config.vnodes_per_node = 100;
-  const ring::FlatHashRing ring(
-      static_cast<std::uint32_t>(state.range(0)), config);
-  std::uint64_t h = 0x1234;
-  for (auto _ : state) {
-    h = hash::fmix64(h);
-    benchmark::DoNotOptimize(ring.owner_of_hash(h));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FlatRingLookupPrehashed)->Arg(64)->Arg(1024);
-
-void BM_FlatRingRebuild(benchmark::State& state) {
-  ring::RingConfig config;
-  config.vnodes_per_node = 100;
-  const ring::FlatHashRing ring(
-      static_cast<std::uint32_t>(state.range(0)), config);
-  std::uint32_t victim = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto clone = ring.clone();
-    state.ResumeTiming();
-    // Full O(V*N) rebuild — the price of the read-optimized layout.
-    clone->remove_node(victim++ % static_cast<std::uint32_t>(state.range(0)));
-  }
-}
-BENCHMARK(BM_FlatRingRebuild)->Arg(64)->Arg(1024);
+BENCHMARK_TEMPLATE(BM_RingLookupPrehashed, ring::ConsistentHashRing)
+    ->Name("BM_RingLookupPrehashed")
+    ->Arg(64)
+    ->Arg(1024);
+BENCHMARK_TEMPLATE(BM_RingLookupPrehashed, ring::MapHashRing)
+    ->Name("BM_MapRingLookupPrehashed")
+    ->Arg(64)
+    ->Arg(1024);
 
 void BM_ModuloLookup(benchmark::State& state) {
   const auto strategy = ring::make_strategy(
@@ -113,10 +100,8 @@ BENCHMARK(BM_ModuloLookup)->Arg(64)->Arg(1024);
 // the budget claim (checked by the manual comparison in main) is that the
 // bounded variant stays within 2x the plain prehashed lookup.
 void BM_RingLookupBounded(benchmark::State& state) {
-  const auto nodes = static_cast<std::uint32_t>(state.range(0));
-  ring::RingConfig config;
-  config.vnodes_per_node = 100;
-  const ring::ConsistentHashRing ring(nodes, config);
+  const ring::ConsistentHashRing ring(
+      static_cast<std::uint32_t>(state.range(0)), config_with(100));
   const auto excluded = [](ring::NodeId) { return false; };
   const auto overloaded = [](ring::NodeId n) { return n % 5 == 0; };
   std::uint64_t h = 0x1234;
@@ -129,33 +114,61 @@ void BM_RingLookupBounded(benchmark::State& state) {
 }
 BENCHMARK(BM_RingLookupBounded)->Arg(64)->Arg(1024);
 
+template <class Ring>
 void BM_RingNodeRemoval(benchmark::State& state) {
   const auto nodes = static_cast<std::uint32_t>(state.range(0));
-  const auto vnodes = static_cast<std::uint32_t>(state.range(1));
-  ring::RingConfig config;
-  config.vnodes_per_node = vnodes;
-  const ring::ConsistentHashRing ring(nodes, config);
+  const Ring ring(nodes, config_with(state.range(1)));
   std::uint32_t victim = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    auto clone = ring.clone();
+    Ring copy = ring;
     state.ResumeTiming();
-    clone->remove_node(victim++ % nodes);
+    copy.remove_node(victim++ % nodes);
   }
 }
-BENCHMARK(BM_RingNodeRemoval)->Args({1024, 100})->Args({1024, 1000});
+BENCHMARK_TEMPLATE(BM_RingNodeRemoval, ring::ConsistentHashRing)
+    ->Name("BM_RingNodeRemoval")
+    ->Args({1024, 100})
+    ->Args({1024, 1000});
+BENCHMARK_TEMPLATE(BM_RingNodeRemoval, ring::MapHashRing)
+    ->Name("BM_MapRingNodeRemoval")
+    ->Args({1024, 100})
+    ->Args({1024, 1000});
 
+template <class Ring>
 void BM_RingConstruction(benchmark::State& state) {
   const auto nodes = static_cast<std::uint32_t>(state.range(0));
-  const auto vnodes = static_cast<std::uint32_t>(state.range(1));
-  ring::RingConfig config;
-  config.vnodes_per_node = vnodes;
+  const ring::RingConfig config = config_with(state.range(1));
   for (auto _ : state) {
-    ring::ConsistentHashRing ring(nodes, config);
-    benchmark::DoNotOptimize(ring.position_count());
+    Ring ring(nodes, config);
+    benchmark::DoNotOptimize(ring.positions().size());
   }
 }
-BENCHMARK(BM_RingConstruction)->Args({64, 100})->Args({1024, 100});
+BENCHMARK_TEMPLATE(BM_RingConstruction, ring::ConsistentHashRing)
+    ->Name("BM_RingConstruction")
+    ->Args({64, 100})
+    ->Args({1024, 100});
+BENCHMARK_TEMPLATE(BM_RingConstruction, ring::MapHashRing)
+    ->Name("BM_MapRingConstruction")
+    ->Args({64, 100})
+    ->Args({1024, 100});
+
+/// One membership epoch publish: copy the current snapshot, remove (or
+/// re-add) one node, wrap the copy in a new RingView.
+void BM_VersionedRingApply(benchmark::State& state) {
+  const auto nodes = static_cast<std::uint32_t>(state.range(0));
+  std::vector<ring::NodeId> members(nodes);
+  for (std::uint32_t n = 0; n < nodes; ++n) members[n] = n;
+  membership::VersionedRing versioned(config_with(100), members, 64);
+  bool present = true;
+  for (auto _ : state) {
+    versioned.apply(present ? membership::RingEventType::kConfirmFailed
+                            : membership::RingEventType::kJoin,
+                    nodes / 2, 0);
+    present = !present;
+  }
+}
+BENCHMARK(BM_VersionedRingApply)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 void BM_HashFnv(benchmark::State& state) {
   const auto& keys = bench_keys();

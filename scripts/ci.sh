@@ -99,7 +99,8 @@ echo "=== observability smoke (bench_throughput obs_check)"
 # interleaved, so time stolen from the run does not count.  A pass is
 # still only ~6k reads, and its CPU per read varies by 10-20% from pass
 # to pass, so a single attempt fails now and then (5 of 40 on a 4-vCPU
-# VM; 5 of 20 with the older ops/s measure; ROADMAP item 5).
+# VM; 5 of 20 with the older ops/s measure; DESIGN.md §9,
+# "Overhead budget").
 # The smoke therefore keeps three attempts: a real regression fails all
 # of them, noise does not.
 obs_ok=0

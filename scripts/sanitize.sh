@@ -87,6 +87,11 @@
 # hash_test is not concurrent; it rides along for ASan/UBSan, which check
 # the CRC-32 kernels' unaligned 16-byte loads and 0-15-byte tail handling
 # on every length and start offset the property tests sweep.
+# ring_test is not concurrent either; it rides along for ASan/UBSan over
+# the hash ring's sorted position table: the wrap-around index walks
+# (owner chains, excluding and bounded-load lookups past the last
+# position), the merge on add and the erase on remove, which the
+# RingDifferential random histories drive at 1-100 vnodes per node.
 # Usage: scripts/sanitize.sh [thread|address] [build_dir]
 set -euo pipefail
 
@@ -107,7 +112,7 @@ cmake -B "${build_dir}" -S "${source_dir}" \
   -DFTC_BUILD_EXAMPLES=OFF > /dev/null
 cmake --build "${build_dir}" -j \
   --target cluster_test rpc_test storage_test store_test membership_test obs_test \
-  hash_test
+  hash_test ring_test
 
 # halt_on_error makes a single report fail the run loudly.
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
@@ -116,7 +121,7 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
 
 status=0
 for test_bin in cluster_test rpc_test storage_test store_test membership_test obs_test \
-  hash_test; do
+  hash_test ring_test; do
   echo "=== ${sanitizer}-sanitizer: ${test_bin}"
   if ! "${build_dir}/tests/${test_bin}"; then
     status=1

@@ -302,12 +302,11 @@ HvacClient::HvacClient(NodeId self, rpc::Transport& transport, PfsStore& pfs,
     ring::RingConfig ring_config;
     ring_config.vnodes_per_node = config_.vnodes_per_node;
     ring_config.seed = config_.ring_seed;
-    auto ring = std::make_unique<ring::ConsistentHashRing>(ring_config);
-    for (NodeId node : servers) ring->add_node(node);
-    ring_view_ = ring.get();
+    auto ring = std::make_shared<ring::ConsistentHashRing>(ring_config);
+    ring->add_nodes(servers);
     placement_ = std::move(ring);
   } else {
-    auto modulo = std::make_unique<ring::StaticModuloPlacement>();
+    auto modulo = std::make_shared<ring::StaticModuloPlacement>();
     for (NodeId node : servers) modulo->add_node(node);
     placement_ = std::move(modulo);
   }
@@ -372,13 +371,21 @@ NodeId HvacClient::resolve_owner(const std::string& path) const {
   return placement_->owner(path);
 }
 
+std::shared_ptr<const ring::ConsistentHashRing> HvacClient::lookup_ring()
+    const {
+  if (membership_ != nullptr) {
+    const auto view = membership_->ring_view();
+    return {view, &view->ring()};
+  }
+  if (config_.mode != FtMode::kHashRingRecache) return nullptr;
+  return std::static_pointer_cast<const ring::ConsistentHashRing>(placement_);
+}
+
 std::vector<NodeId> HvacClient::replica_chain(const std::string& path,
                                               std::size_t count) const {
-  if (membership_ != nullptr) {
-    return membership_->ring_view()->owner_chain(path, count);
-  }
-  if (ring_view_ != nullptr) return ring_view_->owner_chain(path, count);
-  return {};
+  const auto ring = lookup_ring();
+  if (ring == nullptr) return {};
+  return ring->owner_chain(path, count);
 }
 
 void HvacClient::ingest_membership(const rpc::RpcResponse& response) {
@@ -522,7 +529,7 @@ void HvacClient::push_replicas(const std::string& path,
     warm_stale = !warm_restore || it->second.generation != generation;
   }
   if (!miss_fires && !hot_fires && !warm_stale && extra == nullptr) return;
-  if (ring_view_ == nullptr && membership_ == nullptr) return;
+  if (lookup_ring() == nullptr) return;
 
   std::vector<const placement::ReplicationPolicy*> policies;
   if (miss_fires) policies.push_back(miss_policy_.get());
@@ -885,17 +892,10 @@ NodeId HvacClient::pick_read_target(const std::string& path,
   // Primary + up to max_spill spill candidates, resolved against the
   // epoch'd view when membership is attached so clients sharing an epoch
   // walk identical candidate chains.
-  const std::size_t candidates = 1 + config_.bounded_load_max_spill;
-  ring::ConsistentHashRing::BoundedLookup lookup;
-  if (membership_ != nullptr) {
-    lookup = membership_->ring_view()->owner_bounded(path, candidates,
-                                                     excluded, overloaded);
-  } else if (ring_view_ != nullptr) {
-    lookup = ring_view_->owner_of_hash_bounded(
-        ring_view_->key_position(path), candidates, excluded, overloaded);
-  } else {
-    return plain;
-  }
+  const auto ring = lookup_ring();
+  const auto lookup = ring->owner_of_hash_bounded(
+      ring->key_position(path), 1 + config_.bounded_load_max_spill, excluded,
+      overloaded);
   if (lookup.chosen == ring::kInvalidNode) return plain;
   if (lookup.spilled()) {
     ++stats_.spilled_reads;

@@ -438,7 +438,12 @@ class HvacClient {
   [[nodiscard]] NodeId resolve_owner(const std::string& path) const;
   /// Nodes a data request must not target (local evidence + gossip).
   [[nodiscard]] bool excluded_for_data(NodeId node) const;
-  /// Replica chain from the active placement source.
+  /// The ring that chain and bounded-spill lookups walk, pinned for the
+  /// caller: the attached membership's epoch'd view, else this client's
+  /// own ring.  Null in the static-modulo modes, which have no ring.
+  [[nodiscard]] std::shared_ptr<const ring::ConsistentHashRing> lookup_ring()
+      const;
+  /// Replica chain from lookup_ring() (empty without a ring).
   [[nodiscard]] std::vector<NodeId> replica_chain(const std::string& path,
                                                   std::size_t count) const;
   /// Folds a response's gossip/epoch delta into the membership agent and
@@ -551,10 +556,8 @@ class HvacClient {
   HvacClientConfig config_;
   /// kHashRingRecache uses the ring; the other modes use the original
   /// static modulo placement, matching the systems compared in Sec V.
-  std::unique_ptr<ring::PlacementStrategy> placement_;
-  /// Non-owning view of placement_ when it is a ring (replication and
-  /// hedging need owner chains); nullptr otherwise.
-  ring::ConsistentHashRing* ring_view_ = nullptr;
+  /// Shared so lookup_ring() can pin the ring like a membership view.
+  std::shared_ptr<ring::PlacementStrategy> placement_;
   membership::MembershipAgent* membership_ = nullptr;
   FaultDetector detector_;
   /// Counters as per-field relaxed atomics: the owning thread is the only

@@ -36,14 +36,12 @@ class Engine {
         sampler_(config.file_count * samples_per_file_, config.shuffle_seed),
         elastic_(config.node_count) {
     nodes_.reserve(config_.node_count);
+    std::vector<NodeId> members;
     for (NodeId n = 0; n < config_.node_count; ++n) {
       nodes_.push_back(std::make_unique<Node>(sim_, config_, n));
-      if (n < config_.node_weights.size()) {
-        ring_.add_node_weighted(n, config_.node_weights[n]);
-      } else {
-        ring_.add_node(n);
-      }
+      members.push_back(n);
     }
+    ring_.add_nodes(members, config_.node_weights);
     // Precompute per-file ring hashes and static-modulo owners once; the
     // hot path then never touches strings.
     // File ids [0, file_count) are training data; validation files follow.

@@ -7,10 +7,10 @@ namespace ftc::membership {
 VersionedRing::VersionedRing(const ring::RingConfig& config,
                              const std::vector<NodeId>& members,
                              std::size_t event_log_capacity)
-    : master_(std::make_unique<ring::ConsistentHashRing>(config)),
-      log_(event_log_capacity) {
-  for (const NodeId node : members) master_->add_node(node);
-  snapshot_ = master_->clone_ring();
+    : log_(event_log_capacity) {
+  auto ring = std::make_shared<ring::ConsistentHashRing>(config);
+  ring->add_nodes(members);
+  snapshot_ = std::move(ring);
   current_ = std::make_shared<RingView>(0, snapshot_);
 }
 
@@ -28,14 +28,17 @@ std::optional<RingEvent> VersionedRing::apply(RingEventType type, NodeId node,
                                               std::uint64_t incarnation,
                                               std::uint64_t min_epoch) {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Idempotence: a transition the master already reflects burns no epoch
-  // (gossip delivers the same event along many paths).
-  if (ring_event_adds(type) == master_->contains(node)) return std::nullopt;
+  // Idempotence: a transition the snapshot already reflects burns no
+  // epoch (gossip delivers the same event along many paths).
+  if (ring_event_adds(type) == snapshot_->contains(node)) return std::nullopt;
+  // Published snapshots are immutable: mutate a copy, then publish it.
+  auto next = std::make_shared<ring::ConsistentHashRing>(*snapshot_);
   if (ring_event_adds(type)) {
-    master_->add_node(node);
+    next->add_node(node);
   } else {
-    master_->remove_node(node);
+    next->remove_node(node);
   }
+  snapshot_ = std::move(next);
   const std::uint64_t previous = epoch_;
   epoch_ = std::max(epoch_ + 1, min_epoch);
   if (epoch_ > previous + 1) {
@@ -44,7 +47,6 @@ std::optional<RingEvent> VersionedRing::apply(RingEventType type, NodeId node,
     // cannot prove coverage — same collapse as adopt_epoch.
     sync_floor_ = std::max(sync_floor_, epoch_);
   }
-  snapshot_ = master_->clone_ring();
   current_ = std::make_shared<RingView>(epoch_, snapshot_);
   const RingEvent event{epoch_, type, node, incarnation};
   log_.append(event);

@@ -4,9 +4,10 @@
 // failure (`placement_->remove_node(owner)`); nothing names a particular
 // ring state, so two clients can disagree about placement with no way to
 // even detect it.  VersionedRing replaces in-place mutation with
-// clone-then-publish: a master ring is mutated under a lock, a deep copy
-// is wrapped in an immutable RingView stamped with a monotonically
-// increasing epoch, and readers grab the current view via shared_ptr —
+// copy-then-publish: under a lock, each transition copies the current
+// snapshot (one flat vector of virtual positions), mutates the copy and
+// wraps it in an immutable RingView stamped with a monotonically
+// increasing epoch.  Readers grab the current view via shared_ptr —
 // lookups run lock-free against a snapshot that can never change under
 // them, and the epoch number travels in every RPC so peers can detect
 // (and fast-forward across) divergence.
@@ -58,20 +59,6 @@ class RingView {
     return ring_->owner_chain(key, count);
   }
 
-  /// Bounded-load owner resolution against this epoch's frozen ring
-  /// (see ConsistentHashRing::owner_of_hash_bounded).  Because the
-  /// snapshot is immutable, two clients holding views of the same epoch
-  /// walk identical candidate chains — spill targets agree wherever the
-  /// load predicates agree, which is what keeps the spilled working set
-  /// cacheable instead of smearing across the fleet.
-  [[nodiscard]] ring::ConsistentHashRing::BoundedLookup owner_bounded(
-      std::string_view key, std::size_t max_candidates,
-      const std::function<bool(NodeId)>& excluded,
-      const std::function<bool(NodeId)>& overloaded) const {
-    return ring_->owner_of_hash_bounded(ring_->key_position(key),
-                                        max_candidates, excluded, overloaded);
-  }
-
   [[nodiscard]] bool contains(NodeId node) const {
     return ring_->contains(node);
   }
@@ -79,6 +66,11 @@ class RingView {
   [[nodiscard]] std::uint64_t fingerprint() const {
     return ring_->fingerprint();
   }
+  /// This epoch's frozen ring.  Because the snapshot is immutable, two
+  /// clients holding views of the same epoch walk identical owner chains
+  /// and bounded-load candidate chains — spill targets agree wherever the
+  /// load predicates agree, which is what keeps the spilled working set
+  /// cacheable instead of smearing across the fleet.
   [[nodiscard]] const ring::ConsistentHashRing& ring() const { return *ring_; }
 
  private:
@@ -86,8 +78,8 @@ class RingView {
   std::shared_ptr<const ring::ConsistentHashRing> ring_;
 };
 
-/// The mutable master ring plus its published snapshot and event history.
-/// Thread-safe; apply() serializes writers, view() is a shared_ptr load.
+/// The published ring snapshot and its event history.  Thread-safe;
+/// apply() serializes writers, view() is a shared_ptr load.
 class VersionedRing {
  public:
   VersionedRing(const ring::RingConfig& config,
@@ -135,9 +127,8 @@ class VersionedRing {
 
  private:
   mutable std::mutex mutex_;
-  std::unique_ptr<ring::ConsistentHashRing> master_;
-  /// Snapshot current_ wraps; kept so adopt_epoch can relabel without
-  /// re-cloning the master.
+  /// Ring current_ wraps: the next transition copies and mutates it, and
+  /// adopt_epoch relabels it without a copy.
   std::shared_ptr<const ring::ConsistentHashRing> snapshot_;
   std::shared_ptr<const RingView> current_;
   EventLog log_;

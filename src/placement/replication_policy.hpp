@@ -25,7 +25,7 @@
 // generation so a ring-epoch change lazily invalidates and re-targets the
 // standbys.  On a node death the clockwise successor — the node every key
 // fails over to — already holds the bytes, so a failover storm triggers
-// ~0 PFS fetches (ROADMAP item 1, "warm failover").
+// ~0 PFS fetches (DESIGN.md §11, "Warm failover").
 #pragma once
 
 #include <cstdint>

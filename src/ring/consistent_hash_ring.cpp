@@ -2,10 +2,36 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 
 #include "hash/murmur3.hpp"
 
 namespace ftc::ring {
+
+namespace {
+
+bool by_position(const ConsistentHashRing::VirtualNode& a,
+                 const ConsistentHashRing::VirtualNode& b) {
+  return a.position < b.position;
+}
+
+}  // namespace
+
+std::uint64_t vnode_position(const RingConfig& config, NodeId node,
+                             std::uint32_t replica) {
+  const std::uint64_t packed =
+      (static_cast<std::uint64_t>(node) << 32) | replica;
+  return hash::fmix64(packed ^ hash::fmix64(config.seed + 0x9E3779B97F4A7C15ULL));
+}
+
+std::uint32_t vnodes_for_weight(const RingConfig& config, double weight) {
+  // Clamp before the cast: negative or huge weights must not wrap.
+  double scaled = weight * static_cast<double>(config.vnodes_per_node) + 0.5;
+  if (scaled < 1.0) scaled = 1.0;
+  constexpr double kMaxReplicas = 1 << 20;
+  if (scaled > kMaxReplicas) scaled = kMaxReplicas;
+  return static_cast<std::uint32_t>(scaled);
+}
 
 ConsistentHashRing::ConsistentHashRing(RingConfig config)
     : config_(config) {
@@ -15,17 +41,9 @@ ConsistentHashRing::ConsistentHashRing(RingConfig config)
 ConsistentHashRing::ConsistentHashRing(std::uint32_t node_count,
                                        RingConfig config)
     : ConsistentHashRing(config) {
-  for (std::uint32_t n = 0; n < node_count; ++n) add_node(n);
-}
-
-std::uint64_t ConsistentHashRing::vnode_position(NodeId node,
-                                                 std::uint32_t replica) const {
-  // Integer mixing instead of hashing a formatted string: equivalent
-  // avalanche quality, no allocation.  The seed decorrelates independent
-  // rings (e.g. different jobs sharing nodes).
-  const std::uint64_t packed =
-      (static_cast<std::uint64_t>(node) << 32) | replica;
-  return hash::fmix64(packed ^ hash::fmix64(config_.seed + 0x9E3779B97F4A7C15ULL));
+  std::vector<NodeId> nodes(node_count);
+  std::iota(nodes.begin(), nodes.end(), NodeId{0});
+  add_nodes(nodes);
 }
 
 void ConsistentHashRing::add_node(NodeId node) {
@@ -33,44 +51,76 @@ void ConsistentHashRing::add_node(NodeId node) {
 }
 
 void ConsistentHashRing::add_node_weighted(NodeId node, double weight) {
-  if (node_positions_.contains(node)) return;
-  // Clamp before the cast: negative or huge weights must not wrap.
-  double scaled = weight * static_cast<double>(config_.vnodes_per_node) + 0.5;
-  if (scaled < 1.0) scaled = 1.0;
-  constexpr double kMaxReplicas = 1 << 20;
-  if (scaled > kMaxReplicas) scaled = kMaxReplicas;
-  const auto replicas = static_cast<std::uint32_t>(scaled);
-  std::vector<std::uint64_t>& positions = node_positions_[node];
-  positions.reserve(replicas);
-  for (std::uint32_t r = 0; r < replicas; ++r) {
-    std::uint64_t pos = vnode_position(node, r);
-    // Linear probe on the (astronomically unlikely) collision with another
-    // node's virtual position; never drop a replica.
-    while (!ring_.try_emplace(pos, node).second) ++pos;
-    positions.push_back(pos);
+  add_nodes({node}, {weight});
+}
+
+void ConsistentHashRing::add_nodes(const std::vector<NodeId>& nodes,
+                                   const std::vector<double>& weights) {
+  std::vector<VirtualNode> merged = positions_;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const std::uint32_t count = vnodes_for_weight(
+        config_, i < weights.size() ? weights[i] : 1.0);
+    // Adding a present node is a no-op, also for a repeat within `nodes`.
+    if (!vnodes_.try_emplace(nodes[i], count).second) continue;
+    for (std::uint32_t r = 0; r < count; ++r) {
+      merged.push_back(
+          VirtualNode{vnode_position(config_, nodes[i], r), nodes[i]});
+    }
+  }
+  const auto fresh = merged.begin() + static_cast<std::ptrdiff_t>(
+                                          positions_.size());
+  std::sort(fresh, merged.end(), by_position);
+  std::inplace_merge(merged.begin(), fresh, merged.end(), by_position);
+  if (std::adjacent_find(merged.begin(), merged.end(),
+                         [](const VirtualNode& a, const VirtualNode& b) {
+                           return a.position == b.position;
+                         }) == merged.end()) {
+    positions_ = std::move(merged);
+    return;
+  }
+  // A taken position: place the new vnodes one at a time in insertion
+  // order, probing upward (++pos while occupied) as MapHashRing does.
+  // vnode_position is injective for one seed (fmix64 is a bijection), so
+  // this runs only if the derivation ever changes; it keeps placement
+  // from depending on that argument.
+  const auto taken = [this](const VirtualNode& vnode) {
+    return std::binary_search(positions_.begin(), positions_.end(), vnode,
+                              by_position);
+  };
+  for (const NodeId node : nodes) {
+    if (std::any_of(positions_.begin(), positions_.end(),
+                    [node](const VirtualNode& v) { return v.node == node; })) {
+      continue;
+    }
+    for (std::uint32_t r = 0; r < vnodes_.at(node); ++r) {
+      VirtualNode vnode{vnode_position(config_, node, r), node};
+      while (taken(vnode)) ++vnode.position;
+      positions_.insert(std::lower_bound(positions_.begin(), positions_.end(),
+                                         vnode, by_position),
+                        vnode);
+    }
   }
 }
 
 std::size_t ConsistentHashRing::vnode_count_of(NodeId node) const {
-  const auto it = node_positions_.find(node);
-  return it != node_positions_.end() ? it->second.size() : 0;
+  const auto it = vnodes_.find(node);
+  return it != vnodes_.end() ? it->second : 0;
 }
 
 void ConsistentHashRing::remove_node(NodeId node) {
-  const auto it = node_positions_.find(node);
-  if (it == node_positions_.end()) return;
-  for (std::uint64_t pos : it->second) ring_.erase(pos);
-  node_positions_.erase(it);
+  if (vnodes_.erase(node) == 0) return;
+  std::erase_if(positions_,
+                [node](const VirtualNode& v) { return v.node == node; });
 }
 
 bool ConsistentHashRing::contains(NodeId node) const {
-  return node_positions_.contains(node);
+  return vnodes_.contains(node);
 }
 
 std::vector<NodeId> ConsistentHashRing::nodes() const {
   std::vector<NodeId> out;
-  out.reserve(node_positions_.size());
-  for (const auto& [node, positions] : node_positions_) out.push_back(node);
+  out.reserve(vnodes_.size());
+  for (const auto& [node, count] : vnodes_) out.push_back(node);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -79,21 +129,24 @@ std::unique_ptr<PlacementStrategy> ConsistentHashRing::clone() const {
   return std::make_unique<ConsistentHashRing>(*this);
 }
 
-std::unique_ptr<ConsistentHashRing> ConsistentHashRing::clone_ring() const {
-  return std::make_unique<ConsistentHashRing>(*this);
-}
-
 std::uint64_t ConsistentHashRing::key_position(std::string_view key) const {
   return hash::hash_key(config_.algorithm, key, config_.seed);
 }
 
+std::size_t ConsistentHashRing::successor(std::uint64_t key_hash) const {
+  // First virtual position >= the key's position, wrapping to the ring's
+  // first entry past the top of the circle.
+  const auto it = std::lower_bound(positions_.begin(), positions_.end(),
+                                   VirtualNode{key_hash, kInvalidNode},
+                                   by_position);
+  return it == positions_.end()
+             ? 0
+             : static_cast<std::size_t>(it - positions_.begin());
+}
+
 NodeId ConsistentHashRing::owner_of_hash(std::uint64_t key_hash) const {
-  if (ring_.empty()) return kInvalidNode;
-  // Clockwise successor: first virtual position >= the key's position,
-  // wrapping to the ring's first entry past the top of the circle.
-  auto it = ring_.lower_bound(key_hash);
-  if (it == ring_.end()) it = ring_.begin();
-  return it->second;
+  if (positions_.empty()) return kInvalidNode;
+  return positions_[successor(key_hash)].node;
 }
 
 NodeId ConsistentHashRing::owner(std::string_view key) const {
@@ -103,13 +156,12 @@ NodeId ConsistentHashRing::owner(std::string_view key) const {
 NodeId ConsistentHashRing::owner_of_hash_excluding(
     std::uint64_t key_hash,
     const std::function<bool(NodeId)>& excluded) const {
-  if (ring_.empty()) return kInvalidNode;
-  auto it = ring_.lower_bound(key_hash);
+  if (positions_.empty()) return kInvalidNode;
+  std::size_t i = successor(key_hash);
   // Clockwise walk skipping excluded nodes; bounded by one full lap.
-  for (std::size_t steps = 0; steps < ring_.size(); ++steps) {
-    if (it == ring_.end()) it = ring_.begin();
-    if (!excluded(it->second)) return it->second;
-    ++it;
+  for (std::size_t steps = 0; steps < positions_.size(); ++steps) {
+    if (!excluded(positions_[i].node)) return positions_[i].node;
+    i = next(i);
   }
   return kInvalidNode;
 }
@@ -122,18 +174,18 @@ std::vector<NodeId> ConsistentHashRing::owner_chain(std::string_view key,
 std::vector<NodeId> ConsistentHashRing::owner_chain_of_hash(
     std::uint64_t key_hash, std::size_t count) const {
   std::vector<NodeId> chain;
-  if (ring_.empty() || count == 0) return chain;
-  const std::size_t want = std::min(count, node_positions_.size());
+  if (positions_.empty() || count == 0) return chain;
+  const std::size_t want = std::min(count, vnodes_.size());
   chain.reserve(want);
-  auto it = ring_.lower_bound(key_hash);
+  std::size_t i = successor(key_hash);
   // Walk clockwise collecting distinct physical nodes; bounded by ring size.
-  for (std::size_t steps = 0; steps < ring_.size() && chain.size() < want;
+  for (std::size_t steps = 0; steps < positions_.size() && chain.size() < want;
        ++steps) {
-    if (it == ring_.end()) it = ring_.begin();
-    if (std::find(chain.begin(), chain.end(), it->second) == chain.end()) {
-      chain.push_back(it->second);
+    const NodeId node = positions_[i].node;
+    if (std::find(chain.begin(), chain.end(), node) == chain.end()) {
+      chain.push_back(node);
     }
-    ++it;
+    i = next(i);
   }
   return chain;
 }
@@ -143,8 +195,8 @@ ConsistentHashRing::BoundedLookup ConsistentHashRing::owner_of_hash_bounded(
     const std::function<bool(NodeId)>& excluded,
     const std::function<bool(NodeId)>& overloaded) const {
   BoundedLookup result;
-  if (ring_.empty() || max_candidates == 0) return result;
-  auto it = ring_.lower_bound(key_hash);
+  if (positions_.empty() || max_candidates == 0) return result;
+  std::size_t i = successor(key_hash);
   // Clockwise walk over distinct non-excluded nodes, same order as
   // owner_chain; stop at the first candidate under its load bound.  A
   // small fixed-size seen set keeps the walk allocation-free for the
@@ -155,20 +207,14 @@ ConsistentHashRing::BoundedLookup ConsistentHashRing::owner_of_hash_bounded(
       max_candidates < sizeof(seen) / sizeof(seen[0])
           ? max_candidates
           : sizeof(seen) / sizeof(seen[0]);
-  for (std::size_t steps = 0; steps < ring_.size() && seen_count < want;
+  for (std::size_t steps = 0; steps < positions_.size() && seen_count < want;
        ++steps) {
-    if (it == ring_.end()) it = ring_.begin();
-    const NodeId node = it->second;
-    ++it;
+    const NodeId node = positions_[i].node;
+    i = next(i);
     if (excluded && excluded(node)) continue;
-    bool duplicate = false;
-    for (std::size_t i = 0; i < seen_count; ++i) {
-      if (seen[i] == node) {
-        duplicate = true;
-        break;
-      }
+    if (std::find(seen, seen + seen_count, node) != seen + seen_count) {
+      continue;
     }
-    if (duplicate) continue;
     seen[seen_count++] = node;
     if (result.primary == kInvalidNode) result.primary = node;
     ++result.inspected;
@@ -185,48 +231,43 @@ ConsistentHashRing::BoundedLookup ConsistentHashRing::owner_of_hash_bounded(
 }
 
 std::uint64_t ConsistentHashRing::fingerprint() const {
-  // Iteration over std::map is position-ordered, so the digest is a
-  // deterministic function of the ring contents.
+  // The table is position-ordered, so the digest is a deterministic
+  // function of the ring contents.
   std::uint64_t digest = 0x9E3779B97F4A7C15ULL;
-  for (const auto& [pos, node] : ring_) {
-    digest = hash::fmix64(digest ^ pos);
-    digest = hash::fmix64(digest ^ node);
+  for (const VirtualNode& vnode : positions_) {
+    digest = hash::fmix64(digest ^ vnode.position);
+    digest = hash::fmix64(digest ^ vnode.node);
   }
   return digest;
 }
 
 std::string ConsistentHashRing::describe() const {
-  std::string out = "hash_ring nodes=";
-  out += std::to_string(node_positions_.size());
-  out += " vnodes_per_node=";
-  out += std::to_string(config_.vnodes_per_node);
-  out += " seed=";
-  out += std::to_string(config_.seed);
-  out += " positions=";
-  out += std::to_string(ring_.size());
-  out += " fingerprint=";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "hash_ring nodes=%zu vnodes_per_node=%u seed=%llu "
+                "positions=%zu fingerprint=%016llx",
+                vnodes_.size(), config_.vnodes_per_node,
+                static_cast<unsigned long long>(config_.seed),
+                positions_.size(),
                 static_cast<unsigned long long>(fingerprint()));
-  out += buf;
-  return out;
+  return buf;
 }
 
 std::unordered_map<NodeId, double> ConsistentHashRing::arc_share() const {
   std::unordered_map<NodeId, double> share;
-  if (ring_.empty()) return share;
-  if (ring_.size() == 1) {
-    share[ring_.begin()->second] = 1.0;
+  if (positions_.empty()) return share;
+  if (positions_.size() == 1) {
+    share[positions_.front().node] = 1.0;
     return share;
   }
   constexpr double kCircle = 18446744073709551616.0;  // 2^64
   // The arc ending at a virtual position is owned by that position's node;
   // the first entry's arc wraps around from the last position (unsigned
   // subtraction gives the modular distance).
-  std::uint64_t prev = ring_.rbegin()->first;
-  for (const auto& [pos, node] : ring_) {
-    share[node] += static_cast<double>(pos - prev) / kCircle;
-    prev = pos;
+  std::uint64_t prev = positions_.back().position;
+  for (const VirtualNode& vnode : positions_) {
+    share[vnode.node] += static_cast<double>(vnode.position - prev) / kCircle;
+    prev = vnode.position;
   }
   return share;
 }

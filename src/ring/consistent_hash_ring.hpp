@@ -2,9 +2,13 @@
 //
 // Consistent hashing on a 64-bit circle: every physical node is inserted at
 // V virtual positions; a key is owned by the first virtual node clockwise
-// from the key's hash.  The ring is a std::map<u64, NodeId> exactly as the
-// paper describes ("We implemented Hash ring with the std::map class from
-// C++ STL"); lower_bound gives the clockwise successor in O(log(V*N)).
+// from the key's hash.  The paper stores the ring in an ordered tree map
+// (MapHashRing keeps that layout as the A2 baseline); this ring keeps the
+// same (position, node) pairs in a vector sorted by position, so the
+// clockwise successor is a binary search over contiguous memory and a
+// snapshot copy is one flat vector copy.  Placement is the map ring's bit
+// for bit, collision probe included; the RingGolden and RingDifferential
+// tests pin the agreement.
 //
 // Failure handling: remove_node erases only the failed node's V positions.
 // Every key previously owned by the failed node falls to the next clockwise
@@ -14,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -40,8 +43,28 @@ struct RingConfig {
   std::uint64_t seed = 0;
 };
 
+/// Ring position of virtual replica `replica` of `node`, before collision
+/// probing.  Integer mixing instead of hashing a formatted string:
+/// equivalent avalanche quality, no allocation.  The seed decorrelates
+/// independent rings (e.g. different jobs sharing nodes).
+[[nodiscard]] std::uint64_t vnode_position(const RingConfig& config,
+                                           NodeId node,
+                                           std::uint32_t replica);
+
+/// Virtual positions for a node of capacity `weight`:
+/// round(weight * vnodes_per_node), clamped to [1, 2^20] so negative or
+/// huge weights cannot wrap.
+[[nodiscard]] std::uint32_t vnodes_for_weight(const RingConfig& config,
+                                              double weight);
+
 class ConsistentHashRing final : public PlacementStrategy {
  public:
+  /// One virtual position and its physical owner.
+  struct VirtualNode {
+    std::uint64_t position;
+    NodeId node;
+  };
+
   explicit ConsistentHashRing(RingConfig config = {});
 
   /// Convenience: ring over nodes {0..node_count-1}.
@@ -58,20 +81,21 @@ class ConsistentHashRing final : public PlacementStrategy {
   /// Weight <= 0 is clamped to one virtual position.
   void add_node_weighted(NodeId node, double weight);
 
+  /// Same ring as add_node_weighted(nodes[i], weights[i]) for each i in
+  /// order (weight 1 past the end of `weights`), built with one merge
+  /// instead of one per node.
+  void add_nodes(const std::vector<NodeId>& nodes,
+                 const std::vector<double>& weights = {});
+
   /// Virtual positions currently owned by `node` (0 when absent).
   [[nodiscard]] std::size_t vnode_count_of(NodeId node) const;
   void remove_node(NodeId node) override;
   [[nodiscard]] bool contains(NodeId node) const override;
   [[nodiscard]] std::vector<NodeId> nodes() const override;
   [[nodiscard]] std::size_t node_count() const override {
-    return node_positions_.size();
+    return vnodes_.size();
   }
   [[nodiscard]] std::unique_ptr<PlacementStrategy> clone() const override;
-
-  /// Typed deep copy for callers that need ring-specific operations on the
-  /// duplicate (the membership layer snapshots the ring per epoch:
-  /// clone-then-mutate keeps every published view immutable).
-  [[nodiscard]] std::unique_ptr<ConsistentHashRing> clone_ring() const;
 
   /// Owner for an already-computed key hash (saves re-hashing when the
   /// caller caches hashes, as HvacClient does).
@@ -122,10 +146,17 @@ class ConsistentHashRing final : public PlacementStrategy {
       const std::function<bool(NodeId)>& excluded,
       const std::function<bool(NodeId)>& overloaded) const;
 
-  /// Total virtual positions currently on the ring (V * alive nodes, minus
-  /// any positions dropped due to hash collisions — collisions are resolved
-  /// by linear probing so drops are effectively impossible).
-  [[nodiscard]] std::size_t position_count() const { return ring_.size(); }
+  /// Total virtual positions currently on the ring (the sum of every
+  /// member's vnode count: collisions are probed, never dropped).
+  [[nodiscard]] std::size_t position_count() const {
+    return positions_.size();
+  }
+
+  /// Every virtual position, ascending; the clockwise order is ascending
+  /// positions with wrap-around at 2^64.
+  [[nodiscard]] const std::vector<VirtualNode>& positions() const {
+    return positions_;
+  }
 
   /// Fraction of the 2^64 circle owned by each alive node.  Sums to 1.
   /// Used by balance tests: with V=100 the max/mean arc share stays within
@@ -146,16 +177,15 @@ class ConsistentHashRing final : public PlacementStrategy {
   [[nodiscard]] std::string describe() const;
 
  private:
-  /// Ring position of virtual replica `replica` of `node`.
-  [[nodiscard]] std::uint64_t vnode_position(NodeId node,
-                                             std::uint32_t replica) const;
+  /// Index of the clockwise successor of `key_hash` (ring non-empty).
+  [[nodiscard]] std::size_t successor(std::uint64_t key_hash) const;
+  [[nodiscard]] std::size_t next(std::size_t index) const {
+    return index + 1 == positions_.size() ? 0 : index + 1;
+  }
 
   RingConfig config_;
-  /// position -> physical node; the "clockwise" order is ascending keys
-  /// with wrap-around at 2^64.
-  std::map<std::uint64_t, NodeId> ring_;
-  /// node -> its virtual positions (for O(V log) removal).
-  std::unordered_map<NodeId, std::vector<std::uint64_t>> node_positions_;
+  std::vector<VirtualNode> positions_;  ///< ascending by position
+  std::unordered_map<NodeId, std::uint32_t> vnodes_;  ///< node -> its count
 };
 
 }  // namespace ftc::ring

@@ -6,36 +6,10 @@
 
 #include "common/histogram.hpp"  // percentile_sorted
 #include "common/rng.hpp"
-#include "hash/murmur3.hpp"
+#include "ring/consistent_hash_ring.hpp"
 
 namespace ftc::ring {
 namespace {
-
-struct RingEntry {
-  std::uint64_t position;
-  std::uint32_t node;
-  bool operator<(const RingEntry& other) const {
-    return position < other.position;
-  }
-};
-
-/// Builds the sorted virtual-position table for N nodes with V replicas
-/// each; identical position derivation to ConsistentHashRing.
-std::vector<RingEntry> build_ring(std::uint32_t nodes, std::uint32_t vnodes,
-                                  std::uint64_t seed) {
-  std::vector<RingEntry> ring;
-  ring.reserve(static_cast<std::size_t>(nodes) * vnodes);
-  const std::uint64_t mixed_seed =
-      hash::fmix64(seed + 0x9E3779B97F4A7C15ULL);
-  for (std::uint32_t n = 0; n < nodes; ++n) {
-    for (std::uint32_t r = 0; r < vnodes; ++r) {
-      const std::uint64_t packed = (static_cast<std::uint64_t>(n) << 32) | r;
-      ring.push_back(RingEntry{hash::fmix64(packed ^ mixed_seed), n});
-    }
-  }
-  std::sort(ring.begin(), ring.end());
-  return ring;
-}
 
 /// Counts sorted values in the half-open modular interval (lo, hi].
 std::uint64_t count_in_arc(const std::vector<std::uint64_t>& sorted,
@@ -58,8 +32,12 @@ LoadDistributionResult run_load_distribution(
   result.params = params;
   if (params.physical_nodes < 2 || params.file_count == 0) return result;
 
-  const std::vector<RingEntry> ring =
-      build_ring(params.physical_nodes, params.vnodes_per_node, params.seed);
+  RingConfig ring_config;
+  ring_config.vnodes_per_node = params.vnodes_per_node;
+  ring_config.seed = params.seed;
+  const ConsistentHashRing hash_ring(params.physical_nodes, ring_config);
+  const std::vector<ConsistentHashRing::VirtualNode>& ring =
+      hash_ring.positions();
   Rng trial_rng(params.seed ^ 0xF17EDB15ULL);
 
   std::vector<std::uint64_t> file_hashes(params.file_count);

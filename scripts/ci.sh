@@ -231,6 +231,34 @@ print(f"pressure smoke: s3fifo keeps {scan['s3fifo']['hot_set_hit_ratio']:.2f} "
       f"warm restart {warm['restored']}/{warm['held']}, 0 PFS reads")
 EOF
 
+echo "=== membership smoke (bench_membership, defaults)"
+# The one bench that runs both placement sources side by side on one
+# crash-stop kill: client_local (each client's detector publishes the
+# removal on its own ring) and membership (every client reads its SWIM
+# agent's ring).  ~1.5 s.  The exit code enforces the membership gates:
+# convergence within period_bound probe periods, faster than the
+# client-local baseline, with fewer data requests at the dead node.  The
+# artifact is checked too: in both phases every read succeeds and every
+# lost file is recached from the PFS exactly once.
+"${build_dir}/bench/bench_membership" \
+  out="${build_dir}/BENCH_membership_smoke.json"
+python3 - "${build_dir}/BENCH_membership_smoke.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+for name, phase in doc["phases"].items():
+    assert phase["converged"], f"{name}: did not converge"
+    assert phase["reads_failed"] == 0, (
+        f"{name}: {phase['reads_failed']} reads failed")
+    assert phase["recache_pfs_fetches"] == phase["expected_recaches"], (
+        f"{name}: {phase['recache_pfs_fetches']} PFS recaches for "
+        f"{phase['expected_recaches']} lost files")
+    print(f"{name}: {phase['probe_periods']:.1f} probe periods, "
+          f"{phase['duplicate_recaches']} dead-node data requests, "
+          f"{phase['recache_pfs_fetches']}/{phase['expected_recaches']} "
+          f"recaches, {phase['reads_ok']} reads ok")
+EOF
+
 echo "=== artifact stamps (every threaded smoke artifact)"
 # Every artifact the shared harness writes names the commit (or "none"
 # outside a git checkout), the build type and the core count it ran on.
@@ -239,7 +267,7 @@ import json, os, sys
 names = ["BENCH_failstorm_smoke.json", "BENCH_failstorm_warm_smoke.json",
          "BENCH_skew_smoke.json", "BENCH_throughput_obscheck.json",
          "BENCH_prefetch_smoke.json", "BENCH_partition_smoke.json",
-         "BENCH_pressure_smoke.json"]
+         "BENCH_pressure_smoke.json", "BENCH_membership_smoke.json"]
 for name in names:
     with open(os.path.join(sys.argv[1], name)) as f:
         doc = json.load(f)

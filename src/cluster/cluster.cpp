@@ -10,8 +10,8 @@ namespace ftc::cluster {
 namespace {
 
 ring::RingConfig membership_ring_config(const HvacClientConfig& client) {
-  // The agents' epoch-0 views must be fingerprint-identical to the
-  // clients' private rings, so they share the same ring parameters.
+  // The agents' epoch-0 views must be fingerprint-identical to the ring
+  // a client builds for itself, so they share the same ring parameters.
   ring::RingConfig ring_config;
   ring_config.vnodes_per_node = client.vnodes_per_node;
   ring_config.seed = client.ring_seed;
@@ -220,7 +220,11 @@ NodeId Cluster::add_node() {
     }
     scheduler_->add(agent);
   }
-  for (NodeId n = 0; n < node; ++n) clients_[n]->add_server(node);
+  // Attached clients read their agent's ring: the agent admits the joiner.
+  for (NodeId n = 0; n < node; ++n) {
+    if (n < agents_.size()) agents_[n]->join(node);
+    clients_[n]->add_server(node);
+  }
   config_.node_count = static_cast<std::uint32_t>(servers_.size());
   wire_node_observability(node);
   return node;

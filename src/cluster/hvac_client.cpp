@@ -108,18 +108,11 @@ Status HvacClientConfig::validate(std::size_t cluster_size) const {
           "bounded_load_max_spill must be in [1, 7]");
     }
   }
-  if ((bounded_load || hot_fanout) &&
-      (load_ewma_alpha <= 0.0 || load_ewma_alpha > 1.0)) {
-    return Status::invalid_argument("load_ewma_alpha must be in (0, 1]");
-  }
   if (hot_fanout) {
     if (mode != FtMode::kHashRingRecache) {
       return Status::invalid_argument(
           "hot_fanout requires hash-ring mode (replica sets are ring owner "
           "chains)");
-    }
-    if (hot_top_k == 0) {
-      return Status::invalid_argument("hot_top_k must be >= 1");
     }
     if (hot_replica_fanout < 2) {
       return Status::invalid_argument(
@@ -138,9 +131,6 @@ Status HvacClientConfig::validate(std::size_t cluster_size) const {
       return Status::invalid_argument(
           "hot_demote_threshold must be in [0, hot_promote_threshold) — "
           "the gap is the hysteresis band");
-    }
-    if (hot_decay_interval == 0) {
-      return Status::invalid_argument("hot_decay_interval must be >= 1");
     }
   }
   const Status prefetch_valid = prefetch.validate();
@@ -259,7 +249,6 @@ HvacClient::HvacClient(NodeId self, rpc::Transport& transport, PfsStore& pfs,
       mailbox_(std::make_shared<Mailbox>()),
       retry_budget_(config.retry_budget_ratio, config.retry_budget_cap),
       backoff_rng_(config.ring_seed ^ (0x9E3779B97F4A7C15ULL * (self + 1))),
-      load_estimator_(config.load_ewma_alpha),
       spread_rng_(config.ring_seed ^ (0xD1B54A32D192ED03ULL * (self + 1))) {
   const Status valid = config_.validate(servers.size());
   if (!valid.is_ok()) {
@@ -267,10 +256,8 @@ HvacClient::HvacClient(NodeId self, rpc::Transport& transport, PfsStore& pfs,
   }
   if (config_.hot_fanout) {
     hot_files_ = std::make_unique<HotFilePromoter>(HotFilePromoter::Options{
-        .top_k = config_.hot_top_k,
         .promote_threshold = config_.hot_promote_threshold,
-        .demote_threshold = config_.hot_demote_threshold,
-        .decay_interval = config_.hot_decay_interval});
+        .demote_threshold = config_.hot_demote_threshold});
     hot_policy_ = std::make_unique<placement::HotFanoutPolicy>(
         config_.hot_replica_fanout);
   }
@@ -302,21 +289,23 @@ HvacClient::HvacClient(NodeId self, rpc::Transport& transport, PfsStore& pfs,
     ring::RingConfig ring_config;
     ring_config.vnodes_per_node = config_.vnodes_per_node;
     ring_config.seed = config_.ring_seed;
-    auto ring = std::make_shared<ring::ConsistentHashRing>(ring_config);
-    ring->add_nodes(servers);
-    placement_ = std::move(ring);
+    // The event log answers peers' deltas; this ring has no peers.
+    local_ring_ = std::make_unique<membership::VersionedRing>(
+        ring_config, servers, /*event_log_capacity=*/1);
+    ring_ = local_ring_.get();
   } else {
-    auto modulo = std::make_shared<ring::StaticModuloPlacement>();
-    for (NodeId node : servers) modulo->add_node(node);
-    placement_ = std::move(modulo);
+    modulo_ = std::make_unique<ring::StaticModuloPlacement>();
+    for (NodeId node : servers) modulo_->add_node(node);
   }
 }
 
 void HvacClient::attach_membership(membership::MembershipAgent* agent) {
   membership_ = agent;
-  // The hot set's generation source just changed (local ring-surgery
-  // counter -> membership epoch); re-anchor so the first read does not
-  // see a spurious "epoch bump" and tear down nothing for no reason.
+  ring_ = &agent->ring();
+  local_ring_.reset();
+  // The hot set's generation source just changed (own ring's epoch ->
+  // the agent's); re-anchor so the first read does not see a spurious
+  // "epoch bump" and tear down nothing for no reason.
   hot_generation_ = placement_generation();
   // Same for the warm standbys: the attach does not move the ring, so
   // re-stamp existing markings instead of re-pushing every file.
@@ -363,29 +352,15 @@ bool HvacClient::excluded_for_data(NodeId node) const {
   return detector_.is_out_of_service(node);
 }
 
-NodeId HvacClient::resolve_owner(const std::string& path) const {
-  if (membership_ != nullptr) {
-    return membership_->ring_view()->owner_excluding(
-        path, [this](NodeId node) { return excluded_for_data(node); });
-  }
-  return placement_->owner(path);
+std::shared_ptr<const membership::RingView> HvacClient::ring_view() const {
+  return ring_ != nullptr ? ring_->view() : nullptr;
 }
 
-std::shared_ptr<const ring::ConsistentHashRing> HvacClient::lookup_ring()
-    const {
-  if (membership_ != nullptr) {
-    const auto view = membership_->ring_view();
-    return {view, &view->ring()};
-  }
-  if (config_.mode != FtMode::kHashRingRecache) return nullptr;
-  return std::static_pointer_cast<const ring::ConsistentHashRing>(placement_);
-}
-
-std::vector<NodeId> HvacClient::replica_chain(const std::string& path,
-                                              std::size_t count) const {
-  const auto ring = lookup_ring();
-  if (ring == nullptr) return {};
-  return ring->owner_chain(path, count);
+NodeId HvacClient::resolve_owner(const membership::RingView* view,
+                                 const std::string& path) const {
+  if (view == nullptr) return modulo_->owner(path);
+  return view->owner_excluding(
+      path, [this](NodeId node) { return excluded_for_data(node); });
 }
 
 void HvacClient::ingest_membership(const rpc::RpcResponse& response) {
@@ -416,23 +391,20 @@ void HvacClient::ingest_membership(const rpc::RpcResponse& response) {
 }
 
 NodeId HvacClient::current_owner(const std::string& path) const {
-  return resolve_owner(path);
+  return resolve_owner(ring_view().get(), path);
 }
 
 void HvacClient::add_server(NodeId node) {
-  placement_->add_node(node);
-  if (membership_ != nullptr) membership_->join(node);
-  distrust_warm_markings(node);
-  // Elastic scale-up shifts ~1/(N+1) of the keyspace, so replica sets
-  // (hot fanouts and warm standbys alike) derived from the old ring are
-  // stale.  Counting it as a ring update lets placement_generation()
-  // observe the change and retire/re-target them on the next access.
-  // Gated on those knobs: legacy configs keep the seed's ring_updates
-  // semantics (removals and reinstatements only).
-  if ((hot_files_ != nullptr || warm_policy_ != nullptr) &&
-      membership_ == nullptr) {
-    ++stats_.ring_updates;
+  if (modulo_ != nullptr) {
+    modulo_->add_node(node);
+    return;
   }
+  // The join moves ~1/(N+1) of the keyspace and bumps the ring's epoch,
+  // so replica sets derived from the old ring re-target on next access.
+  // With an agent attached the node joins through the agent instead
+  // (Cluster::add_node tells every sitting agent).
+  publish(membership::RingEventType::kJoin, node);
+  distrust_warm_markings(node);
 }
 
 Status HvacClient::ping(NodeId node) {
@@ -520,7 +492,14 @@ void HvacClient::push_replicas(const std::string& path,
   const bool miss_fires = cache_fill && miss_policy_ != nullptr;
   const bool hot_fires = hot_policy_ != nullptr && hot_files_ != nullptr &&
                          pending_hot_fanout_.erase(path) > 0;
-  const std::uint64_t generation = placement_generation();
+  if (!miss_fires && !hot_fires && warm_policy_ == nullptr &&
+      extra == nullptr) {
+    return;
+  }
+  // One snapshot serves the generation, the staleness check and the chain.
+  const auto view = ring_view();
+  if (view == nullptr) return;
+  const std::uint64_t generation = view->epoch();
   bool warm_restore = false;
   bool warm_stale = false;
   if (warm_policy_ != nullptr) {
@@ -529,23 +508,22 @@ void HvacClient::push_replicas(const std::string& path,
     warm_stale = !warm_restore || it->second.generation != generation;
   }
   if (!miss_fires && !hot_fires && !warm_stale && extra == nullptr) return;
-  if (lookup_ring() == nullptr) return;
 
   std::vector<const placement::ReplicationPolicy*> policies;
   if (miss_fires) policies.push_back(miss_policy_.get());
   if (hot_fires) policies.push_back(hot_policy_.get());
   if (warm_stale) policies.push_back(warm_policy_.get());
 
-  // One owner-chain walk serves every firing policy.  The chain comes
-  // from the epoch'd view when membership is attached — and
-  // accept_response ingests the primary's response *before* calling
-  // here, so a client that was stale going into the read places replicas
-  // against the fast-forwarded view, never to a confirmed-failed node.
+  // One owner-chain walk serves every firing policy.  With an agent
+  // attached, accept_response ingests the primary's response *before*
+  // calling here, so a client that was stale going into the read places
+  // replicas against the fast-forwarded view, never to a confirmed-failed
+  // node.
   std::size_t chain_need = 0;
   for (const auto* policy : policies) {
     chain_need = std::max(chain_need, policy->chain_length());
   }
-  const auto chain = replica_chain(path, chain_need);
+  const auto chain = view->owner_chain(path, chain_need);
   const std::function<bool(NodeId)> excluded = [this](NodeId node) {
     return excluded_for_data(node);
   };
@@ -773,10 +751,8 @@ void HvacClient::observe_load_hint(NodeId server,
 }
 
 std::uint64_t HvacClient::placement_generation() const {
-  if (membership_ != nullptr) return membership_->epoch();
-  // Legacy mode has no epochs; the local ring-surgery counter moves
-  // exactly when placement does (remove/reinstate/add_server).
-  return stats_.ring_updates.load(std::memory_order_relaxed);
+  const auto view = ring_view();
+  return view != nullptr ? view->epoch() : 0;
 }
 
 void HvacClient::maybe_invalidate_hot() {
@@ -832,7 +808,7 @@ void HvacClient::retire_hot_replicas(const std::string& path,
   // stop spreading the moment the promotion is gone, so eviction is
   // async and never retried.  After an epoch bump this aims at the NEW
   // chain; old members that left the ring took their cache with them.
-  const auto chain = replica_chain(path, config_.hot_replica_fanout);
+  const auto chain = ring_view()->owner_chain(path, config_.hot_replica_fanout);
   for (std::size_t i = 1; i < chain.size(); ++i) {
     const NodeId backup = chain[i];
     if (excluded_for_data(backup)) continue;
@@ -854,18 +830,19 @@ void HvacClient::retire_hot_replicas(const std::string& path,
 
 NodeId HvacClient::pick_read_target(const std::string& path,
                                     const obs::TraceContext& trace) {
-  const NodeId plain = resolve_owner(path);
-  if (plain == ring::kInvalidNode ||
-      config_.mode != FtMode::kHashRingRecache) {
-    return plain;
-  }
+  // One snapshot serves owner, replica set and spill walk.  It is released
+  // before the read's RPC, so a removal the RPC's timeout publishes finds
+  // no reader pinning the ring.
+  const auto view = ring_view();
+  const NodeId plain = resolve_owner(view.get(), path);
+  if (plain == ring::kInvalidNode || view == nullptr) return plain;
   // Hot file: power-of-two-choices over its replica set — two random
   // distinct members, route to the lower load estimate.  P2C (not
   // full-argmin) so co-located clients with near-identical load views
   // do not herd onto the same momentarily-coolest replica.
   if (hot_files_ != nullptr && hot_files_->is_promoted(path)) {
     std::vector<NodeId> set =
-        replica_chain(path, config_.hot_replica_fanout);
+        view->owner_chain(path, config_.hot_replica_fanout);
     set.erase(std::remove_if(set.begin(), set.end(),
                              [this, plain](NodeId node) {
                                return node != plain &&
@@ -889,12 +866,11 @@ NodeId HvacClient::pick_read_target(const std::string& path,
   const auto overloaded = [this](NodeId node) {
     return load_estimator_.overloaded(node, config_.bounded_load_c);
   };
-  // Primary + up to max_spill spill candidates, resolved against the
-  // epoch'd view when membership is attached so clients sharing an epoch
-  // walk identical candidate chains.
-  const auto ring = lookup_ring();
-  const auto lookup = ring->owner_of_hash_bounded(
-      ring->key_position(path), 1 + config_.bounded_load_max_spill, excluded,
+  // Primary + up to max_spill spill candidates, walked in the epoch'd
+  // view so clients sharing an epoch walk identical candidate chains.
+  const ring::ConsistentHashRing& ring = view->ring();
+  const auto lookup = ring.owner_of_hash_bounded(
+      ring.key_position(path), 1 + config_.bounded_load_max_spill, excluded,
       overloaded);
   if (lookup.chosen == ring::kInvalidNode) return plain;
   if (lookup.spilled()) {
@@ -910,43 +886,47 @@ NodeId HvacClient::pick_read_target(const std::string& path,
 
 void HvacClient::on_timeout(NodeId owner) {
   ++stats_.timeouts;
-  if (detector_.record_timeout(owner)) {
-    ++stats_.nodes_flagged;
-    FTC_LOG(kInfo, "hvac_client")
-        << "client " << self_ << " takes node " << owner
-        << " out of service: " << node_health_name(detector_.health(owner))
-        << " (" << ft_mode_name(config_.mode) << ")";
-    if (recorder_ != nullptr) {
-      // Timeline marker, not a span: suspicions are rare and load-bearing
-      // for the storm postmortem, so they are recorded regardless of
-      // per-read sampling.
-      recorder_->record_event(
-          obs::RecordKind::kSuspicion, obs::TraceContext{}, owner,
-          static_cast<std::uint32_t>(StatusCode::kTimeout), self_,
-          membership_ != nullptr ? "report" : "flag");
-    }
-    if (membership_ != nullptr) {
-      // The detector's verdict is local *evidence*, not a placement
-      // decision: report the node suspect and let the cluster confirm or
-      // refute.  Routing skips it meanwhile via excluded_for_data; the
-      // shared ring changes only when an epoch event confirms.
-      ++stats_.suspicions_reported;
-      membership_->suspect(owner);
-      return;
-    }
-    if (config_.mode == FtMode::kHashRingRecache) {
-      // Elastic recaching: drop the node's virtual nodes; its keys fall
-      // to the clockwise successors from the next lookup on.  If the node
-      // is merely in probation a successful probe adds them back.
-      placement_->remove_node(owner);
-      ++stats_.ring_updates;
-      if (recorder_ != nullptr) {
-        recorder_->record_event(
-            obs::RecordKind::kRingUpdate, obs::TraceContext{}, owner,
-            static_cast<std::uint32_t>(membership::RingEventType::kProbation),
-            stats_.ring_updates.load(std::memory_order_relaxed), "remove");
-      }
-    }
+  if (!detector_.record_timeout(owner)) return;
+  ++stats_.nodes_flagged;
+  FTC_LOG(kInfo, "hvac_client")
+      << "client " << self_ << " takes node " << owner
+      << " out of service: " << node_health_name(detector_.health(owner))
+      << " (" << ft_mode_name(config_.mode) << ")";
+  const bool report = membership_ != nullptr;
+  if (recorder_ != nullptr) {
+    // Timeline marker, not a span: suspicions are rare and load-bearing
+    // for the storm postmortem, so they are recorded regardless of
+    // per-read sampling.
+    recorder_->record_event(obs::RecordKind::kSuspicion, obs::TraceContext{},
+                            owner,
+                            static_cast<std::uint32_t>(StatusCode::kTimeout),
+                            self_, report ? "report" : "flag");
+  }
+  if (report) {
+    // The detector's verdict is local *evidence*, not a placement
+    // decision: report the node suspect and let the cluster confirm or
+    // refute.  Routing skips it meanwhile via excluded_for_data; the
+    // shared ring changes only when an epoch event confirms.
+    ++stats_.suspicions_reported;
+    membership_->suspect(owner);
+    return;
+  }
+  // Elastic recaching: drop the node's virtual nodes; its keys fall to
+  // the clockwise successors from the next lookup on.  If the node is
+  // merely in probation a successful probe adds them back.
+  publish(membership::RingEventType::kProbation, owner);
+}
+
+void HvacClient::publish(membership::RingEventType type, NodeId node) {
+  if (local_ring_ == nullptr) return;
+  const auto event = local_ring_->apply(type, node, /*incarnation=*/0);
+  if (!event.has_value()) return;
+  ++stats_.ring_updates;
+  if (recorder_ != nullptr) {
+    recorder_->record_event(obs::RecordKind::kRingUpdate, obs::TraceContext{},
+                            node, static_cast<std::uint32_t>(type),
+                            event->epoch,
+                            membership::ring_event_type_name(type));
   }
 }
 
@@ -1077,8 +1057,9 @@ void HvacClient::drain_mailbox() {
         break;
       case Mailbox::Kind::kPrefetchTimeout:
         on_timeout(event.node);
-        // Re-queue at the back: by the time it reissues, ring surgery has
-        // moved ownership to the successor (the kill-recovery path).
+        // Re-queue at the back: by the time it reissues, the published
+        // removal has moved ownership to the successor (the kill-recovery
+        // path).
         prefetch_pending_.push_back(std::move(event.path));
         issue_prefetch_pulls();
         break;
@@ -1097,12 +1078,10 @@ void HvacClient::drain_mailbox() {
 }
 
 void HvacClient::maybe_probe() {
-  if (config_.mode != FtMode::kHashRingRecache || !config_.reinstatement) {
-    return;
-  }
-  // Membership mode: reinstatement is cluster-wide (SWIM refutation ->
-  // kReinstate epoch event -> detector reset), not per-client probing.
-  if (membership_ != nullptr) return;
+  // Reinstatement publishes on the client's own ring.  With an agent
+  // attached there is none: reinstatement is cluster-wide (SWIM
+  // refutation -> kReinstate epoch event -> detector reset).
+  if (!config_.reinstatement || local_ring_ == nullptr) return;
   for (const NodeId node : detector_.probe_candidates()) {
     detector_.record_probe_launch(node);
     ++stats_.probes_sent;
@@ -1126,16 +1105,9 @@ void HvacClient::maybe_probe() {
 void HvacClient::reinstate(NodeId node) {
   // The same elastic path a newly joined server takes (add_server): only
   // the node's old arc moves back, and each key recaches on first touch.
-  placement_->add_node(node);
+  publish(membership::RingEventType::kReinstate, node);
   distrust_warm_markings(node);
-  ++stats_.ring_updates;
   ++stats_.nodes_reinstated;
-  if (recorder_ != nullptr) {
-    recorder_->record_event(
-        obs::RecordKind::kRingUpdate, obs::TraceContext{}, node,
-        static_cast<std::uint32_t>(membership::RingEventType::kReinstate),
-        stats_.ring_updates.load(std::memory_order_relaxed), "reinstate");
-  }
   FTC_LOG(kInfo, "hvac_client")
       << "client " << self_ << " reinstates node " << node
       << " after successful probe";
@@ -1162,9 +1134,12 @@ void HvacClient::prefetch_epoch(const std::vector<std::string>& upcoming) {
   // The in-flight pulls stop holding prefetch.depth slots: a stale pull
   // whose completion is slow must not stall this epoch's pipeline.
   prefetch_epoch_inflight_ = std::make_shared<std::atomic<std::uint32_t>>(0);
+  const auto view = ring_view();
   const prefetch::PrefetchPlan plan = prefetch_planner_.plan(
       upcoming, self_,
-      [this](const std::string& path) { return resolve_owner(path); },
+      [this, &view](const std::string& path) {
+        return resolve_owner(view.get(), path);
+      },
       [this](const std::string& path) {
         return staged_prefetch_.find(path) != staged_prefetch_.end();
       });
@@ -1224,11 +1199,12 @@ bool HvacClient::issue_prefetch_pull(const std::string& path,
   // Re-resolve at issue time, not plan time: the deque may outlive ring
   // surgery.  Hop 0 is the current owner; deeper hops walk the replica
   // chain (warm standbys) when the p2p fallback is on.
+  const auto view = ring_view();
   NodeId target = ring::kInvalidNode;
   if (hop == 0) {
-    target = resolve_owner(path);
+    target = resolve_owner(view.get(), path);
   } else {
-    const auto chain = replica_chain(path, hop + 1);
+    const auto chain = view->owner_chain(path, hop + 1);
     if (chain.size() > hop) target = chain[hop];
   }
   if (target == ring::kInvalidNode || target == self_ ||
@@ -1289,8 +1265,8 @@ bool HvacClient::issue_prefetch_pull(const std::string& path,
 StatusOr<common::Buffer> HvacClient::peer_rescue(
     const std::string& path, rpc::DeadlineNs deadline,
     const obs::TraceContext& trace) {
-  const auto chain =
-      replica_chain(path, std::max<std::size_t>(2, config_.replication.factor));
+  const auto chain = ring_view()->owner_chain(
+      path, std::max<std::size_t>(2, config_.replication.factor));
   for (const NodeId peer : chain) {
     if (peer == self_ || excluded_for_data(peer)) continue;
     rpc::RpcRequest request;
@@ -1457,7 +1433,7 @@ std::optional<StatusOr<common::Buffer>> HvacClient::hedged_attempt(
         return accept_response(path, owner, std::move(result).value());
       }
       if (timeout_like(result.status())) {
-        return std::nullopt;  // retry loop: ring surgery already applied
+        return std::nullopt;  // retry loop: the removal is published
       }
       return StatusOr<common::Buffer>(result.status());
     }
@@ -1492,7 +1468,7 @@ std::optional<StatusOr<common::Buffer>> HvacClient::hedged_attempt(
   // the ring has no one else.
   ++stats_.hedges_launched;
   NodeId hedge_target = ring::kInvalidNode;
-  for (const NodeId candidate : replica_chain(path, 2)) {
+  for (const NodeId candidate : ring_view()->owner_chain(path, 2)) {
     if (candidate != owner && !excluded_for_data(candidate)) {
       hedge_target = candidate;
       break;
@@ -1652,8 +1628,7 @@ StatusOr<common::Buffer> HvacClient::read_file_impl(
   // Bounded by the membership size: with R alive nodes a read can at worst
   // flag R owners in sequence before the PFS terminal fallback.
   const std::size_t max_attempts =
-      (membership_ != nullptr ? membership_->ring_view()->node_count()
-                              : placement_->node_count()) +
+      (ring_ != nullptr ? ring_view()->node_count() : modulo_->node_count()) +
       1;
   retry_is_server_directed_ = false;
   // Hot-set bookkeeping once per read (not per attempt — retries of one
@@ -1689,19 +1664,15 @@ StatusOr<common::Buffer> HvacClient::read_file_impl(
                  : read_from_pfs(path, trace);
     }
 
-    if (membership_ == nullptr && detector_.is_out_of_service(owner)) {
-      // Only the PFS-redirect mode can still map keys to a flagged node
-      // (its placement is immutable); the ring modes removed it already.
-      if (config_.mode == FtMode::kPfsRedirect)
+    if (config_.mode != FtMode::kHashRingRecache &&
+        detector_.is_out_of_service(owner)) {
+      // Static placement still maps a flagged node's keys to it; in ring
+      // mode a flagged node is off the ring (or excluded) already.
+      if (config_.mode == FtMode::kPfsRedirect) {
         return read_from_pfs(path, trace);
-      if (config_.mode == FtMode::kNone) {
-        return Status::unavailable("owner " + std::to_string(owner) +
-                                   " failed and NoFT cannot recover");
       }
-      // Defensive: ring mode should never get here; fall through to retry
-      // after removing the node.
-      placement_->remove_node(owner);
-      continue;
+      return Status::unavailable("owner " + std::to_string(owner) +
+                                 " failed and NoFT cannot recover");
     }
 
     if (hedging) {

@@ -63,6 +63,7 @@
 #include "common/rng.hpp"
 #include "common/stats_macros.hpp"
 #include "common/types.hpp"
+#include "membership/ring_view.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/trace_context.hpp"
 #include "placement/replication_policy.hpp"
@@ -70,7 +71,7 @@
 #include "prefetch/prefetch_config.hpp"
 #include "ring/bounded_load.hpp"
 #include "ring/consistent_hash_ring.hpp"
-#include "ring/placement.hpp"
+#include "ring/static_modulo.hpp"
 #include "rpc/transport.hpp"
 
 namespace ftc::membership {
@@ -189,8 +190,6 @@ struct HvacClientConfig {
   /// Distinct spill candidates past the primary a lookup may inspect.
   /// Valid: >= 1 and <= 7 (the lookup's fixed candidate window).
   std::uint32_t bounded_load_max_spill = 2;
-  /// EWMA smoothing for piggybacked load hints.  Valid: in (0, 1].
-  double load_ewma_alpha = 0.3;
 
   /// Hot-file replica fanout: a space-saving top-k sketch tracks per-file
   /// heat; files crossing hot_promote_threshold are replicated to the
@@ -198,9 +197,9 @@ struct HvacClientConfig {
   /// and reads load-spread across the set by power-of-two-choices on the
   /// piggybacked load.  Demoted (replicas evicted) when heat decays to
   /// hot_demote_threshold, invalidated wholesale when the ring changes.
+  /// The sketch tracks 64 files and halves heat every 4096 accesses
+  /// (HotFilePromoter::Options' defaults).
   bool hot_fanout = false;
-  /// Sketch capacity (the k of top-k).  Valid: >= 1.
-  std::uint32_t hot_top_k = 64;
   /// Replica-set size including the primary.  Valid: >= 2 and <= cluster
   /// size at construction.
   std::uint32_t hot_replica_fanout = 2;
@@ -209,8 +208,6 @@ struct HvacClientConfig {
   /// Demote at heat <= this.  Valid: >= 0 and < hot_promote_threshold —
   /// the gap is the hysteresis band that stops flapping.
   double hot_demote_threshold = 16.0;
-  /// Accesses between heat halvings.  Valid: >= 1.
-  std::uint32_t hot_decay_interval = 4096;
 
   /// Checks every field against its documented range; `cluster_size` (0 =
   /// unknown) additionally bounds replication.factor.  The HvacClient
@@ -305,8 +302,8 @@ class HvacClient {
 
   /// Attaches this node's membership agent (not owned; must outlive the
   /// client).  Hash-ring mode only.  Once attached:
-  ///   - placement comes from the agent's epoch-versioned RingView (the
-  ///     local detector no longer performs private ring surgery);
+  ///   - placement comes from the agent's VersionedRing, and the client's
+  ///     own ring is dropped (the local detector no longer publishes);
   ///   - a flagged node is reported as a SWIM *suspicion* instead of
   ///     being unilaterally removed — the cluster confirms or refutes;
   ///   - every outgoing request carries the client's ring epoch plus
@@ -432,26 +429,24 @@ class HvacClient {
                                           const obs::TraceContext& trace);
   StatusOr<common::Buffer> read_from_pfs(const std::string& path,
                                          const obs::TraceContext& trace);
-  /// Owner for `path` under the active placement source: the membership
-  /// agent's epoch'd view (skipping detector-flagged and SWIM-suspect
-  /// nodes per lookup) when attached, the private placement otherwise.
-  [[nodiscard]] NodeId resolve_owner(const std::string& path) const;
+  /// ring_'s current snapshot, pinned for the caller; null in the
+  /// static-modulo modes (chain readers are hash-ring only by validate()).
+  [[nodiscard]] std::shared_ptr<const membership::RingView> ring_view() const;
+  /// Owner for `path` in `view` (skipping the nodes excluded_for_data
+  /// rules out), or the static modulo owner when `view` is null.
+  [[nodiscard]] NodeId resolve_owner(const membership::RingView* view,
+                                     const std::string& path) const;
   /// Nodes a data request must not target (local evidence + gossip).
   [[nodiscard]] bool excluded_for_data(NodeId node) const;
-  /// The ring that chain and bounded-spill lookups walk, pinned for the
-  /// caller: the attached membership's epoch'd view, else this client's
-  /// own ring.  Null in the static-modulo modes, which have no ring.
-  [[nodiscard]] std::shared_ptr<const ring::ConsistentHashRing> lookup_ring()
-      const;
-  /// Replica chain from lookup_ring() (empty without a ring).
-  [[nodiscard]] std::vector<NodeId> replica_chain(const std::string& path,
-                                                  std::size_t count) const;
   /// Folds a response's gossip/epoch delta into the membership agent and
   /// reacts to the resulting ring events (detector resets on reinstate).
   void ingest_membership(const rpc::RpcResponse& response);
-  /// Handles a timeout against `owner`: detection bookkeeping plus ring
-  /// surgery for the recaching mode.
+  /// Handles a timeout against `owner`: detection bookkeeping, then a
+  /// suspicion report (agent attached) or a published removal.
   void on_timeout(NodeId owner);
+  /// Publishes one serving-set change on the client's own ring (no-op with
+  /// an agent attached, or when the ring already reflects it).
+  void publish(membership::RingEventType type, NodeId node);
   /// Folds queued async outcomes into detector/placement/stats.
   void drain_mailbox();
   /// Launches async reinstatement probes for probation nodes past their
@@ -518,15 +513,15 @@ class HvacClient {
   /// when neither skew knob is on, or the response carries no hint).
   void observe_load_hint(NodeId server, const rpc::RpcResponse& response);
   /// Read-target resolution with the skew knobs applied on top of
-  /// resolve_owner: p2c over a hot replica set first, bounded-load spill
-  /// second, plain owner otherwise.
+  /// resolve_owner, all in one ring snapshot: p2c over a hot replica set
+  /// first, bounded-load spill second, plain owner otherwise.
   [[nodiscard]] NodeId pick_read_target(const std::string& path,
                                         const obs::TraceContext& trace);
   /// Per-read hot bookkeeping: epoch check, heat recording, promotion
   /// marking, decay-driven demotions.  No-op with hot_fanout off.
   void note_hot_access(const std::string& path);
-  /// The placement generation the hot set was derived from: membership
-  /// epoch when attached, the local ring-surgery counter otherwise.
+  /// The placement generation replica sets are derived from: the epoch of
+  /// the ring this client reads (0 in the static-modulo modes).
   [[nodiscard]] std::uint64_t placement_generation() const;
   /// Drops every promotion and evicts its replicas when the placement
   /// generation moved (the replica sets described a ring that is gone).
@@ -554,10 +549,15 @@ class HvacClient {
   rpc::Transport& transport_;
   PfsStore& pfs_;
   HvacClientConfig config_;
-  /// kHashRingRecache uses the ring; the other modes use the original
-  /// static modulo placement, matching the systems compared in Sec V.
-  /// Shared so lookup_ring() can pin the ring like a membership view.
-  std::shared_ptr<ring::PlacementStrategy> placement_;
+  /// NoFT and FT w/ PFS place by the original static modulo, matching
+  /// the systems compared in Sec V; null in hash-ring mode.
+  std::unique_ptr<ring::StaticModuloPlacement> modulo_;
+  /// Hash-ring mode without an agent: the ring the paper's detector
+  /// publishes removals, reinstatements and joins on (never gossiped).
+  std::unique_ptr<membership::VersionedRing> local_ring_;
+  /// The one ring every lookup reads: local_ring_, or the attached
+  /// agent's.  Null in the static-modulo modes.
+  const membership::VersionedRing* ring_ = nullptr;
   membership::MembershipAgent* membership_ = nullptr;
   FaultDetector detector_;
   /// Counters as per-field relaxed atomics: the owning thread is the only

@@ -31,14 +31,24 @@ std::optional<RingEvent> VersionedRing::apply(RingEventType type, NodeId node,
   // Idempotence: a transition the snapshot already reflects burns no
   // epoch (gossip delivers the same event along many paths).
   if (ring_event_adds(type) == snapshot_->contains(node)) return std::nullopt;
-  // Published snapshots are immutable: mutate a copy, then publish it.
-  auto next = std::make_shared<ring::ConsistentHashRing>(*snapshot_);
-  if (ring_event_adds(type)) {
-    next->add_node(node);
-  } else {
-    next->remove_node(node);
+  // Published snapshots are immutable: publish a copy while any reader
+  // may hold this one (the current view, or an older view after
+  // adopt_epoch).  A new reader needs mutex_, so only earlier ones count,
+  // and copying a shared_ptr is an acquire-release increment (libstdc++)
+  // ordered after their releases.  Readers pin a view for one lookup, so
+  // usually none does, and ring and view change in place, allocating
+  // nothing.
+  const std::shared_ptr<const RingView> view = current_;
+  const std::shared_ptr<const ring::ConsistentHashRing> ring = snapshot_;
+  const bool shared = view.use_count() != 2 || ring.use_count() != 3;
+  if (shared) {
+    snapshot_ = std::make_shared<ring::ConsistentHashRing>(*snapshot_);
   }
-  snapshot_ = std::move(next);
+  if (ring_event_adds(type)) {
+    snapshot_->add_node(node);
+  } else {
+    snapshot_->remove_node(node);
+  }
   const std::uint64_t previous = epoch_;
   epoch_ = std::max(epoch_ + 1, min_epoch);
   if (epoch_ > previous + 1) {
@@ -47,7 +57,11 @@ std::optional<RingEvent> VersionedRing::apply(RingEventType type, NodeId node,
     // cannot prove coverage — same collapse as adopt_epoch.
     sync_floor_ = std::max(sync_floor_, epoch_);
   }
-  current_ = std::make_shared<RingView>(epoch_, snapshot_);
+  if (shared) {
+    current_ = std::make_shared<RingView>(epoch_, snapshot_);
+  } else {
+    current_->epoch_ = epoch_;
+  }
   const RingEvent event{epoch_, type, node, incarnation};
   log_.append(event);
   return event;

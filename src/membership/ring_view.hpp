@@ -1,13 +1,11 @@
 // ring_view.hpp - Epoch-versioned immutable snapshots of the hash ring.
 //
-// The seed's clients mutate their private ring copy in place on every
-// failure (`placement_->remove_node(owner)`); nothing names a particular
-// ring state, so two clients can disagree about placement with no way to
-// even detect it.  VersionedRing replaces in-place mutation with
-// copy-then-publish: under a lock, each transition copies the current
-// snapshot (one flat vector of virtual positions), mutates the copy and
-// wraps it in an immutable RingView stamped with a monotonically
-// increasing epoch.  Readers grab the current view via shared_ptr —
+// Every hash-ring client reads one VersionedRing: its membership agent's,
+// or its own, on which the paper's client-local detector publishes
+// removals, reinstatements and joins.  Under a lock, each transition
+// mutates the snapshot (one flat vector of virtual positions) and stamps
+// its RingView with a monotonically increasing epoch — both copies while
+// a reader holds them.  Readers grab the current view via shared_ptr —
 // lookups run lock-free against a snapshot that can never change under
 // them, and the epoch number travels in every RPC so peers can detect
 // (and fast-forward across) divergence.
@@ -74,6 +72,7 @@ class RingView {
   [[nodiscard]] const ring::ConsistentHashRing& ring() const { return *ring_; }
 
  private:
+  friend class VersionedRing;  // relabels a view no reader holds
   std::uint64_t epoch_;
   std::shared_ptr<const ring::ConsistentHashRing> ring_;
 };
@@ -127,10 +126,11 @@ class VersionedRing {
 
  private:
   mutable std::mutex mutex_;
-  /// Ring current_ wraps: the next transition copies and mutates it, and
-  /// adopt_epoch relabels it without a copy.
-  std::shared_ptr<const ring::ConsistentHashRing> snapshot_;
-  std::shared_ptr<const RingView> current_;
+  /// Ring current_ wraps: the next transition mutates it (in place, or a
+  /// copy while a reader holds it), and adopt_epoch relabels it without a
+  /// copy.
+  std::shared_ptr<ring::ConsistentHashRing> snapshot_;
+  std::shared_ptr<RingView> current_;
   EventLog log_;
   std::uint64_t epoch_ = 0;
   /// Set by adopt_epoch; labels below it are not delta-answerable.

@@ -786,6 +786,8 @@ std::shared_ptr<const RingView> MembershipAgent::ring_view() const {
   return impl_->ring.view();
 }
 
+const VersionedRing& MembershipAgent::ring() const { return impl_->ring; }
+
 std::uint64_t MembershipAgent::epoch() const { return impl_->ring.epoch(); }
 
 std::uint64_t MembershipAgent::ring_fingerprint() const {

@@ -1,9 +1,9 @@
 // swim.hpp - SWIM-style membership agent with epoch-versioned ring views.
 //
 // The seed detects failures purely client-locally: each client counts its
-// own timeouts and performs private ring surgery, so N clients pay N
-// detection latencies per dead node (N x TIMEOUT_LIMIT wasted requests)
-// and their rings drift apart silently.  The MembershipAgent replaces
+// own timeouts and removes the node from a ring of its own, so N clients
+// pay N detection latencies per dead node (N x TIMEOUT_LIMIT wasted
+// requests) and their rings drift apart silently.  The MembershipAgent replaces
 // that with the SWIM discipline [Das et al., DSN'02], adapted to ride on
 // the cache's existing RPC plane:
 //
@@ -197,6 +197,9 @@ class MembershipAgent {
 
   /// Current immutable placement snapshot (never null).
   [[nodiscard]] std::shared_ptr<const RingView> ring_view() const;
+  /// The agent's published ring itself: an attached HvacClient reads its
+  /// placement from here instead of keeping a ring of its own.
+  [[nodiscard]] const VersionedRing& ring() const;
   [[nodiscard]] std::uint64_t epoch() const;
   [[nodiscard]] std::uint64_t ring_fingerprint() const;
 

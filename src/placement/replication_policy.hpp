@@ -85,8 +85,8 @@ struct PlanContext {
   /// The node that served / authoritatively holds the fill; never a
   /// replica target (it has the bytes already).
   NodeId primary = kInvalidNode;
-  /// Epoch'd placement generation (membership epoch, or the client's
-  /// local ring-surgery counter in legacy mode).
+  /// Placement generation: the epoch of the ring the client reads (its
+  /// membership agent's, or its own without one).
   std::uint64_t generation = 0;
   /// First N distinct ring owners clockwise from `path`'s position,
   /// N >= the policy's chain_length().  May be shorter when membership

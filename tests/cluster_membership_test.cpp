@@ -1,11 +1,13 @@
 // Cluster integration of the membership service: default-off legacy
 // behaviour, cluster-wide failure convergence, the stale-view replica
 // regression (a stale client must not push replicas to a confirmed-failed
-// node), elastic scale-up sync, and kill/restore reinstatement.
+// node), elastic scale-up sync, kill/restore reinstatement, and golden
+// client placement with and without an agent.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <stdexcept>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "hash/murmur3.hpp"
 #include "membership/swim.hpp"
 
 namespace ftc::cluster {
@@ -323,6 +326,116 @@ TEST(ClusterMembership, InvalidSwimConfigIsRejected) {
   ClusterConfig config = membership_config(3);
   config.membership.suspicion_periods = 0;
   EXPECT_THROW(Cluster{config}, std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Client-level golden placement: which owner every client resolves, in
+// the states that move a client's placement (local flag, probe
+// reinstatement, elastic join, membership convergence).  RingGolden pins
+// the ring class; this pins which ring each client reads.
+// ---------------------------------------------------------------------------
+
+/// 64-bit digest of current_owner(path) of clients [0, clients) over 4096
+/// `/lustre/orion/cosmoUniverse/file_<i>.tfrecord` paths.
+std::uint64_t client_owner_digest(Cluster& cluster, NodeId clients) {
+  std::uint64_t digest = 0x9E3779B97F4A7C15ULL;
+  for (NodeId c = 0; c < clients; ++c) {
+    for (int i = 0; i < 4096; ++i) {
+      const std::string path = "/lustre/orion/cosmoUniverse/file_" +
+                               std::to_string(i) + ".tfrecord";
+      digest = hash::fmix64(digest ^ (cluster.client(c).current_owner(path) +
+                                      (std::uint64_t{c} << 32)));
+    }
+  }
+  return digest;
+}
+
+ClusterConfig golden_config(FtMode mode) {
+  ClusterConfig config;
+  config.node_count = 4;
+  config.client.mode = mode;
+  config.client.rpc_timeout = 20ms;
+  config.client.timeout_limit = 2;
+  config.client.vnodes_per_node = 100;
+  config.client.probe_backoff = 2ms;
+  config.client.probe_backoff_cap = 10ms;
+  config.server.async_data_mover = false;
+  return config;
+}
+
+/// Kills `victim` and reads one of its files through client 0 until the
+/// client's detector takes it out of service.
+void flag_by_timeouts(Cluster& cluster, NodeId victim,
+                      const std::vector<std::string>& paths) {
+  cluster.fail_node(victim);
+  for (const auto& path : paths) {
+    if (cluster.client(0).node_failed(victim)) return;
+    if (cluster.client(0).current_owner(path) != victim) continue;
+    ASSERT_TRUE(cluster.client(0).read_file(path).is_ok()) << path;
+  }
+  ASSERT_TRUE(cluster.client(0).node_failed(victim));
+}
+
+constexpr std::uint64_t kGoldenHealthy = 0x93de71ea9aee4db2ULL;
+constexpr std::uint64_t kGoldenFlagged = 0xf20edc4c6e6b2c17ULL;
+constexpr std::uint64_t kGoldenJoined = 0xf7e1e23cdd1e1109ULL;
+constexpr std::uint64_t kGoldenConverged = 0xff870282042e11f2ULL;
+constexpr std::uint64_t kGoldenModulo = 0x08105ba1459e1270ULL;
+constexpr std::uint64_t kGoldenModuloJoined = 0x2c1c9616a81e5a66ULL;
+
+TEST(ClientPlacementGolden, LocalDetectorCrashStop) {
+  ClusterConfig config = golden_config(FtMode::kHashRingRecache);
+  config.client.reinstatement = false;
+  Cluster cluster(config);
+  const auto paths = cluster.stage_dataset(64, 64);
+  EXPECT_EQ(client_owner_digest(cluster, 4), kGoldenHealthy);
+  flag_by_timeouts(cluster, 3, paths);
+  EXPECT_EQ(client_owner_digest(cluster, 4), kGoldenFlagged);
+}
+
+TEST(ClientPlacementGolden, ProbeReinstatement) {
+  ClusterConfig config = golden_config(FtMode::kHashRingRecache);
+  config.client.reinstatement = true;
+  Cluster cluster(config);
+  const auto paths = cluster.stage_dataset(64, 64);
+  flag_by_timeouts(cluster, 3, paths);
+  EXPECT_EQ(client_owner_digest(cluster, 4), kGoldenFlagged);
+  cluster.restore_node(3);
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (cluster.client(0).stats_snapshot().nodes_reinstated == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    (void)cluster.client(0).read_file(paths[0]);
+    std::this_thread::sleep_for(2ms);
+  }
+  ASSERT_EQ(cluster.client(0).stats_snapshot().nodes_reinstated, 1u);
+  // The reinstated node's old arcs map back to it: healthy placement.
+  EXPECT_EQ(client_owner_digest(cluster, 4), kGoldenHealthy);
+}
+
+TEST(ClientPlacementGolden, ElasticJoin) {
+  Cluster cluster(golden_config(FtMode::kHashRingRecache));
+  ASSERT_EQ(cluster.add_node(), 4u);
+  EXPECT_EQ(client_owner_digest(cluster, 5), kGoldenJoined);
+}
+
+TEST(ClientPlacementGolden, MembershipConvergedOnFailure) {
+  ClusterConfig config = membership_config(4);
+  config.client.vnodes_per_node = 100;
+  Cluster cluster(config);
+  EXPECT_EQ(client_owner_digest(cluster, 4), kGoldenHealthy);
+  cluster.fail_node(3);
+  ASSERT_TRUE(tick_until(cluster, [&] {
+                return agents_converged(cluster, {3});
+              }).has_value());
+  // The dead node's own client is not asked: its agent stopped learning.
+  EXPECT_EQ(client_owner_digest(cluster, 3), kGoldenConverged);
+}
+
+TEST(ClientPlacementGolden, StaticModuloReModulosOnJoin) {
+  Cluster cluster(golden_config(FtMode::kPfsRedirect));
+  EXPECT_EQ(client_owner_digest(cluster, 4), kGoldenModulo);
+  ASSERT_EQ(cluster.add_node(), 4u);
+  EXPECT_EQ(client_owner_digest(cluster, 5), kGoldenModuloJoined);
 }
 
 }  // namespace

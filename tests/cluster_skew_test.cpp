@@ -63,24 +63,10 @@ TEST(SkewValidation, RejectsBadSpillBudget) {
   EXPECT_TRUE(config.validate().is_ok());
 }
 
-TEST(SkewValidation, RejectsBadEwmaAlpha) {
-  HvacClientConfig config;
-  config.mode = FtMode::kHashRingRecache;
-  config.bounded_load = true;
-  config.load_ewma_alpha = 0.0;
-  EXPECT_FALSE(config.validate().is_ok());
-  config.load_ewma_alpha = 1.5;
-  EXPECT_FALSE(config.validate().is_ok());
-}
-
 TEST(SkewValidation, HotFanoutKnobBounds) {
   HvacClientConfig config;
   config.mode = FtMode::kHashRingRecache;
   config.hot_fanout = true;
-
-  config.hot_top_k = 0;
-  EXPECT_FALSE(config.validate().is_ok());
-  config.hot_top_k = 64;
 
   config.hot_replica_fanout = 1;  // 1 is just the plain single owner
   EXPECT_FALSE(config.validate().is_ok());
@@ -91,10 +77,6 @@ TEST(SkewValidation, HotFanoutKnobBounds) {
   config.hot_demote_threshold = config.hot_promote_threshold;  // no band
   EXPECT_FALSE(config.validate().is_ok());
   config.hot_demote_threshold = config.hot_promote_threshold / 4;
-
-  config.hot_decay_interval = 0;
-  EXPECT_FALSE(config.validate().is_ok());
-  config.hot_decay_interval = 1024;
 
   EXPECT_TRUE(config.validate(/*cluster_size=*/4).is_ok());
 }

@@ -64,6 +64,35 @@ TEST(VersionedRing, ServingSetChangesBumpEpochAndPublishNewView) {
   EXPECT_EQ(epoch0->node_count(), 4u);
 }
 
+TEST(VersionedRing, UnheldRingChangesInPlaceHeldRingIsCopied) {
+  VersionedRing versioned(make_ring_config(), iota_members(4), 16);
+  const ring::ConsistentHashRing* unheld = &versioned.view()->ring();
+  ASSERT_TRUE(versioned.apply(RingEventType::kProbation, 1, 0).has_value());
+  // No reader held the view, so no copy was made.
+  EXPECT_EQ(&versioned.view()->ring(), unheld);
+  EXPECT_EQ(versioned.view()->epoch(), 1u);
+  EXPECT_FALSE(versioned.view()->contains(1));
+
+  const auto held = versioned.view();
+  ASSERT_TRUE(versioned.apply(RingEventType::kProbation, 2, 0).has_value());
+  EXPECT_NE(&versioned.view()->ring(), &held->ring());
+  EXPECT_EQ(held->epoch(), 1u);
+  EXPECT_TRUE(held->contains(2));
+  EXPECT_FALSE(versioned.view()->contains(2));
+}
+
+TEST(VersionedRing, ViewHeldAcrossAdoptEpochKeepsItsServingSet) {
+  // adopt_epoch publishes a new view over the same ring, so a reader of
+  // the older view still shares the ring while the current view is free.
+  VersionedRing versioned(make_ring_config(), iota_members(4), 16);
+  const auto before_adopt = versioned.view();
+  versioned.adopt_epoch(3);
+  ASSERT_TRUE(versioned.apply(RingEventType::kProbation, 0, 0).has_value());
+  EXPECT_TRUE(before_adopt->contains(0));
+  EXPECT_EQ(before_adopt->node_count(), 4u);
+  EXPECT_FALSE(versioned.view()->contains(0));
+}
+
 TEST(VersionedRing, RedundantEventsBurnNoEpoch) {
   VersionedRing versioned(make_ring_config(), iota_members(3), 16);
   // Joining a node that is already on the ring: no-op.

@@ -113,7 +113,6 @@ ClusterConfig make_config(const Options& args, bool hardened, bool warm) {
     config.client.total_deadline = std::chrono::milliseconds(240);
     config.client.retry_budget_ratio = 0.1;
     config.client.retry_budget_cap = 8.0;
-    config.client.busy_backoff_base = std::chrono::milliseconds(1);
     config.client.busy_backoff_cap = std::chrono::milliseconds(8);
     config.server.admission_control = true;
     config.server.admission_queue_limit = 12;

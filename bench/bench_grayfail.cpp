@@ -84,7 +84,6 @@ ClusterConfig make_cluster_config(const Options& args, bool hedging) {
   config.client.hedge_quantile = 75.0;
   config.client.hedge_delay_multiplier = 1.0;
   config.client.hedge_min_delay = std::chrono::microseconds(100);
-  config.client.hedge_min_samples = 16;
   config.server.async_data_mover = true;
   config.server.cache_capacity_bytes = 1ULL << 32;
   if (args.trace) {

@@ -259,6 +259,35 @@ for name, phase in doc["phases"].items():
           f"recaches, {phase['reads_ok']} reads ok")
 EOF
 
+echo "=== gray-failure smoke (bench_grayfail, defaults)"
+# The one bench that runs hedge legs and reinstatement probes together:
+# healthy, slow-unhedged and slow-hedged read phases (10 ms gray stall on
+# one of four nodes), then a crash + cache wipe + revive.  ~15 s, one
+# attempt (20 of 20 single attempts passed on a 4-vCPU VM when it was
+# added, hedged p99 0.14-1.85x healthy).  The exit code enforces the
+# hedged p99 <= 3x healthy p99 bound and the probe reinstatement; the
+# artifact is checked too: no phase failed a read, the slow phase hedged,
+# and the revived node was reinstated, regained its ring arc and
+# recached on first touch.
+"${build_dir}/bench/bench_grayfail" \
+  out="${build_dir}/BENCH_grayfail_smoke.json"
+python3 - "${build_dir}/BENCH_grayfail_smoke.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+for name, phase in doc["phases"].items():
+    assert phase["failures"] == 0, f"{name}: {phase['failures']} reads failed"
+hedged = doc["phases"]["slow_hedged"]
+assert hedged["hedges_launched"] > 0, "the slow phase never hedged"
+rein = doc["reinstatement"]
+for key in ("reinstated", "ownership_regained", "recached_on_first_touch"):
+    assert rein[key], f"reinstatement: {key} is false"
+print(f"gray-failure smoke: {hedged['hedges_launched']} hedges, "
+      f"{hedged['hedge_wins']} won, hedged p99 "
+      f"{doc['hedged_p99_over_healthy_p99']:.2f}x healthy, reinstated in "
+      f"{rein['time_to_reinstate_ms']:.1f} ms")
+EOF
+
 echo "=== artifact stamps (every threaded smoke artifact)"
 # Every artifact the shared harness writes names the commit (or "none"
 # outside a git checkout), the build type and the core count it ran on.
@@ -267,7 +296,8 @@ import json, os, sys
 names = ["BENCH_failstorm_smoke.json", "BENCH_failstorm_warm_smoke.json",
          "BENCH_skew_smoke.json", "BENCH_throughput_obscheck.json",
          "BENCH_prefetch_smoke.json", "BENCH_partition_smoke.json",
-         "BENCH_pressure_smoke.json", "BENCH_membership_smoke.json"]
+         "BENCH_pressure_smoke.json", "BENCH_membership_smoke.json",
+         "BENCH_grayfail_smoke.json"]
 for name in names:
     with open(os.path.join(sys.argv[1], name)) as f:
         doc = json.load(f)

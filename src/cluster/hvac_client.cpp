@@ -1,9 +1,11 @@
 #include "cluster/hvac_client.hpp"
 
 #include <algorithm>
+#include <array>
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -16,6 +18,43 @@
 #include "ring/static_modulo.hpp"
 
 namespace ftc::cluster {
+
+namespace {
+
+/// Race state for one hedged read: the reading thread waits on `cv` while
+/// the legs' completions (transport pool threads) fill their slot —
+/// primary, hedge.  Once the read stops waiting (`abandoned`) a late leg
+/// posts to the mailbox instead, so each leg is settled exactly once: by
+/// the read or by the mailbox.  shared_ptr-owned so a late leg writes
+/// into live memory.
+struct HedgeWait {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::array<std::optional<StatusOr<rpc::RpcResponse>>, 2> legs;
+  bool abandoned = false;
+};
+
+/// The first backoff step after a kBusy shed; it doubles per attempt up
+/// to busy_backoff_cap.
+constexpr std::chrono::milliseconds kBusyBackoffBase{1};
+/// Distinct spill candidates past the primary a bounded-load lookup may
+/// inspect.
+constexpr std::uint32_t kBoundedLoadMaxSpill = 2;
+
+bool timeout_like(const Status& status) {
+  // All three look identical from the application's viewpoint: the node
+  // did not serve the request.
+  return status.code() == StatusCode::kTimeout ||
+         status.code() == StatusCode::kUnavailable ||
+         status.code() == StatusCode::kCancelled;
+}
+
+double micros_since(rpc::Clock::time_point start) {
+  return std::chrono::duration<double, std::micro>(rpc::Clock::now() - start)
+      .count();
+}
+
+}  // namespace
 
 const char* ft_mode_name(FtMode mode) {
   switch (mode) {
@@ -61,9 +100,6 @@ Status HvacClientConfig::validate(std::size_t cluster_size) const {
       return Status::invalid_argument(
           "hedge_delay_multiplier must be >= 1.0");
     }
-    if (hedge_min_samples == 0) {
-      return Status::invalid_argument("hedge_min_samples must be >= 1");
-    }
     if (hedge_min_delay > rpc_timeout) {
       return Status::invalid_argument(
           "hedge_min_delay must not exceed rpc_timeout");
@@ -85,12 +121,8 @@ Status HvacClientConfig::validate(std::size_t cluster_size) const {
     return Status::invalid_argument(
         "retry_budget_cap must be >= 1 when the budget is enabled");
   }
-  if (busy_backoff_base <= std::chrono::milliseconds::zero()) {
-    return Status::invalid_argument("busy_backoff_base must be > 0");
-  }
-  if (busy_backoff_cap < busy_backoff_base) {
-    return Status::invalid_argument(
-        "busy_backoff_cap must be >= busy_backoff_base");
+  if (busy_backoff_cap < kBusyBackoffBase) {
+    return Status::invalid_argument("busy_backoff_cap must be >= 1ms");
   }
   if (bounded_load) {
     if (mode != FtMode::kHashRingRecache) {
@@ -102,10 +134,6 @@ Status HvacClientConfig::validate(std::size_t cluster_size) const {
       return Status::invalid_argument(
           "bounded_load_c must be > 1 (c <= 1 marks nodes at or below the "
           "mean overloaded and thrashes placement)");
-    }
-    if (bounded_load_max_spill == 0 || bounded_load_max_spill > 7) {
-      return Status::invalid_argument(
-          "bounded_load_max_spill must be in [1, 7]");
     }
   }
   if (hot_fanout) {
@@ -143,97 +171,41 @@ Status HvacClientConfig::validate(std::size_t cluster_size) const {
   return Status::ok();
 }
 
-/// Outcomes of async RPCs (hedge legs, probes), posted from transport
-/// pool threads and folded in by the owning thread.  See the header.
+/// Raw replies of async calls, posted from transport pool threads and
+/// settled by the owning thread (drain_mailbox).  See the header.
 struct HvacClient::Mailbox {
-  enum class Kind : std::uint8_t {
-    kRpcSuccess,
-    kRpcTimeout,
-    kProbeSuccess,
-    kProbeFailure,
-    /// A hot-fanout kPut landed (counts toward replicas_pushed — the
-    /// counter bump waits for the owning thread like all detector state).
-    kFanoutSuccess,
-    /// A warm-standby kPut was acknowledged (first placement / generation
-    /// repair); both also count toward replicas_pushed.
-    kWarmSuccess,
-    kWarmRestoreSuccess,
-    /// A warm put was refused by a live node (admission shed) — drop the
-    /// path's issue marking so a later read retries the push.
-    kWarmShed,
-    /// A warm put timed out: detector verdict plus the retry marking.
-    kWarmTimeout,
-    /// A prefetch kPeerGet pull landed with the bytes (stage them).
-    kPrefetchHit,
-    /// The pulled peer answered kNotFound — it does not hold the file.
-    kPrefetchMiss,
-    /// The pulled peer shed the request (admission kBusy): alive, just
-    /// protecting itself.  Background pulls defer rather than retry.
-    kPrefetchBusy,
-    /// A prefetch pull timed out: detector verdict plus a re-queue so
-    /// the pull re-resolves against the post-surgery ring.
-    kPrefetchTimeout,
-    /// A write-behind kPut was refused kFencedEpoch: the server's ring
-    /// epoch is ahead of the one the put was planned under.  The node is
-    /// alive; drop the path's marking so the next read re-plans against
-    /// the fast-forwarded ring.
-    kFencedPut,
+  /// What the call was for: picks the handler drain_mailbox runs.
+  enum class Purpose : std::uint8_t {
+    kReadLeg,  ///< a hedge leg the read stopped waiting for
+    kEvict,
+    kPut,
+    kPrefetch,
+    kProbe,
   };
-  struct Event {
+  struct Reply {
+    Purpose purpose;
     NodeId node;
-    Kind kind;
-    /// Warm/prefetch events only: the path the verdict affects.
-    std::string path;
-    /// Prefetch hits only: the pulled payload and the serving peer's
-    /// generation-ledger stamp.
-    common::Buffer payload{};
-    std::uint64_t generation = 0;
-    /// Replica-chain hop the pull targeted (0 = ring owner); a p2p miss
-    /// continues at hop + 1.
-    std::uint32_t hop = 0;
+    StatusOr<rpc::RpcResponse> result;
+    std::string path{};         ///< kPut, kPrefetch
+    std::uint32_t hop = 0;      ///< kPrefetch: chain hop (0 = ring owner)
+    bool warm = false;          ///< kPut: a warm-standby placement ...
+    bool warm_restore = false;  ///< ... re-targeting a marked file
+    bool corrupt = false;       ///< kPrefetch: payload failed its CRC
   };
 
-  void post(NodeId node, Kind kind, std::string path = {}) {
+  void post(Reply reply) {
     std::lock_guard lock(mutex);
-    events.push_back({node, kind, std::move(path)});
+    replies.push_back(std::move(reply));
   }
 
-  void post(Event event) {
+  std::vector<Reply> drain() {
     std::lock_guard lock(mutex);
-    events.push_back(std::move(event));
-  }
-
-  std::vector<Event> drain() {
-    std::lock_guard lock(mutex);
-    return std::exchange(events, {});
+    return std::exchange(replies, {});
   }
 
   std::mutex mutex;
-  std::vector<Event> events;
+  std::vector<Reply> replies;
 };
-
-namespace {
-
-/// Race state for one hedged read: the caller thread blocks on `cv`; the
-/// primary and hedge completions (transport pool threads) fill their slot
-/// and notify.  shared_ptr-owned so a leg finishing after the caller gave
-/// up writes into live memory.
-struct HedgeWait {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::optional<StatusOr<rpc::RpcResponse>> primary;
-  std::optional<StatusOr<rpc::RpcResponse>> hedge;
-};
-
-bool timeout_like(const Status& status) {
-  // All three look identical from the application's viewpoint: the node
-  // did not serve the request.
-  return status.code() == StatusCode::kTimeout ||
-         status.code() == StatusCode::kUnavailable ||
-         status.code() == StatusCode::kCancelled;
-}
-
-}  // namespace
 
 HvacClient::HvacClient(NodeId self, rpc::Transport& transport, PfsStore& pfs,
                        const std::vector<NodeId>& servers,
@@ -244,8 +216,7 @@ HvacClient::HvacClient(NodeId self, rpc::Transport& transport, PfsStore& pfs,
           .allow_reinstatement = config.reinstatement &&
                                  config.mode == FtMode::kHashRingRecache,
           .probe_backoff = config.probe_backoff,
-          .probe_backoff_cap = config.probe_backoff_cap,
-          .max_flaps = config.max_flaps}),
+          .probe_backoff_cap = config.probe_backoff_cap}),
       mailbox_(std::make_shared<Mailbox>()),
       retry_budget_(config.retry_budget_ratio, config.retry_budget_cap),
       backoff_rng_(config.ring_seed ^ (0x9E3779B97F4A7C15ULL * (self + 1))),
@@ -409,38 +380,59 @@ void HvacClient::add_server(NodeId node) {
 
 Status HvacClient::ping(NodeId node) {
   drain_mailbox();
-  rpc::RpcRequest request;
-  request.op = rpc::Op::kPing;
-  request.client_node = self_;
-  if (membership_ != nullptr) membership_->stamp_request(request);
   const auto start = rpc::Clock::now();
-  auto result = transport_.call(node, std::move(request),
-                                config_.rpc_timeout);
-  if (result.is_ok()) {
-    ingest_membership(result.value());
-    observe_load_hint(node, result.value());
+  const auto result = transport_.call(node, make_request(rpc::Op::kPing, {}),
+                                      config_.rpc_timeout);
+  const double latency_us = micros_since(start);
+  settle(node, result);
+  if (!result.is_ok()) return result.status();
+  if (result.value().code != StatusCode::kOk) {
+    return Status(result.value().code, "ping error");
   }
-  if (result.is_ok() && result.value().code == StatusCode::kOk) {
-    latency_.record(std::chrono::duration<double, std::micro>(
-                        rpc::Clock::now() - start)
-                        .count());
-    detector_.record_success(node);
-    return Status::ok();
-  }
-  if (!result.is_ok() &&
-      result.status().code() == StatusCode::kTimeout) {
+  latency_.record(latency_us);
+  return Status::ok();
+}
+
+rpc::RpcRequest HvacClient::make_request(rpc::Op op, const std::string& path,
+                                         rpc::DeadlineNs deadline) const {
+  rpc::RpcRequest request;
+  request.op = op;
+  request.path = path;
+  request.client_node = self_;
+  request.deadline_ns = deadline;
+  if (membership_ != nullptr) membership_->stamp_request(request);
+  return request;
+}
+
+HvacClient::ReplyClass HvacClient::settle(
+    NodeId node, const StatusOr<rpc::RpcResponse>& result) {
+  if (!result.is_ok()) {
+    if (!timeout_like(result.status())) return ReplyClass::kError;
     on_timeout(node);
-    return result.status();
+    return ReplyClass::kLost;
   }
-  return result.is_ok() ? Status(result.value().code, "ping error")
-                        : result.status();
+  const rpc::RpcResponse& response = result.value();
+  // Fold piggybacked gossip / stale-view delta FIRST: anything the caller
+  // places next (replicas) must use the freshest view this reply affords.
+  ingest_membership(response);
+  observe_load_hint(node, response);
+  // Any answer — served, shed, fenced or refused — proves the node alive.
+  // A shed is deliberately not a timeout: a node shedding load must never
+  // accrue suspicion for answering honestly.
+  detector_.record_success(node);
+  switch (response.code) {
+    case StatusCode::kBusy: return ReplyClass::kShed;
+    case StatusCode::kFencedEpoch: return ReplyClass::kFenced;
+    default: return ReplyClass::kAnswered;
+  }
 }
 
 std::chrono::milliseconds HvacClient::recommended_timeout(
     double margin) const {
   const double fallback_us =
       std::chrono::duration<double, std::micro>(config_.rpc_timeout).count();
-  const double us = latency_.recommended_timeout(margin, 16, fallback_us);
+  const double us =
+      latency_.recommended_timeout(margin, kMinLatencySamples, fallback_us);
   return std::chrono::milliseconds(
       std::max<std::int64_t>(1, static_cast<std::int64_t>(us / 1000.0)));
 }
@@ -450,7 +442,7 @@ std::chrono::microseconds HvacClient::current_hedge_delay() const {
       std::chrono::duration_cast<std::chrono::microseconds>(
           config_.rpc_timeout);
   std::chrono::microseconds delay;
-  if (latency_.count() < config_.hedge_min_samples) {
+  if (latency_.count() < kMinLatencySamples) {
     // No trustworthy quantile yet: hedge late enough that only an
     // egregiously slow primary triggers it.
     delay = timeout_us / 4;
@@ -515,8 +507,8 @@ void HvacClient::push_replicas(const std::string& path,
   if (warm_stale) policies.push_back(warm_policy_.get());
 
   // One owner-chain walk serves every firing policy.  With an agent
-  // attached, accept_response ingests the primary's response *before*
-  // calling here, so a client that was stale going into the read places
+  // attached, settle() ingests the primary's response *before* the read
+  // calls here, so a client that was stale going into the read places
   // replicas against the fast-forwarded view, never to a confirmed-failed
   // node.
   std::size_t chain_need = 0;
@@ -630,51 +622,15 @@ void HvacClient::execute_put(const placement::MergedTarget& target,
   const NodeId backup = target.node;
   const bool warm =
       target.has_trigger(placement::ReplicationTrigger::kWarmStandby);
-  rpc::RpcRequest put;
-  put.op = rpc::Op::kPut;
-  put.path = path;
+  rpc::RpcRequest put = make_request(rpc::Op::kPut, path);
   put.payload = contents;  // refcounted share across the fanout
-  put.client_node = self_;
   put.replica_generation = target.generation;
-  if (membership_ != nullptr) membership_->stamp_request(put);
 
   if (target.write_class == placement::WriteClass::kSyncInline) {
     // Best effort: a slow/dead backup only costs durability, not
-    // correctness, so a timeout here feeds the detector but is not
-    // retried.
-    auto result =
-        transport_.call(backup, std::move(put), config_.rpc_timeout);
-    if (result.is_ok()) {
-      ingest_membership(result.value());
-      observe_load_hint(backup, result.value());
-      detector_.record_success(backup);
-      if (result.value().code == StatusCode::kFencedEpoch) {
-        // Write fence: our epoch lagged the server's.  The stamped
-        // response just fast-forwarded us (ingest above); unmark so the
-        // next read re-plans the standby against the healed ring.  No
-        // replica was placed, so replicas_pushed stays untouched.
-        ++stats_.fenced_puts;
-        if (warm) warm_pushed_.erase(path);
-        return;
-      }
-      ++stats_.replicas_pushed;
-      if (warm) {
-        if (result.value().code == StatusCode::kOk) {
-          ++stats_.warm_pushes;
-          if (warm_restore) ++stats_.warm_restores;
-        } else if (result.value().code != StatusCode::kCancelled) {
-          // Shed (kBusy/kCapacity/...): the standby is not placed; unmark
-          // so a later read retries.  kCancelled means a FRESHER standby
-          // already sits there — the marking stands.
-          warm_pushed_.erase(path);
-        }
-      }
-    } else if (result.status().code() == StatusCode::kTimeout) {
-      on_timeout(backup);
-      if (warm) warm_pushed_.erase(path);
-    } else if (warm) {
-      warm_pushed_.erase(path);
-    }
+    // correctness, so a lost put feeds the detector but is not retried.
+    on_put_reply(backup, path, warm, warm_restore,
+                 transport_.call(backup, std::move(put), config_.rpc_timeout));
     return;
   }
 
@@ -686,36 +642,39 @@ void HvacClient::execute_put(const placement::MergedTarget& target,
   transport_.call_async(
       backup, std::move(put), config_.rpc_timeout,
       [mailbox = mailbox_, inflight = warm_inflight_, backup, warm,
-       warm_restore, path](const StatusOr<rpc::RpcResponse>& result) {
+       warm_restore, path](StatusOr<rpc::RpcResponse> result) {
         if (warm) inflight->fetch_sub(1, std::memory_order_relaxed);
-        if (result.is_ok() && result.value().code == StatusCode::kOk) {
-          mailbox->post(backup,
-                        warm ? (warm_restore
-                                    ? Mailbox::Kind::kWarmRestoreSuccess
-                                    : Mailbox::Kind::kWarmSuccess)
-                             : Mailbox::Kind::kFanoutSuccess,
-                        warm ? path : std::string{});
-        } else if (warm && result.is_ok() &&
-                   result.value().code == StatusCode::kCancelled) {
-          // Stale rejection: a fresher-generation standby already sits on
-          // this node.  The server is healthy and the file covered — keep
-          // the marking, count nothing.
-          mailbox->post(backup, Mailbox::Kind::kRpcSuccess);
-        } else if (result.is_ok() &&
-                   result.value().code == StatusCode::kFencedEpoch) {
-          mailbox->post(backup, Mailbox::Kind::kFencedPut, path);
-        } else if (!result.is_ok() && timeout_like(result.status())) {
-          mailbox->post(backup,
-                        warm ? Mailbox::Kind::kWarmTimeout
-                             : Mailbox::Kind::kRpcTimeout,
-                        warm ? path : std::string{});
-        } else {
-          mailbox->post(backup,
-                        warm ? Mailbox::Kind::kWarmShed
-                             : Mailbox::Kind::kRpcSuccess,
-                        warm ? path : std::string{});
-        }
+        mailbox->post({.purpose = Mailbox::Purpose::kPut,
+                       .node = backup,
+                       .result = std::move(result),
+                       .path = path,
+                       .warm = warm,
+                       .warm_restore = warm_restore});
       });
+}
+
+void HvacClient::on_put_reply(NodeId node, const std::string& path,
+                              bool warm, bool warm_restore,
+                              const StatusOr<rpc::RpcResponse>& result) {
+  const ReplyClass reply = settle(node, result);
+  if (reply == ReplyClass::kAnswered &&
+      result.value().code == StatusCode::kOk) {
+    ++stats_.replicas_pushed;
+    if (warm) {
+      ++stats_.warm_pushes;
+      if (warm_restore) ++stats_.warm_restores;
+    }
+    return;
+  }
+  // Write fence: our epoch lagged the server's, and the stamped reply just
+  // fast-forwarded us (settle).  No replica was placed.
+  if (reply == ReplyClass::kFenced) ++stats_.fenced_puts;
+  // kCancelled from a live node means a FRESHER standby already sits
+  // there: the marking stands.  Any other outcome placed nothing: unmark
+  // so the next read re-plans the standby against the current ring.
+  const bool fresher = reply == ReplyClass::kAnswered &&
+                       result.value().code == StatusCode::kCancelled;
+  if (warm && !fresher) warm_pushed_.erase(path);
 }
 
 std::uint32_t HvacClient::warm_cap(bool warm_restore) const {
@@ -776,7 +735,7 @@ void HvacClient::note_hot_access(const std::string& path) {
   if (hot_files_->record(path) == HotFilePromoter::Transition::kPromoted) {
     ++stats_.hot_promotions;
     // The kPut fanout needs the file's bytes, so it rides the next
-    // successful read (accept_response) instead of fetching here.
+    // successful read (on_read_reply) instead of fetching here.
     pending_hot_fanout_.insert(path);
     if (recorder_ != nullptr) {
       // Promotions are rare and explain every later spread/evict —
@@ -812,18 +771,12 @@ void HvacClient::retire_hot_replicas(const std::string& path,
   for (std::size_t i = 1; i < chain.size(); ++i) {
     const NodeId backup = chain[i];
     if (excluded_for_data(backup)) continue;
-    rpc::RpcRequest evict;
-    evict.op = rpc::Op::kEvict;
-    evict.path = path;
-    evict.client_node = self_;
-    if (membership_ != nullptr) membership_->stamp_request(evict);
     transport_.call_async(
-        backup, std::move(evict), config_.rpc_timeout,
-        [mailbox = mailbox_, backup](const StatusOr<rpc::RpcResponse>& result) {
-          mailbox->post(backup,
-                        !result.is_ok() && timeout_like(result.status())
-                            ? Mailbox::Kind::kRpcTimeout
-                            : Mailbox::Kind::kRpcSuccess);
+        backup, make_request(rpc::Op::kEvict, path), config_.rpc_timeout,
+        [mailbox = mailbox_, backup](StatusOr<rpc::RpcResponse> result) {
+          mailbox->post({.purpose = Mailbox::Purpose::kEvict,
+                         .node = backup,
+                         .result = std::move(result)});
         });
   }
 }
@@ -870,7 +823,7 @@ NodeId HvacClient::pick_read_target(const std::string& path,
   // view so clients sharing an epoch walk identical candidate chains.
   const ring::ConsistentHashRing& ring = view->ring();
   const auto lookup = ring.owner_of_hash_bounded(
-      ring.key_position(path), 1 + config_.bounded_load_max_spill, excluded,
+      ring.key_position(path), 1 + kBoundedLoadMaxSpill, excluded,
       overloaded);
   if (lookup.chosen == ring::kInvalidNode) return plain;
   if (lookup.spilled()) {
@@ -945,26 +898,6 @@ bool HvacClient::spend_retry_token() {
   return false;
 }
 
-void HvacClient::handle_busy(NodeId server,
-                             const rpc::RpcResponse& response) {
-  ++stats_.busy_rejections;
-  // A kBusy answer proves the node is alive and fast — it is liveness
-  // evidence for the detector, and deliberately NOT a latency sample (a
-  // rejection says nothing about service time) and NOT a timeout (a node
-  // shedding load must never accrue suspicion for answering honestly).
-  detector_.record_success(server);
-  ingest_membership(response);
-  // A shed carries the load hint too — precisely the moment the load
-  // view most needs updating (spill decisions route around this node).
-  observe_load_hint(server, response);
-  // The retry this shed provokes is server-DIRECTED, not speculative:
-  // the server rate-limits it via retry_after and the deadline bounds it.
-  // It must not drain the retry budget — a drained bucket diverts reads
-  // to the direct-PFS fallback, i.e. admission control would be funnelling
-  // load onto the very filesystem it exists to protect.
-  retry_is_server_directed_ = true;
-}
-
 void HvacClient::busy_backoff(std::uint32_t retry_after_ms,
                               std::size_t attempt,
                               rpc::DeadlineNs deadline) {
@@ -972,7 +905,7 @@ void HvacClient::busy_backoff(std::uint32_t retry_after_ms,
   // in [0.5, 1) so synchronized clients spread out instead of re-bursting.
   const std::size_t shift = std::min<std::size_t>(attempt, 20);
   const std::int64_t scaled_ms = std::min<std::int64_t>(
-      config_.busy_backoff_base.count() << shift,
+      kBusyBackoffBase.count() << shift,
       config_.busy_backoff_cap.count());
   auto wait = std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::duration<double, std::milli>(
@@ -990,86 +923,22 @@ void HvacClient::busy_backoff(std::uint32_t retry_after_ms,
 }
 
 void HvacClient::drain_mailbox() {
-  for (Mailbox::Event& event : mailbox_->drain()) {
-    switch (event.kind) {
-      case Mailbox::Kind::kRpcSuccess:
-        detector_.record_success(event.node);
+  for (Mailbox::Reply& reply : mailbox_->drain()) {
+    switch (reply.purpose) {
+      case Mailbox::Purpose::kReadLeg:
+      case Mailbox::Purpose::kEvict:
+        settle(reply.node, reply.result);
         break;
-      case Mailbox::Kind::kRpcTimeout:
-        on_timeout(event.node);
+      case Mailbox::Purpose::kPut:
+        on_put_reply(reply.node, reply.path, reply.warm, reply.warm_restore,
+                     reply.result);
         break;
-      case Mailbox::Kind::kProbeSuccess:
-        if (detector_.record_probe_success(event.node)) {
-          reinstate(event.node);
-        }
+      case Mailbox::Purpose::kPrefetch:
+        on_prefetch_reply(reply.node, std::move(reply.path), reply.hop,
+                          reply.corrupt, std::move(reply.result));
         break;
-      case Mailbox::Kind::kProbeFailure:
-        detector_.record_probe_failure(event.node);
-        break;
-      case Mailbox::Kind::kFanoutSuccess:
-        detector_.record_success(event.node);
-        ++stats_.replicas_pushed;
-        break;
-      case Mailbox::Kind::kWarmSuccess:
-        detector_.record_success(event.node);
-        ++stats_.replicas_pushed;
-        ++stats_.warm_pushes;
-        break;
-      case Mailbox::Kind::kWarmRestoreSuccess:
-        detector_.record_success(event.node);
-        ++stats_.replicas_pushed;
-        ++stats_.warm_pushes;
-        ++stats_.warm_restores;
-        break;
-      case Mailbox::Kind::kWarmShed:
-        // The standby is alive but refused the bytes (admission shed):
-        // unmark so the next read of the file retries the placement.
-        detector_.record_success(event.node);
-        warm_pushed_.erase(event.path);
-        break;
-      case Mailbox::Kind::kWarmTimeout:
-        on_timeout(event.node);
-        warm_pushed_.erase(event.path);
-        break;
-      case Mailbox::Kind::kPrefetchHit:
-        detector_.record_success(event.node);
-        ++stats_.prefetch_hits;
-        staged_prefetch_[event.path] =
-            StagedPrefetch{std::move(event.payload), event.generation};
-        issue_prefetch_pulls();
-        break;
-      case Mailbox::Kind::kPrefetchMiss:
-        detector_.record_success(event.node);
-        // With p2p on, the owner lacking the bytes is not the end: a warm
-        // standby one hop down the chain may hold them.
-        if (peer_policy_ == nullptr ||
-            event.hop + 1 >=
-                std::max<std::uint32_t>(2, config_.replication.factor) ||
-            !issue_prefetch_pull(event.path, event.hop + 1)) {
-          ++stats_.prefetch_misses;
-        }
-        issue_prefetch_pulls();
-        break;
-      case Mailbox::Kind::kPrefetchBusy:
-        detector_.record_success(event.node);
-        ++stats_.prefetch_deferred;
-        issue_prefetch_pulls();
-        break;
-      case Mailbox::Kind::kPrefetchTimeout:
-        on_timeout(event.node);
-        // Re-queue at the back: by the time it reissues, the published
-        // removal has moved ownership to the successor (the kill-recovery
-        // path).
-        prefetch_pending_.push_back(std::move(event.path));
-        issue_prefetch_pulls();
-        break;
-      case Mailbox::Kind::kFencedPut:
-        // A fence is liveness proof (the server inspected the epoch and
-        // answered), never a fault signal.  Unmark the path so the next
-        // read re-plans its standbys against the current ring.
-        detector_.record_success(event.node);
-        warm_pushed_.erase(event.path);
-        ++stats_.fenced_puts;
+      case Mailbox::Purpose::kProbe:
+        on_probe_reply(reply.node, reply.result);
         break;
     }
   }
@@ -1085,20 +954,28 @@ void HvacClient::maybe_probe() {
   for (const NodeId node : detector_.probe_candidates()) {
     detector_.record_probe_launch(node);
     ++stats_.probes_sent;
-    rpc::RpcRequest probe;
-    probe.op = rpc::Op::kPing;
-    probe.client_node = self_;
     // The completion only touches the refcounted mailbox — never the
     // client, which may be gone by the time a probe against a dead node
     // times out.
     transport_.call_async(
-        node, std::move(probe), config_.rpc_timeout,
-        [mailbox = mailbox_, node](const StatusOr<rpc::RpcResponse>& result) {
-          bool up = false;
-          if (result.is_ok()) up = result.value().code == StatusCode::kOk;
-          mailbox->post(node, up ? Mailbox::Kind::kProbeSuccess
-                                 : Mailbox::Kind::kProbeFailure);
+        node, make_request(rpc::Op::kPing, {}), config_.rpc_timeout,
+        [mailbox = mailbox_, node](StatusOr<rpc::RpcResponse> result) {
+          mailbox->post({.purpose = Mailbox::Purpose::kProbe,
+                         .node = node,
+                         .result = std::move(result)});
         });
+  }
+}
+
+void HvacClient::on_probe_reply(NodeId node,
+                                const StatusOr<rpc::RpcResponse>& result) {
+  // Not settled: the node is out of service, where record_success does
+  // not count and a timeout would only inflate the tally — the probe's
+  // backoff state machine is the only evidence path.
+  if (result.is_ok() && result.value().code == StatusCode::kOk) {
+    if (detector_.record_probe_success(node)) reinstate(node);
+  } else {
+    detector_.record_probe_failure(node);
   }
 }
 
@@ -1211,11 +1088,6 @@ bool HvacClient::issue_prefetch_pull(const std::string& path,
       excluded_for_data(target)) {
     return false;
   }
-  rpc::RpcRequest request;
-  request.op = rpc::Op::kPeerGet;
-  request.path = path;
-  request.client_node = self_;
-  if (membership_ != nullptr) membership_->stamp_request(request);
   ++stats_.prefetch_pulls;
   prefetch_inflight_->fetch_add(1, std::memory_order_relaxed);
   prefetch_epoch_inflight_->fetch_add(1, std::memory_order_relaxed);
@@ -1224,42 +1096,71 @@ bool HvacClient::issue_prefetch_pull(const std::string& path,
   // the client, which may be gone by the time a pull against a dead peer
   // times out.
   transport_.call_async(
-      target, std::move(request), config_.rpc_timeout,
+      target, make_request(rpc::Op::kPeerGet, path), config_.rpc_timeout,
       [mailbox = mailbox_, inflight = prefetch_inflight_,
        epoch_inflight = prefetch_epoch_inflight_, target, path, hop,
        verify](StatusOr<rpc::RpcResponse> result) {
-        if (result.is_ok() && result.value().code == StatusCode::kOk) {
-          rpc::RpcResponse response = std::move(result).value();
-          if (verify &&
-              hash::crc32(response.payload.view()) != response.checksum) {
-            // Corrupted in flight: drop the bytes, the demand read
-            // re-fetches with its own integrity check.
-            mailbox->post({target, Mailbox::Kind::kPrefetchMiss, path,
-                           common::Buffer{}, 0, hop});
-          } else {
-            mailbox->post({target, Mailbox::Kind::kPrefetchHit, path,
-                           std::move(response.payload),
-                           response.replica_generation, hop});
-          }
-        } else if (result.is_ok() &&
-                   result.value().code == StatusCode::kNotFound) {
-          mailbox->post({target, Mailbox::Kind::kPrefetchMiss, path,
-                         common::Buffer{}, 0, hop});
-        } else if (!result.is_ok() && timeout_like(result.status())) {
-          mailbox->post({target, Mailbox::Kind::kPrefetchTimeout, path,
-                         common::Buffer{}, 0, hop});
-        } else {
-          // kBusy or another live-node answer: background work defers to
-          // foreground load rather than retrying into the shed.
-          mailbox->post({target, Mailbox::Kind::kPrefetchBusy, path});
-        }
+        // The CRC runs here, on the pool thread, so the owning thread
+        // does not pay for it.
+        const bool corrupt =
+            verify && result.is_ok() &&
+            result.value().code == StatusCode::kOk &&
+            hash::crc32(result.value().payload.view()) !=
+                result.value().checksum;
+        mailbox->post({.purpose = Mailbox::Purpose::kPrefetch,
+                       .node = target,
+                       .result = std::move(result),
+                       .path = path,
+                       .hop = hop,
+                       .corrupt = corrupt});
         // Decrement strictly AFTER the post: inflight == 0 then implies
-        // every outcome is in the mailbox (drain_prefetch's exit sweep
+        // every reply is in the mailbox (drain_prefetch's exit sweep
         // relies on this ordering to never strand a staged payload).
         epoch_inflight->fetch_sub(1, std::memory_order_relaxed);
         inflight->fetch_sub(1, std::memory_order_release);
       });
   return true;
+}
+
+void HvacClient::on_prefetch_reply(NodeId node, std::string path,
+                                   std::uint32_t hop, bool corrupt,
+                                   StatusOr<rpc::RpcResponse> result) {
+  switch (settle(node, result)) {
+    case ReplyClass::kLost:
+      // Re-queue at the back: by the time it reissues, the published
+      // removal has moved ownership to the successor (the kill-recovery
+      // path).
+      prefetch_pending_.push_back(std::move(path));
+      break;
+    case ReplyClass::kAnswered:
+      if (result.value().code == StatusCode::kOk && !corrupt) {
+        ++stats_.prefetch_hits;
+        rpc::RpcResponse response = std::move(result).value();
+        staged_prefetch_[path] = StagedPrefetch{std::move(response.payload),
+                                                response.replica_generation};
+        break;
+      }
+      if (result.value().code == StatusCode::kOk ||
+          result.value().code == StatusCode::kNotFound) {
+        // The peer lacks intact bytes (a corrupted payload is dropped; the
+        // demand read re-fetches with its own integrity check).  With p2p
+        // on that is not the end: a warm standby one hop down the chain
+        // may hold them.
+        if (peer_policy_ == nullptr ||
+            hop + 1 >= std::max<std::uint32_t>(2, config_.replication.factor) ||
+            !issue_prefetch_pull(path, hop + 1)) {
+          ++stats_.prefetch_misses;
+        }
+        break;
+      }
+      [[fallthrough]];
+    default:
+      // A shed, a fence or another refusal: background work defers to
+      // foreground load rather than retrying into it.
+      ++stats_.prefetch_deferred;
+      break;
+  }
+  issue_prefetch_pulls();
 }
 
 StatusOr<common::Buffer> HvacClient::peer_rescue(
@@ -1269,23 +1170,15 @@ StatusOr<common::Buffer> HvacClient::peer_rescue(
       path, std::max<std::size_t>(2, config_.replication.factor));
   for (const NodeId peer : chain) {
     if (peer == self_ || excluded_for_data(peer)) continue;
-    rpc::RpcRequest request;
-    request.op = rpc::Op::kPeerGet;
-    request.path = path;
-    request.client_node = self_;
-    request.deadline_ns = deadline;
-    if (membership_ != nullptr) membership_->stamp_request(request);
     auto result =
-        transport_.call(peer, std::move(request), attempt_timeout(deadline));
-    if (!result.is_ok()) {
-      if (timeout_like(result.status())) on_timeout(peer);
+        transport_.call(peer, make_request(rpc::Op::kPeerGet, path, deadline),
+                        attempt_timeout(deadline));
+    // Lost, shed, fenced or kNotFound: this peer cannot help.
+    if (settle(peer, result) != ReplyClass::kAnswered ||
+        result.value().code != StatusCode::kOk) {
       continue;
     }
     rpc::RpcResponse response = std::move(result).value();
-    ingest_membership(response);
-    observe_load_hint(peer, response);
-    detector_.record_success(peer);
-    if (response.code != StatusCode::kOk) continue;  // kNotFound/kBusy
     if (config_.verify_checksums &&
         hash::crc32(response.payload.view()) != response.checksum) {
       ++stats_.checksum_failures;
@@ -1318,125 +1211,175 @@ StatusOr<common::Buffer> HvacClient::peer_rescue(
   return Status::not_found("no peer holds " + path);
 }
 
-StatusOr<common::Buffer> HvacClient::accept_response(
-    const std::string& path, NodeId server, rpc::RpcResponse response) {
-  // Fold piggybacked gossip / stale-view delta FIRST: anything placed
-  // below (replicas) must use the freshest view this response affords.
-  ingest_membership(response);
-  observe_load_hint(server, response);
-  if (response.code == StatusCode::kOk) {
-    detector_.record_success(server);
-    // Successful traffic funds future retries/hedges (no-op with the
-    // budget off).
-    retry_budget_.record_success();
-    // End-to-end integrity: always a fresh CRC pass over the received
-    // bytes (never the server's memoized value) so wire corruption is
-    // actually exercised.
-    if (config_.verify_checksums &&
-        hash::crc32(response.payload.view()) != response.checksum) {
-      ++stats_.checksum_failures;
-      return Status::internal("checksum mismatch for " + path);
-    }
-    if (response.cache_hit) {
-      ++stats_.served_remote_cache;
-    } else {
-      ++stats_.served_remote_fetch;
-    }
-    // Replica placement — every firing policy (miss-recache on a fill,
-    // hot fanout on the first post-promotion read, warm standby whenever
-    // coverage is missing or stale) plans against one shared chain walk
-    // and the target sets are deduped per node.
-    push_replicas(path, response.payload, server, !response.cache_hit);
-    return std::move(response.payload);
+std::optional<StatusOr<common::Buffer>> HvacClient::on_read_reply(
+    const std::string& path, NodeId node, StatusOr<rpc::RpcResponse> result,
+    std::optional<double> latency_us, const obs::TraceContext& trace) {
+  switch (settle(node, result)) {
+    case ReplyClass::kError:
+      return StatusOr<common::Buffer>(result.status());
+    case ReplyClass::kLost:
+      switch (config_.mode) {
+        case FtMode::kNone:
+          return StatusOr<common::Buffer>(
+              Status::timeout("node " + std::to_string(node) +
+                              " unresponsive; NoFT aborts"));
+        case FtMode::kPfsRedirect:
+          // Per Fig 3(a): the timed-out request itself is redirected.
+          return read_from_pfs(path, trace);
+        case FtMode::kHashRingRecache:
+          // Retry: if the node was flagged the ring changed; otherwise the
+          // same owner gets another chance (transient delay).
+          return std::nullopt;
+      }
+      return std::nullopt;
+    case ReplyClass::kShed:
+      // Shed, not served: never a latency sample (a rejection says nothing
+      // about service time).  The retry it provokes is server-DIRECTED,
+      // not speculative: the server paces it via retry_after and the
+      // deadline bounds it.  It must not drain the retry budget — a
+      // drained bucket diverts reads to the direct-PFS fallback, i.e.
+      // admission control would be funnelling load onto the very
+      // filesystem it exists to protect.
+      ++stats_.busy_rejections;
+      retry_is_server_directed_ = true;
+      busy_retry_after_ms_ =
+          std::max(busy_retry_after_ms_, result.value().retry_after_ms);
+      return std::nullopt;
+    case ReplyClass::kFenced:
+    case ReplyClass::kAnswered:
+      break;
   }
-  // Server answered with an application error (e.g. file missing from
-  // PFS entirely): not a fault signal, surface it.
-  detector_.record_success(server);
-  return Status(response.code, "server " + std::to_string(server) +
-                                   " error for " + path);
+  if (latency_us.has_value()) latency_.record(*latency_us);
+  rpc::RpcResponse response = std::move(result).value();
+  if (response.code != StatusCode::kOk) {
+    // Server answered with an application error (e.g. file missing from
+    // PFS entirely): not a fault signal, surface it.
+    return StatusOr<common::Buffer>(
+        Status(response.code,
+               "server " + std::to_string(node) + " error for " + path));
+  }
+  // Successful traffic funds future retries/hedges (no-op with the budget
+  // off).
+  retry_budget_.record_success();
+  // End-to-end integrity: always a fresh CRC pass over the received bytes
+  // (never the server's memoized value) so wire corruption is actually
+  // exercised.
+  if (config_.verify_checksums &&
+      hash::crc32(response.payload.view()) != response.checksum) {
+    ++stats_.checksum_failures;
+    return StatusOr<common::Buffer>(
+        Status::internal("checksum mismatch for " + path));
+  }
+  if (response.cache_hit) {
+    ++stats_.served_remote_cache;
+  } else {
+    ++stats_.served_remote_fetch;
+  }
+  // Replica placement — every firing policy (miss-recache on a fill, hot
+  // fanout on the first post-promotion read, warm standby whenever
+  // coverage is missing or stale) plans against one shared chain walk and
+  // the target sets are deduped per node.
+  push_replicas(path, response.payload, node, !response.cache_hit);
+  return StatusOr<common::Buffer>(std::move(response.payload));
+}
+
+std::optional<StatusOr<common::Buffer>> HvacClient::read_attempt(
+    const std::string& path, NodeId owner, std::size_t attempt,
+    bool server_directed, rpc::DeadlineNs deadline,
+    const obs::TraceContext& trace) {
+  rpc::RpcRequest request = make_request(rpc::Op::kReadFile, path, deadline);
+  const bool traced = recorder_ != nullptr && trace.sampled;
+  obs::TraceContext attempt_ctx;
+  std::int64_t attempt_start_ns = 0;
+  if (traced) {
+    attempt_ctx = trace.child();
+    request.trace = attempt_ctx;
+    attempt_start_ns = obs::now_ns();
+  }
+  const auto call_start = rpc::Clock::now();
+  auto result =
+      transport_.call(owner, std::move(request), attempt_timeout(deadline));
+  const double latency_us = micros_since(call_start);
+  if (traced) {
+    const StatusCode code =
+        result.is_ok() ? result.value().code : result.status().code();
+    recorder_->record_span(
+        server_directed ? obs::RecordKind::kBusyRetry
+                        : obs::RecordKind::kClientAttempt,
+        attempt_ctx, owner, attempt_start_ns, obs::now_ns(),
+        static_cast<std::uint32_t>(code), attempt,
+        attempt == 0 ? "primary" : (server_directed ? "busy_retry" : "retry"));
+  }
+  return on_read_reply(path, owner, std::move(result), latency_us, trace);
 }
 
 std::optional<StatusOr<common::Buffer>> HvacClient::hedged_attempt(
     const std::string& path, NodeId owner, rpc::DeadlineNs deadline,
     const obs::TraceContext& trace) {
   auto wait = std::make_shared<HedgeWait>();
-  const auto start = rpc::Clock::now();
   const auto leg_timeout = attempt_timeout(deadline);
-
   // Leg spans are recorded from the transport-pool completion callbacks
   // (the legs outlive this function on the slow paths), so the recorder
   // pointer rides the capture; null when this read is unsampled.
   obs::FlightRecorder* const recorder =
       (recorder_ != nullptr && trace.sampled) ? recorder_ : nullptr;
+  // Both legs inherit the read's remaining budget: the server sheds either
+  // leg unexecuted once the client has given the read up.
+  const rpc::RpcRequest request =
+      make_request(rpc::Op::kReadFile, path, deadline);
+  const auto launch = [&](std::size_t slot, NodeId node) {
+    rpc::RpcRequest leg = request;
+    const obs::TraceContext ctx =
+        recorder != nullptr ? trace.child() : obs::TraceContext{};
+    leg.trace = ctx;
+    const std::int64_t start_ns = recorder != nullptr ? obs::now_ns() : 0;
+    transport_.call_async(
+        node, std::move(leg), leg_timeout,
+        [wait, mailbox = mailbox_, slot, node, recorder, ctx,
+         start_ns](StatusOr<rpc::RpcResponse> result) {
+          if (recorder != nullptr) {
+            recorder->record_span(
+                slot == 0 ? obs::RecordKind::kClientAttempt
+                          : obs::RecordKind::kHedgeLeg,
+                ctx, node, start_ns, obs::now_ns(),
+                static_cast<std::uint32_t>(result.is_ok()
+                                               ? result.value().code
+                                               : result.status().code()),
+                0, slot == 0 ? "hedge_primary" : "hedge");
+          }
+          {
+            std::lock_guard lock(wait->mutex);
+            if (!wait->abandoned) {
+              wait->legs[slot] = std::move(result);
+              wait->cv.notify_all();
+              return;
+            }
+          }
+          mailbox->post({.purpose = Mailbox::Purpose::kReadLeg,
+                         .node = node,
+                         .result = std::move(result)});
+        });
+  };
+  // Stops waiting: the legs that landed are the read's to settle, later
+  // ones go to the mailbox.
+  const auto take_legs = [&wait](std::unique_lock<std::mutex>& lock) {
+    wait->abandoned = true;
+    auto legs = std::move(wait->legs);
+    lock.unlock();
+    return legs;
+  };
 
-  rpc::RpcRequest request;
-  request.op = rpc::Op::kReadFile;
-  request.path = path;
-  request.client_node = self_;
-  // Both legs inherit the read's remaining budget: the server sheds
-  // either leg unexecuted once the client has given the read up.
-  request.deadline_ns = deadline;
-  if (membership_ != nullptr) membership_->stamp_request(request);
-  const obs::TraceContext primary_ctx =
-      recorder != nullptr ? trace.child() : obs::TraceContext{};
-  request.trace = primary_ctx;
-  const std::int64_t primary_start =
-      recorder != nullptr ? obs::now_ns() : 0;
-  transport_.call_async(
-      owner, request, leg_timeout,
-      [wait, mailbox = mailbox_, owner, recorder, primary_ctx,
-       primary_start](StatusOr<rpc::RpcResponse> result) {
-        if (recorder != nullptr) {
-          recorder->record_span(
-              obs::RecordKind::kClientAttempt, primary_ctx, owner,
-              primary_start, obs::now_ns(),
-              static_cast<std::uint32_t>(result.is_ok()
-                                             ? result.value().code
-                                             : result.status().code()),
-              0, "hedge_primary");
-        }
-        // A non-timeout error still proves the node is alive.
-        mailbox->post(owner, !result.is_ok() && timeout_like(result.status())
-                                 ? Mailbox::Kind::kRpcTimeout
-                                 : Mailbox::Kind::kRpcSuccess);
-        {
-          std::lock_guard lock(wait->mutex);
-          wait->primary = std::move(result);
-        }
-        wait->cv.notify_all();
-      });
-
+  const auto start = rpc::Clock::now();
+  launch(0, owner);
   const auto hedge_delay = current_hedge_delay();
-  {
-    std::unique_lock lock(wait->mutex);
-    wait->cv.wait_for(lock, hedge_delay,
-                      [&wait] { return wait->primary.has_value(); });
-    if (wait->primary.has_value()) {
-      // Fast path: the owner answered before the hedge was due — the
-      // common case, identical to the unhedged read.
-      auto result = std::move(*wait->primary);
-      lock.unlock();
-      drain_mailbox();  // folds this leg's success/timeout verdict
-      if (result.is_ok() && result.value().code == StatusCode::kBusy) {
-        // Shed, not served: back off (honoring the server's hint) and let
-        // the retry loop re-attempt.  No latency sample — a rejection
-        // says nothing about service time.
-        handle_busy(owner, result.value());
-        busy_backoff(result.value().retry_after_ms, /*attempt=*/0,
-                     deadline);
-        return std::nullopt;
-      }
-      if (result.is_ok()) {
-        latency_.record(std::chrono::duration<double, std::micro>(
-                            rpc::Clock::now() - start)
-                            .count());
-        return accept_response(path, owner, std::move(result).value());
-      }
-      if (timeout_like(result.status())) {
-        return std::nullopt;  // retry loop: the removal is published
-      }
-      return StatusOr<common::Buffer>(result.status());
-    }
+  std::unique_lock lock(wait->mutex);
+  const auto primary_in = [&wait] { return wait->legs[0].has_value(); };
+  if (wait->cv.wait_for(lock, hedge_delay, primary_in)) {
+    // Fast path: the owner answered before the hedge was due — the common
+    // case, the plain attempt, latency sample included.
+    auto legs = take_legs(lock);
+    return on_read_reply(path, owner, std::move(*legs[0]),
+                         micros_since(start), trace);
   }
 
   // Primary silent past the hedge delay.  A hedge leg is an extra attempt
@@ -1445,24 +1388,13 @@ std::optional<StatusOr<common::Buffer>> HvacClient::hedged_attempt(
   // waiting on the primary — racing a second node would double the very
   // load that is sinking the cluster.
   if (!spend_retry_token()) {
-    std::unique_lock lock(wait->mutex);
-    wait->cv.wait_for(lock, leg_timeout,
-                      [&wait] { return wait->primary.has_value(); });
-    if (!wait->primary.has_value()) return std::nullopt;
-    auto result = std::move(*wait->primary);
-    lock.unlock();
-    drain_mailbox();
-    if (result.is_ok() && result.value().code == StatusCode::kBusy) {
-      handle_busy(owner, result.value());
-      busy_backoff(result.value().retry_after_ms, /*attempt=*/0, deadline);
-      return std::nullopt;
-    }
-    if (result.is_ok()) {
-      return accept_response(path, owner, std::move(result).value());
-    }
-    if (timeout_like(result.status())) return std::nullopt;
-    return StatusOr<common::Buffer>(result.status());
+    wait->cv.wait_for(lock, leg_timeout, primary_in);
+    auto legs = take_legs(lock);
+    if (!legs[0].has_value()) return std::nullopt;
+    return on_read_reply(path, owner, std::move(*legs[0]), std::nullopt,
+                         trace);
   }
+  lock.unlock();
 
   // Race the next distinct ring successor, or fall back to the PFS when
   // the ring has no one else.
@@ -1475,104 +1407,51 @@ std::optional<StatusOr<common::Buffer>> HvacClient::hedged_attempt(
     }
   }
   if (hedge_target == ring::kInvalidNode) {
-    // The authoritative copy always exists; the primary's verdict arrives
-    // later through the mailbox.
+    // The authoritative copy always exists.
     ++stats_.hedges_to_pfs;
+    lock.lock();
+    auto legs = take_legs(lock);
+    if (legs[0].has_value()) settle(owner, *legs[0]);
     return read_from_pfs(path, trace);
   }
+  launch(1, hedge_target);
 
-  const obs::TraceContext hedge_ctx =
-      recorder != nullptr ? trace.child() : obs::TraceContext{};
-  request.trace = hedge_ctx;
-  const std::int64_t hedge_start = recorder != nullptr ? obs::now_ns() : 0;
-  transport_.call_async(
-      hedge_target, std::move(request), leg_timeout,
-      [wait, mailbox = mailbox_, hedge_target, recorder, hedge_ctx,
-       hedge_start](StatusOr<rpc::RpcResponse> result) {
-        if (recorder != nullptr) {
-          recorder->record_span(
-              obs::RecordKind::kHedgeLeg, hedge_ctx, hedge_target,
-              hedge_start, obs::now_ns(),
-              static_cast<std::uint32_t>(result.is_ok()
-                                             ? result.value().code
-                                             : result.status().code()),
-              0, "hedge");
-        }
-        mailbox->post(hedge_target,
-                      !result.is_ok() && timeout_like(result.status())
-                          ? Mailbox::Kind::kRpcTimeout
-                          : Mailbox::Kind::kRpcSuccess);
-        {
-          std::lock_guard lock(wait->mutex);
-          wait->hedge = std::move(result);
-        }
-        wait->cv.notify_all();
-      });
-
-  // First success wins; prefer the primary when both answered.  The cap
+  // First success wins; prefer the primary when both served.  The cap
   // covers both legs' RPC deadlines plus pool queueing slack — purely a
   // hang safeguard, the transport itself enforces per-call deadlines.
-  const auto give_up = rpc::Clock::now() + 2 * leg_timeout +
-                       std::chrono::microseconds(hedge_delay);
-  bool primary_won = false;
-  bool hedge_won = false;
-  std::optional<StatusOr<rpc::RpcResponse>> winner;
-  {
-    std::unique_lock lock(wait->mutex);
-    for (;;) {
-      const bool primary_ok = wait->primary.has_value() &&
-                              wait->primary->is_ok() &&
-                              wait->primary->value().code == StatusCode::kOk;
-      const bool hedge_ok = wait->hedge.has_value() && wait->hedge->is_ok() &&
-                            wait->hedge->value().code == StatusCode::kOk;
-      if (primary_ok) {
-        winner = std::move(*wait->primary);
-        primary_won = true;
-        break;
-      }
-      if (hedge_ok) {
-        winner = std::move(*wait->hedge);
-        hedge_won = true;
-        break;
-      }
-      if (wait->primary.has_value() && wait->hedge.has_value()) break;
-      if (wait->cv.wait_until(lock, give_up) == std::cv_status::timeout) {
-        break;
-      }
+  const auto served = [](const std::optional<StatusOr<rpc::RpcResponse>>& leg) {
+    return leg.has_value() && leg->is_ok() &&
+           leg->value().code == StatusCode::kOk;
+  };
+  lock.lock();
+  wait->cv.wait_until(
+      lock, rpc::Clock::now() + 2 * leg_timeout + hedge_delay,
+      [&] {
+        return served(wait->legs[0]) || served(wait->legs[1]) ||
+               (wait->legs[0].has_value() && wait->legs[1].has_value());
+      });
+  auto legs = take_legs(lock);
+  const int winner = served(legs[0]) ? 0 : (served(legs[1]) ? 1 : -1);
+  const std::array<NodeId, 2> nodes{owner, hedge_target};
+  std::optional<StatusOr<common::Buffer>> outcome;
+  for (std::size_t slot = 0; slot < legs.size(); ++slot) {
+    if (!legs[slot].has_value()) continue;
+    if (winner < 0) {
+      // Neither leg served: each gets the attempt's verdict (a shed leg's
+      // retry-after paces the retry), but an error answer is not final —
+      // the retry loop re-resolves ownership.
+      (void)on_read_reply(path, nodes[slot], std::move(*legs[slot]),
+                          std::nullopt, trace);
+    } else if (static_cast<int>(slot) == winner) {
+      outcome = on_read_reply(path, nodes[slot], std::move(*legs[slot]),
+                              std::nullopt, trace);
+    } else {
+      settle(nodes[slot], *legs[slot]);  // the slower leg's node bookkeeping
     }
   }
-  drain_mailbox();  // verdicts of whichever legs completed so far
-  if (primary_won) {
-    ++stats_.primary_wins_after_hedge;
-    return accept_response(path, owner, std::move(*winner).value());
-  }
-  if (hedge_won) {
-    ++stats_.hedge_wins;
-    return accept_response(path, hedge_target, std::move(*winner).value());
-  }
-  // Neither leg succeeded.  A leg that was *shed* (kBusy) still needs its
-  // bookkeeping — the node is alive, and its retry-after hint shapes the
-  // backoff before the retry loop re-attempts.
-  std::uint32_t busy_hint = 0;
-  bool saw_busy = false;
-  {
-    std::lock_guard lock(wait->mutex);
-    const auto fold_busy = [&](const std::optional<StatusOr<rpc::RpcResponse>>& leg,
-                               NodeId node) {
-      if (leg.has_value() && leg->is_ok() &&
-          leg->value().code == StatusCode::kBusy) {
-        handle_busy(node, leg->value());
-        busy_hint = std::max(busy_hint, leg->value().retry_after_ms);
-        saw_busy = true;
-      }
-    };
-    fold_busy(wait->primary, owner);
-    fold_busy(wait->hedge, hedge_target);
-  }
-  if (saw_busy) busy_backoff(busy_hint, /*attempt=*/0, deadline);
-  // Let the retry loop re-resolve ownership — a failed owner is typically
-  // out of the ring by now.
-  return std::nullopt;
+  if (winner == 0) ++stats_.primary_wins_after_hedge;
+  if (winner == 1) ++stats_.hedge_wins;
+  return outcome;
 }
 
 StatusOr<common::Buffer> HvacClient::read_file(const std::string& path) {
@@ -1646,9 +1525,10 @@ StatusOr<common::Buffer> HvacClient::read_file_impl(
     // cluster is drowning in retries already.  The authoritative copy
     // still exists — take the slow-but-safe path instead of amplifying.
     // Retries the server itself directed via kBusy+retry_after are exempt
-    // (see handle_busy): they are paced by the hint and the deadline.
+    // (see on_read_reply): they are paced by the hint and the deadline.
     const bool server_directed = retry_is_server_directed_;
     retry_is_server_directed_ = false;
+    busy_retry_after_ms_ = 0;
     if (attempt > 0 && !server_directed && !spend_retry_token()) {
       break;
     }
@@ -1675,73 +1555,17 @@ StatusOr<common::Buffer> HvacClient::read_file_impl(
                                  " failed and NoFT cannot recover");
     }
 
-    if (hedging) {
-      auto outcome = hedged_attempt(path, owner, deadline, trace);
-      if (outcome.has_value()) return std::move(*outcome);
-      continue;
+    auto verdict =
+        hedging ? hedged_attempt(path, owner, deadline, trace)
+                : read_attempt(path, owner, attempt, server_directed,
+                               deadline, trace);
+    if (verdict.has_value()) return std::move(*verdict);
+    // Shed: jittered exponential backoff in the attempt number, never
+    // below the server's hint, never past the deadline.  A hedged race
+    // backs off from the base step (its legs already sat out the delay).
+    if (retry_is_server_directed_) {
+      busy_backoff(busy_retry_after_ms_, hedging ? 0 : attempt, deadline);
     }
-
-    rpc::RpcRequest request;
-    request.op = rpc::Op::kReadFile;
-    request.path = path;
-    request.client_node = self_;
-    request.deadline_ns = deadline;
-    if (membership_ != nullptr) membership_->stamp_request(request);
-    const bool traced = recorder_ != nullptr && trace.sampled;
-    obs::TraceContext attempt_ctx;
-    std::int64_t attempt_start_ns = 0;
-    if (traced) {
-      attempt_ctx = trace.child();
-      request.trace = attempt_ctx;
-      attempt_start_ns = obs::now_ns();
-    }
-    const auto call_start = rpc::Clock::now();
-    auto result = transport_.call(owner, std::move(request),
-                                  attempt_timeout(deadline));
-    if (traced) {
-      const StatusCode code =
-          result.is_ok() ? result.value().code : result.status().code();
-      recorder_->record_span(
-          server_directed ? obs::RecordKind::kBusyRetry
-                          : obs::RecordKind::kClientAttempt,
-          attempt_ctx, owner, attempt_start_ns, obs::now_ns(),
-          static_cast<std::uint32_t>(code), attempt,
-          attempt == 0 ? "primary"
-                       : (server_directed ? "busy_retry" : "retry"));
-    }
-
-    if (result.is_ok() && result.value().code == StatusCode::kBusy) {
-      // Shed, not served: alive-node bookkeeping, jittered backoff (never
-      // below the server's hint, never past the deadline), then retry.
-      // Deliberately no latency sample — see handle_busy.
-      handle_busy(owner, result.value());
-      busy_backoff(result.value().retry_after_ms, attempt, deadline);
-      continue;
-    }
-    if (result.is_ok()) {
-      latency_.record(std::chrono::duration<double, std::micro>(
-                          rpc::Clock::now() - call_start)
-                          .count());
-      return accept_response(path, owner, std::move(result).value());
-    }
-
-    const Status& status = result.status();
-    if (timeout_like(status)) {
-      on_timeout(owner);
-      switch (config_.mode) {
-        case FtMode::kNone:
-          return Status::timeout("node " + std::to_string(owner) +
-                                 " unresponsive; NoFT aborts");
-        case FtMode::kPfsRedirect:
-          // Per Fig 3(a): the timed-out request itself is redirected.
-          return read_from_pfs(path, trace);
-        case FtMode::kHashRingRecache:
-          // Retry: if the node was flagged the ring changed; otherwise the
-          // same owner gets another chance (transient delay).
-          continue;
-      }
-    }
-    return status;  // unexpected transport error
   }
   // Retries exhausted without a verdict.  With p2p recache on, the
   // replica chain gets one last node-to-node chance (a warm standby often

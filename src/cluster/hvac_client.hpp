@@ -36,9 +36,10 @@
 // Each client instance is used by one training process (thread) at a
 // time, but different clients share nothing — they detect failures and
 // update their rings autonomously, as in the paper (no inter-node
-// coordination).  Hedge and probe RPCs complete on transport pool
-// threads; their outcomes are posted to a refcounted mailbox and folded
-// into the detector by the owning thread on its next call, so all client
+// coordination).  Every reply the client sees, sync or async, is settled
+// by one function (settle) on the owning thread: async calls complete on
+// transport pool threads and post their raw result to a refcounted
+// mailbox, which the owning thread drains on its next call, so all client
 // state stays single-threaded.
 #pragma once
 
@@ -130,27 +131,24 @@ struct HvacClientConfig {
   // --- gray-failure handling (hash-ring mode only) ---------------------
   /// When true, a flagged node enters probation and may be reinstated by
   /// a background probe; when false, flagging is terminal (the paper's
-  /// crash-stop model).
+  /// crash-stop model).  A node reinstated three times is failed for good
+  /// on its next flag (FaultDetector::Options' default max_flaps).
   bool reinstatement = true;
   /// Delay before the first reinstatement probe; doubles per failed
   /// probe up to `probe_backoff_cap`.  Valid: > 0, cap >= base.
   std::chrono::milliseconds probe_backoff{50};
   std::chrono::milliseconds probe_backoff_cap{2000};
-  /// Reinstatement cycles before a flapping node is failed for good.
-  /// Valid: any (0 = first re-flag is terminal).
-  std::uint32_t max_flaps = 3;
 
   // --- hedged reads (hash-ring mode only; off by default so the paper's
   // --- single-request read path stays the baseline) --------------------
   bool hedge_reads = false;
   /// Hedge delay = clamp(latency quantile x multiplier, min_delay,
-  /// rpc_timeout), falling back to rpc_timeout / 4 until
-  /// `hedge_min_samples` latencies are recorded.
-  /// Valid: quantile in (0, 100], multiplier >= 1.0, min_samples >= 1.
+  /// rpc_timeout), falling back to rpc_timeout / 4 until 16 latencies are
+  /// recorded (HvacClient::kMinLatencySamples).
+  /// Valid: quantile in (0, 100], multiplier >= 1.0.
   double hedge_quantile = 95.0;
   double hedge_delay_multiplier = 2.0;
   std::chrono::microseconds hedge_min_delay{0};
-  std::uint32_t hedge_min_samples = 16;
 
   // --- failover-storm hardening (every knob defaults to the legacy
   // --- behaviour: no deadline on the wire, unlimited retries/hedges,
@@ -169,11 +167,9 @@ struct HvacClientConfig {
   /// 0 = off.  Valid when set: in (0, 1]; cap >= 1.
   double retry_budget_ratio = 0.0;
   double retry_budget_cap = 10.0;
-  /// Backoff after a kBusy rejection: jittered exponential from `base`
+  /// Backoff after a kBusy rejection: jittered exponential from 1 ms
   /// doubling per attempt up to `cap`, never below the server's
-  /// retry-after hint, never past the read's deadline.
-  /// Valid: base > 0, cap >= base.
-  std::chrono::milliseconds busy_backoff_base{1};
+  /// retry-after hint, never past the read's deadline.  Valid: >= 1 ms.
   std::chrono::milliseconds busy_backoff_cap{16};
 
   // --- skew-tolerant placement (hash-ring mode only; every knob defaults
@@ -185,11 +181,9 @@ struct HvacClientConfig {
   /// with report_load on to have any effect (no hints -> no spills).
   bool bounded_load = false;
   /// Overload factor c.  Valid: > 1 (c <= 1 would mark half the fleet
-  /// overloaded in steady state and thrash placement).
+  /// overloaded in steady state and thrash placement).  A lookup inspects
+  /// at most two distinct spill candidates past the primary.
   double bounded_load_c = 1.25;
-  /// Distinct spill candidates past the primary a lookup may inspect.
-  /// Valid: >= 1 and <= 7 (the lookup's fixed candidate window).
-  std::uint32_t bounded_load_max_spill = 2;
 
   /// Hot-file replica fanout: a space-saving top-k sketch tracks per-file
   /// heat; files crossing hot_promote_threshold are replicated to the
@@ -367,8 +361,12 @@ class HvacClient {
     return staged_prefetch_.find(path) != staged_prefetch_.end();
   }
 
+  /// Latency samples the hedge-delay quantile and recommended_timeout
+  /// need before they trust the window.
+  static constexpr std::uint32_t kMinLatencySamples = 16;
+
   /// TTL the paper's rule would pick right now: max observed latency x
-  /// `margin`, or the configured rpc_timeout until enough samples exist.
+  /// `margin`, or the configured rpc_timeout until kMinLatencySamples exist.
   [[nodiscard]] std::chrono::milliseconds recommended_timeout(
       double margin = 2.0) const;
 
@@ -416,12 +414,34 @@ class HvacClient {
   [[nodiscard]] Stats stats_snapshot() const;
 
  private:
-  /// Mailbox for RPC outcomes that complete on transport pool threads
-  /// (hedge legs, probes).  Owned via shared_ptr so completions arriving
-  /// after the client (or the read that launched them) is gone write into
+  /// Raw replies of async calls (late hedge legs, probes, write-behind
+  /// kPuts, prefetch pulls, hot-replica evicts), each tagged with what the
+  /// call was for.  Owned via shared_ptr so completions arriving after the
+  /// client (or the read that launched them) is gone write into
   /// refcounted memory, not a dangling `this`.  The owning thread drains
-  /// it at the top of every read/ping.
+  /// it at the top of every read/ping and settles each reply there.
   struct Mailbox;
+
+  /// How settle() sorted a reply.
+  enum class ReplyClass : std::uint8_t {
+    kLost,      ///< kTimeout/kUnavailable/kCancelled: the node did not serve
+    kShed,      ///< kBusy: alive, protecting itself
+    kFenced,    ///< kFencedEpoch: alive, our epoch lagged its own
+    kAnswered,  ///< any other answer, served or refused
+    kError,     ///< a transport error outside the lost set: no verdict
+  };
+
+  /// The one place a reply becomes node evidence: folds an answer's
+  /// membership delta and load hint, records it as liveness for the
+  /// detector, or counts a lost reply as a timeout (on_timeout).  Every
+  /// reply is settled exactly once, on the owning thread, except the
+  /// reinstatement probe's (on_probe_reply).
+  ReplyClass settle(NodeId node, const StatusOr<rpc::RpcResponse>& result);
+  /// A request of `op` for `path` from this client: sender, deadline and
+  /// (agent attached) the membership stamp.
+  [[nodiscard]] rpc::RpcRequest make_request(
+      rpc::Op op, const std::string& path,
+      rpc::DeadlineNs deadline = rpc::kNoDeadline) const;
 
   /// read_file minus the root-span bookkeeping; `trace` is the sampled
   /// root context (unsampled default when the read is not traced).
@@ -447,8 +467,11 @@ class HvacClient {
   /// Publishes one serving-set change on the client's own ring (no-op with
   /// an agent attached, or when the ring already reflects it).
   void publish(membership::RingEventType type, NodeId node);
-  /// Folds queued async outcomes into detector/placement/stats.
+  /// Settles every queued async reply through its purpose's handler.
   void drain_mailbox();
+  /// A reinstatement probe's reply: only a served ping proves the node
+  /// back (record_probe_success), anything else backs the next probe off.
+  void on_probe_reply(NodeId node, const StatusOr<rpc::RpcResponse>& result);
   /// Launches async reinstatement probes for probation nodes past their
   /// backoff deadline.
   void maybe_probe();
@@ -460,13 +483,28 @@ class HvacClient {
   /// file then re-places its standbys as a repair (warm_restores, under
   /// restore_concurrency) instead of adopting a set that looks unchanged.
   void distrust_warm_markings(NodeId node);
-  /// Hedged fast path for one attempt; returns nullopt when the caller
-  /// should fall back to the ordinary retry loop for this attempt.
-  /// `deadline` (kNoDeadline when total_deadline is off) is inherited by
-  /// both legs on the wire and bounds their per-leg timeouts.
+  /// One plain read attempt against `owner`: the result, or nullopt to
+  /// retry (a shed reply leaves retry_is_server_directed_ set).
+  std::optional<StatusOr<common::Buffer>> read_attempt(
+      const std::string& path, NodeId owner, std::size_t attempt,
+      bool server_directed, rpc::DeadlineNs deadline,
+      const obs::TraceContext& trace);
+  /// One hedged attempt: the primary leg, and past the hedge delay a race
+  /// against the next ring successor (or the PFS).  Same contract as
+  /// read_attempt.  `deadline` (kNoDeadline when total_deadline is off) is
+  /// inherited by both legs on the wire and bounds their per-leg timeouts.
   std::optional<StatusOr<common::Buffer>> hedged_attempt(
       const std::string& path, NodeId owner, rpc::DeadlineNs deadline,
       const obs::TraceContext& trace);
+  /// The attempt verdict, shared by the plain attempt and every hedge leg
+  /// the race consumes: settles the reply, then serves it (CRC, counters,
+  /// replica pushes), surfaces an application error, redirects per FT
+  /// mode on a lost reply, or returns nullopt to retry.  A shed reply
+  /// marks the retry server-directed and records its retry-after hint.
+  /// `latency_us` is recorded as a latency sample when the node answered.
+  std::optional<StatusOr<common::Buffer>> on_read_reply(
+      const std::string& path, NodeId node, StatusOr<rpc::RpcResponse> result,
+      std::optional<double> latency_us, const obs::TraceContext& trace);
   /// Per-attempt RPC timeout: rpc_timeout capped by the budget remaining
   /// before `deadline` (floor 1ms so an attempt is never zero-length).
   [[nodiscard]] std::chrono::milliseconds attempt_timeout(
@@ -474,18 +512,10 @@ class HvacClient {
   /// Takes a retry-budget token for an extra attempt (retry or hedge
   /// leg); false = denied, with the denial counted.
   bool spend_retry_token();
-  /// kBusy bookkeeping: the node is *alive* (liveness evidence for the
-  /// detector, never a latency sample or a timeout), and its piggybacked
-  /// membership still gets folded in.
-  void handle_busy(NodeId server, const rpc::RpcResponse& response);
   /// Sleeps the jittered exponential busy backoff (>= the server's
   /// retry-after hint, truncated at the read's deadline).
   void busy_backoff(std::uint32_t retry_after_ms, std::size_t attempt,
                     rpc::DeadlineNs deadline);
-  /// Winner bookkeeping shared by the plain and hedged paths.
-  StatusOr<common::Buffer> accept_response(const std::string& path,
-                                           NodeId server,
-                                           rpc::RpcResponse response);
   /// The unified replica push (every policy in one pass): collects plans
   /// from the active ReplicationPolicies — miss-recache when `cache_fill`,
   /// the pending hot fanout, the warm standby — merges them into one
@@ -497,12 +527,18 @@ class HvacClient {
   void push_replicas(const std::string& path, const common::Buffer& contents,
                      NodeId primary, bool cache_fill,
                      const placement::ReplicaPlan* extra = nullptr);
-  /// Executes one merged target: a synchronous kPut with legacy
-  /// detector/stats bookkeeping, or an async one whose verdict arrives
-  /// through the mailbox.
+  /// Executes one merged target: a synchronous kPut, or a write-behind
+  /// one whose reply arrives through the mailbox; on_put_reply handles
+  /// both.
   void execute_put(const placement::MergedTarget& target,
                    const std::string& path, const common::Buffer& contents,
                    bool warm_restore);
+  /// A kPut's reply, either write class: counts an acknowledged replica
+  /// (and a warm push/restore), counts a fence, and unmarks a warm
+  /// standby that was not placed so a later read retries it.
+  void on_put_reply(NodeId node, const std::string& path, bool warm,
+                    bool warm_restore,
+                    const StatusOr<rpc::RpcResponse>& result);
   /// In-flight cap for a warm placement: restore_concurrency for a
   /// re-target of a marked file, write_behind_depth for a first placement.
   [[nodiscard]] std::uint32_t warm_cap(bool warm_restore) const;
@@ -537,6 +573,11 @@ class HvacClient {
   /// (0 = ring owner).  Returns false when no eligible target exists at
   /// that hop (the path is dropped, not an error).
   bool issue_prefetch_pull(const std::string& path, std::uint32_t hop);
+  /// A pull's reply: stages the bytes, walks a miss on to the next hop
+  /// (p2p), re-queues a lost pull, defers a refused one; then refills the
+  /// pipeline.  `corrupt` = the payload failed its CRC on the pool thread.
+  void on_prefetch_reply(NodeId node, std::string path, std::uint32_t hop,
+                         bool corrupt, StatusOr<rpc::RpcResponse> result);
   /// Last line of defense before read_from_pfs with prefetch.p2p on:
   /// walks the replica chain synchronously over kPeerGet and, on a hit,
   /// heals the authoritative owner through the merged replica-push path
@@ -577,12 +618,14 @@ class HvacClient {
   /// co-located clients never backoff in lockstep (synchronized retries
   /// re-create the very burst the backoff exists to spread).
   Rng backoff_rng_;
-  /// Set by handle_busy: the next retry was directed by a shedding server
-  /// (kBusy + retry_after), so it is exempt from the speculative retry
-  /// budget — it is paced by the server's hint and the deadline instead.
+  /// Set by a shed read reply: the next retry was directed by a shedding
+  /// server (kBusy + retry_after), so it is exempt from the speculative
+  /// retry budget — it is paced by the server's hint (the largest of the
+  /// attempt's, in busy_retry_after_ms_) and the deadline instead.
   bool retry_is_server_directed_ = false;
+  std::uint32_t busy_retry_after_ms_ = 0;
   /// Per-node load view fed by piggybacked hints (single-threaded: only
-  /// the owning thread's synchronous response path observes into it).
+  /// settle(), on the owning thread, observes into it).
   ring::NodeLoadEstimator load_estimator_;
   /// Replication policies (placement arithmetic only; this client
   /// executes their plans).  Each is null unless its knob is on, so the

@@ -210,8 +210,6 @@ TEST(HvacClientConfigValidate, RejectsOutOfRangeFields) {
   config.hedge_delay_multiplier = 0.5;
   EXPECT_EQ(config.validate().code(), StatusCode::kInvalidArgument);
   config.hedge_delay_multiplier = 2.0;
-  config.hedge_min_samples = 0;
-  EXPECT_EQ(config.validate().code(), StatusCode::kInvalidArgument);
   // Hedge knobs are ignored (not validated) when hedging is off.
   config.hedge_reads = false;
   EXPECT_TRUE(config.validate().is_ok());
@@ -310,7 +308,6 @@ TEST(GrayFailureInjector, SlowAndLossyComposeWithKill) {
 TEST(HedgedReads, SlowNodeIsMaskedAndAccountedOnce) {
   auto config = make_config();
   config.client.hedge_reads = true;
-  config.client.hedge_min_samples = 8;
   config.client.hedge_min_delay = 200us;
   Cluster cluster(config);
   const auto paths = cluster.stage_dataset(40, 64);
@@ -348,7 +345,6 @@ TEST(HedgedReads, SlowNodeIsMaskedAndAccountedOnce) {
 TEST(HedgedReads, AdaptiveDelayTracksLatencyQuantile) {
   auto config = make_config();
   config.client.hedge_reads = true;
-  config.client.hedge_min_samples = 8;
   Cluster cluster(config);
   const auto paths = cluster.stage_dataset(20, 64);
 
@@ -450,9 +446,7 @@ TEST(Reinstatement, DisabledKeepsCrashStopSemantics) {
 }
 
 TEST(Reinstatement, FlappingNodeIsRefusedAfterMaxFlaps) {
-  auto config = make_config();
-  config.client.max_flaps = 1;  // one comeback allowed
-  Cluster cluster(config);
+  Cluster cluster(make_config());
   const auto paths = cluster.stage_dataset(40, 64);
   cluster.warm_caches(paths);
 
@@ -460,20 +454,22 @@ TEST(Reinstatement, FlappingNodeIsRefusedAfterMaxFlaps) {
   const auto victim_path = path_owned_by(cluster, 0, victim, paths);
   ASSERT_FALSE(victim_path.empty());
 
-  // Cycle 1: down -> probation -> reinstated.
-  cluster.fail_node(victim);
-  ASSERT_TRUE(cluster.client(0).read_file(victim_path).is_ok());
-  ASSERT_EQ(cluster.client(0).node_health(victim), NodeHealth::kProbation);
-  cluster.restore_node(victim);
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (cluster.client(0).stats_snapshot().nodes_reinstated == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    (void)cluster.client(0).read_file(paths[0]);
-    std::this_thread::sleep_for(2ms);
+  // Three comebacks are allowed: down -> probation -> reinstated.
+  for (std::uint64_t cycle = 1; cycle <= 3; ++cycle) {
+    cluster.fail_node(victim);
+    ASSERT_TRUE(cluster.client(0).read_file(victim_path).is_ok());
+    ASSERT_EQ(cluster.client(0).node_health(victim), NodeHealth::kProbation);
+    cluster.restore_node(victim);
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (cluster.client(0).stats_snapshot().nodes_reinstated < cycle &&
+           std::chrono::steady_clock::now() < deadline) {
+      (void)cluster.client(0).read_file(paths[0]);
+      std::this_thread::sleep_for(2ms);
+    }
+    ASSERT_EQ(cluster.client(0).node_health(victim), NodeHealth::kHealthy);
   }
-  ASSERT_EQ(cluster.client(0).node_health(victim), NodeHealth::kHealthy);
 
-  // Cycle 2: the node flaps again — now it is failed for good.
+  // The fourth flap: now it is failed for good.
   cluster.fail_node(victim);
   ASSERT_TRUE(cluster.client(0).read_file(victim_path).is_ok());
   EXPECT_EQ(cluster.client(0).node_health(victim), NodeHealth::kFailed);
@@ -487,7 +483,6 @@ TEST(Reinstatement, FlappingNodeIsRefusedAfterMaxFlaps) {
 TEST(GrayFailStress, ConcurrentClientsUnderFlappingAndSlowNodes) {
   auto config = make_config(4);
   config.client.hedge_reads = true;
-  config.client.hedge_min_samples = 8;
   config.client.rpc_timeout = 50ms;
   config.client.probe_backoff = 2ms;
   config.client.probe_backoff_cap = 10ms;

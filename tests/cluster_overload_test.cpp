@@ -299,7 +299,6 @@ TEST(BusyHandling, BusyIsLivenessNeverSuspicionOrLatency) {
                   .is_ok());
   HvacClientConfig config;
   config.mode = FtMode::kHashRingRecache;
-  config.busy_backoff_base = 1ms;
   config.busy_backoff_cap = 2ms;
   HvacClient client(0, transport, pfs, {0}, config);
 
@@ -378,8 +377,7 @@ TEST(ConfigValidation, ClientStormKnobs) {
   EXPECT_FALSE(bad_cap.validate().is_ok());
 
   HvacClientConfig bad_backoff;
-  bad_backoff.busy_backoff_base = 8ms;
-  bad_backoff.busy_backoff_cap = 4ms;  // cap below base
+  bad_backoff.busy_backoff_cap = 0ms;  // below the 1 ms base step
   EXPECT_FALSE(bad_backoff.validate().is_ok());
 
   HvacClientConfig good;

@@ -51,18 +51,6 @@ TEST(SkewValidation, RejectsCAtOrBelowOne) {
   EXPECT_TRUE(config.validate().is_ok());
 }
 
-TEST(SkewValidation, RejectsBadSpillBudget) {
-  HvacClientConfig config;
-  config.mode = FtMode::kHashRingRecache;
-  config.bounded_load = true;
-  config.bounded_load_max_spill = 0;
-  EXPECT_FALSE(config.validate().is_ok());
-  config.bounded_load_max_spill = 8;  // the walk caps at 8 distinct nodes
-  EXPECT_FALSE(config.validate().is_ok());
-  config.bounded_load_max_spill = 7;
-  EXPECT_TRUE(config.validate().is_ok());
-}
-
 TEST(SkewValidation, HotFanoutKnobBounds) {
   HvacClientConfig config;
   config.mode = FtMode::kHashRingRecache;

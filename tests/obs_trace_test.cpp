@@ -174,7 +174,6 @@ TEST(TracePropagation, HedgeLegsShareTheRootsTrace) {
   // the right trace (ids captured by value into the completion).
   auto config = traced_config();
   config.client.hedge_reads = true;
-  config.client.hedge_min_samples = 8;
   config.client.hedge_min_delay = 200us;
   config.client.probe_backoff = 5ms;
   config.client.probe_backoff_cap = 40ms;
@@ -227,7 +226,6 @@ TEST(TracePropagation, BusyRetriesStayInTrace) {
                   .is_ok());
   HvacClientConfig config;
   config.mode = FtMode::kHashRingRecache;
-  config.busy_backoff_base = 1ms;
   config.busy_backoff_cap = 2ms;
   HvacClient client(0, transport, pfs, {0}, config);
   obs::FlightRecorder recorder(256);
